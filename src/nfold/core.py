@@ -31,12 +31,10 @@ ever converted to floating point.
 from __future__ import annotations
 
 import json
-import logging
 import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-logger = logging.getLogger(__name__)
 
 STATUS_FEASIBLE = "feasible-with-solution"
 STATUS_INFEASIBLE = "infeasible"
@@ -48,6 +46,10 @@ MODE_OPTIMIZE = "optimize"
 
 class InstanceFormatError(ValueError):
     """Raised when a JSON instance document is malformed; names the field."""
+
+
+class InternalError(AssertionError):
+    """A solver result failed its own check (a bug); raised even under -O."""
 
 
 @dataclass

@@ -1,12 +1,16 @@
-"""Per-level point sets: base tables per brick and windowed convolution.
+"""Per-level point sets: base tables per brick and one windowed sumset kernel.
 
 A *point* is the r-vector a brick (or a partial group of bricks)
 contributes to the shared rows.  ``block_base_table`` enumerates every
 point one brick can reach with an exact number of placed units, via a
-bounded-count DP over the brick's columns.  ``convolve`` forms Minkowski
-sums of two tables; ``fold_tables`` chains it across all bricks, keeping
-only points that can still land inside a per-axis target window given
-what the remaining bricks are able to add ("suffix reach" pruning).
+bounded-count DP over the brick's columns.  ``sumset`` is the one
+windowed Minkowski-sum kernel, ``scale*p + q`` in ``[lo, hi]``, run at
+scale 1 by the in-level ``convolve`` and at scale 2 by the cross-level
+``driver._combine_levels``; it probes the window box when the box is no
+larger than the right table, else bisects a sorted-axis range index of
+that table.  ``fold_tables`` chains ``convolve`` across all bricks,
+keeping only points that can still land inside a per-axis target window
+given what the remaining bricks are able to add ("suffix reach" pruning).
 
 Tables carry witnesses: a base cell remembers its column-count vector, a
 combined cell remembers the pair of points it was summed from, so any
@@ -14,20 +18,22 @@ surviving point can be decoded back into per-brick vectors.
 
 In optimize mode each cell also carries the best objective value seen
 for that point; feasibility mode is the same machinery with all-zero
-values.  Iteration is always over sorted keys so reruns are bit-stable.
+values.  Pairs are visited in sorted order and only a strictly larger
+value replaces a cell, so ties keep the first witness and reruns are
+bit-stable, dict order included.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Sequence
 
 from .core import MODE_FEASIBILITY, MODE_OPTIMIZE, NFoldInstance
 from .plan import IterationPlan
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -46,19 +52,17 @@ class PointTable:
     is ``(left_point, right_point)`` referring to the two parent tables.
     """
 
-    __slots__ = ("r", "bound", "cells", "kind", "block", "parents", "_reach")
+    __slots__ = ("r", "cells", "kind", "block", "parents", "_reach")
 
     def __init__(
         self,
         r: int,
-        bound: tuple[int, ...] | None,
         kind: str,
         *,
         block: int | None = None,
         parents: tuple["PointTable", "PointTable"] | None = None,
     ) -> None:
         self.r = r
-        self.bound = bound
         self.kind = kind  # "base" | "pair"
         self.block = block
         self.parents = parents
@@ -78,23 +82,13 @@ class PointTable:
     def reach(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Per-axis (min, max) over the stored points; zeros when empty."""
         if self._reach is None:
-            if not self.cells:
-                self._reach = ((0,) * self.r, (0,) * self.r)
-            else:
-                lo = [None] * self.r
-                hi = [None] * self.r
-                for pt in self.cells:
-                    for j, v in enumerate(pt):
-                        if lo[j] is None or v < lo[j]:
-                            lo[j] = v
-                        if hi[j] is None or v > hi[j]:
-                            hi[j] = v
-                self._reach = (tuple(lo), tuple(hi))
+            axes = list(zip(*self.cells)) or [(0,)] * self.r
+            self._reach = (tuple(map(min, axes)), tuple(map(max, axes)))
         return self._reach
 
     def filtered(self, lo: tuple[int, ...], hi: tuple[int, ...]) -> "PointTable":
         """Copy containing only the points inside [lo, hi] per axis."""
-        out = PointTable(self.r, hi, self.kind, block=self.block, parents=self.parents)
+        out = PointTable(self.r, self.kind, block=self.block, parents=self.parents)
         for pt, cell in self.cells.items():
             if all(l <= v <= h for v, l, h in zip(pt, lo, hi)):
                 out.cells[pt] = cell
@@ -104,19 +98,18 @@ class PointTable:
         """Expand a point into per-brick column counts (brick order)."""
         if pt not in self.cells:
             raise KeyError(f"point {pt} not in table")
-        cell = self.cells[pt]
-        if self.kind == "base":
-            return [BlockWitness(block=self.block, counts=cell[1])]
-        left_pt, right_pt = cell[1], cell[2]
-        left, right = self.parents
-        return left.decode(left_pt) + right.decode(right_pt)
-
-
-def _columns(block: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Transpose a row-major brick matrix into its column vectors."""
-    r = len(block)
-    width = len(block[0]) if r else 0
-    return [tuple(block[j][col] for j in range(r)) for col in range(width)]
+        out: list[BlockWitness] = []
+        stack: list[tuple[PointTable, tuple[int, ...]]] = [(self, pt)]
+        while stack:
+            table, point = stack.pop()
+            cell = table.cells[point]
+            if table.kind == "base":
+                out.append(BlockWitness(block=table.block, counts=cell[1]))
+            else:
+                left, right = table.parents
+                stack.append((right, cell[2]))
+                stack.append((left, cell[1]))
+        return out
 
 
 def block_base_table(
@@ -149,9 +142,9 @@ def block_base_table(
         Per-axis upper cap for kept points.
     """
     r = len(block)
-    cols = _columns(block)
+    cols = list(zip(*block))  # column vectors of the row-major brick
     monotone = all(e >= 0 for col in cols for e in col)
-    table = PointTable(r, hi, "base", block=block_index)
+    table = PointTable(r, "base", block=block_index)
     origin = (0,) * r
 
     # layers[u] : point -> (value, counts-so-far)
@@ -192,13 +185,91 @@ def block_base_table(
     return table
 
 
-def _window_volume(lo: tuple[int, ...], hi: tuple[int, ...]) -> int:
-    vol = 1
-    for l, h in zip(lo, hi):
-        if h < l:
-            return 0
-        vol *= h - l + 1
-    return vol
+def sumset(
+    a_cells: dict[tuple[int, ...], tuple],
+    b_cells: dict[tuple[int, ...], tuple],
+    scale: int,
+    lo: tuple[int, ...],
+    hi: tuple[int, ...],
+) -> dict[tuple[int, ...], tuple]:
+    """Map every ``scale*p + q`` in ``[lo, hi]`` to ``(value, p, q)``.
+
+    ``p`` runs over ``a_cells`` and ``q`` over ``b_cells``; the value is
+    ``scale*value(p) + value(q)`` (a cell's value is its first entry).
+    Pairs go in sorted ``(p, q)`` order and only a strictly larger value
+    replaces a cell, so ties keep the first witness and keys come out in
+    first-reached order.  A window box of at most ``len(b_cells)`` points
+    is probed per ``p`` (``b`` points are nonnegative, as in every engine
+    table); otherwise ``b_cells`` is grouped by prefix ``q[:-1]`` with
+    sorted last coordinates, and each ``p`` bisects axis 0 over prefixes
+    and the last axis per prefix.  Sums accumulate under mixed-radix int
+    keys over the window.
+    """
+    dims = [h - l + 1 for l, h in zip(lo, hi)]
+    if not a_cells or not b_cells or min(dims) <= 0:
+        return {}
+    strides = [math.prod(dims[j + 1:]) for j in range(len(dims))]
+    probe = _probe_box if math.prod(dims) <= len(b_cells) else _probe_index
+    acc: dict[int, tuple] = {}
+    probe(acc, a_cells, b_cells, scale, lo, hi, strides)
+    return {
+        tuple(scale * x + y for x, y in zip(cell[1], cell[2])): cell
+        for cell in acc.values()
+    }
+
+
+def _probe_box(acc, a_cells, b_cells, scale, lo, hi, strides) -> None:
+    get = b_cells.get
+    for p in sorted(a_cells):
+        ranges = [
+            range(max(l - scale * x, 0), h - scale * x + 1)
+            for x, l, h in zip(p, lo, hi)
+        ]
+        base = sum((scale * x - l) * s for x, l, s in zip(p, lo, strides))
+        p_val = scale * a_cells[p][0]
+        for q in itertools.product(*ranges):
+            cell = get(q)
+            if cell is not None:
+                key = base + sum(map(mul, q, strides))
+                value = p_val + cell[0]
+                prev = acc.get(key)
+                if prev is None or value > prev[0]:
+                    acc[key] = (value, p, q)
+
+
+def _probe_index(acc, a_cells, b_cells, scale, lo, hi, strides) -> None:
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for q in sorted(b_cells):
+        groups.setdefault(q[:-1], []).append(q)
+    index = [
+        (pre, sum(map(mul, pre, strides)), [q[-1] for q in qs],
+         [b_cells[q][0] for q in qs], qs)
+        for pre, qs in groups.items()
+    ]
+    last = len(lo) - 1
+    firsts = [pre[0] for pre in groups] if last else []
+    for p in sorted(a_cells):
+        q_lo = [l - scale * x for x, l in zip(p, lo)]
+        q_hi = [h - scale * x for x, h in zip(p, hi)]
+        g0, g1 = 0, 1
+        if last:
+            g0 = bisect_left(firsts, q_lo[0])
+            g1 = bisect_right(firsts, q_hi[0], g0)
+        base = sum((scale * x - l) * s for x, l, s in zip(p, lo, strides))
+        p_val = scale * a_cells[p][0]
+        for pre, pre_key, lasts, values, qs in index[g0:g1]:
+            if last > 1 and any(
+                not q_lo[j] <= pre[j] <= q_hi[j] for j in range(1, last)
+            ):
+                continue
+            i0 = bisect_left(lasts, q_lo[last])
+            offset = base + pre_key
+            for i in range(i0, bisect_right(lasts, q_hi[last], i0)):
+                key = offset + lasts[i]
+                value = p_val + values[i]
+                prev = acc.get(key)
+                if prev is None or value > prev[0]:
+                    acc[key] = (value, p, qs[i])
 
 
 def convolve(
@@ -208,60 +279,19 @@ def convolve(
     lo: tuple[int, ...] | None = None,
     hi: tuple[int, ...] | None = None,
 ) -> PointTable:
-    """Minkowski sum of two tables, keeping points inside [lo, hi].
+    """Minkowski sum ``a + b`` inside ``[lo, hi]``: ``sumset`` at scale 1.
 
-    Values add; per result point the maximum value wins (first witness
-    kept on ties).  When the target window is narrower than the right
-    table, the right side is enumerated as a window-box lookup instead of
-    a full scan — at the last level the window is often a single point,
-    which turns the final combine into a dictionary probe per left point.
+    Values add; ties keep the first witness in sorted (left, right) order.
+    The kernel probes the window box in ``b`` when the box is no larger
+    than ``b``, else bisects a sorted-axis index of ``b``.  A missing
+    window side defaults to ``reach(a) + reach(b)``.
     """
-    r = a.r
-    out = PointTable(r, hi, "pair", parents=(a, b))
-    if not a.cells or not b.cells:
-        return out
-
-    use_box = False
-    if lo is not None and hi is not None:
-        volume = _window_volume(lo, hi)
-        if volume == 0:
-            return out
-        use_box = volume <= len(b.cells)
-
-    if use_box:
-        spans = [range(l, h + 1) for l, h in zip(lo, hi)]
-        for a_pt in a.points():
-            a_val = a.cells[a_pt][0]
-            ranges = [
-                range(max(s.start - av, 0), s.stop - av)
-                for s, av in zip(spans, a_pt)
-            ]
-            if any(rg.start >= rg.stop for rg in ranges):
-                continue
-            for b_pt in itertools.product(*ranges):
-                cell = b.cells.get(b_pt)
-                if cell is None:
-                    continue
-                total = tuple(x + y for x, y in zip(a_pt, b_pt))
-                value = a_val + cell[0]
-                prev = out.cells.get(total)
-                if prev is None or value > prev[0]:
-                    out.cells[total] = (value, a_pt, b_pt)
-        return out
-
-    b_points = b.points()
-    for a_pt in a.points():
-        a_val = a.cells[a_pt][0]
-        for b_pt in b_points:
-            total = tuple(x + y for x, y in zip(a_pt, b_pt))
-            if lo is not None and any(v < l for v, l in zip(total, lo)):
-                continue
-            if hi is not None and any(v > h for v, h in zip(total, hi)):
-                continue
-            value = a_val + b.cells[b_pt][0]
-            prev = out.cells.get(total)
-            if prev is None or value > prev[0]:
-                out.cells[total] = (value, a_pt, b_pt)
+    if lo is None or hi is None:
+        (a_lo, a_hi), (b_lo, b_hi) = a.reach(), b.reach()
+        lo = lo if lo is not None else tuple(map(add, a_lo, b_lo))
+        hi = hi if hi is not None else tuple(map(add, a_hi, b_hi))
+    out = PointTable(a.r, "pair", parents=(a, b))
+    out.cells = sumset(a.cells, b.cells, 1, lo, hi)
     return out
 
 

@@ -18,16 +18,20 @@ remaining levels can only add to ``2^e * v``.  At the top level (e = 0)
 the window collapses to exactly ``b_up`` — feasibility is then simply
 "is the top set nonempty".
 
+The combine is ``dp.sumset`` at scale 2 (the in-level fold runs it at
+scale 1): a box probe or a sorted-axis range index, and on value ties
+a point keeps the first witness in sorted ``(p, q)`` order.
+
 Witnesses are pairs (parent point, small point) per level; decoding
 walks them down and recombines ``x = sum_i 2^(levels-i) * x~(i)``.
 Objective values double along the same recursion (values are additive
 and ``c`` is required to be nonnegative, so doubled prefixes stay
-optimal substructures).
+optimal substructures).  The decoded solution is re-verified; a
+failure raises ``InternalError``, also under ``python -O``.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -38,6 +42,7 @@ from .core import (
     STATUS_FEASIBLE,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
+    InternalError,
     NFoldInstance,
     Solution,
     SolveOutcome,
@@ -46,8 +51,8 @@ from .core import (
     validate,
     verify_solution,
 )
-from .dp import PointTable, base_tables_for_level, fold_tables
-from .plan import IterationPlan, build_plan
+from .dp import PointTable, base_tables_for_level, fold_tables, sumset
+from .plan import IterationPlan, _ceil_div, build_plan
 from .reduction import ReducedInstance, map_back, reduce_instance
 
 logger = logging.getLogger(__name__)
@@ -74,10 +79,6 @@ class SolveTrace:
     levels: list[LevelSet] = field(default_factory=list)
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def level_window(
     b_up: Sequence[int], radius: int, levels: int, level: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -97,80 +98,46 @@ def _combine_levels(
     lo: tuple[int, ...],
     hi: tuple[int, ...],
 ) -> dict[tuple[int, ...], tuple]:
-    """All windowed points 2*p + q with doubled-value maximization."""
-    cells: dict[tuple[int, ...], tuple] = {}
-    volume = 1
-    for l, h in zip(lo, hi):
-        if h < l:
-            return cells
-        volume *= h - l + 1
-    use_box = volume <= len(small.cells)
+    """Every ``2*p + q`` in ``[lo, hi]``: ``dp.sumset`` at scale 2.
 
-    for p_pt in sorted(prev.cells):
-        p_val = prev.cells[p_pt][0]
-        if use_box:
-            ranges = [
-                range(max(l - 2 * pv, 0), h - 2 * pv + 1)
-                for l, h, pv in zip(lo, hi, p_pt)
-            ]
-            if any(rg.start >= rg.stop for rg in ranges):
-                continue
-            candidates = itertools.product(*ranges)
-            for q_pt in candidates:
-                cell = small.cells.get(q_pt)
-                if cell is None:
-                    continue
-                total = tuple(2 * pv + qv for pv, qv in zip(p_pt, q_pt))
-                value = 2 * p_val + cell[0]
-                prior = cells.get(total)
-                if prior is None or value > prior[0]:
-                    cells[total] = (value, p_pt, q_pt)
-        else:
-            for q_pt in small.points():
-                total = tuple(2 * pv + qv for pv, qv in zip(p_pt, q_pt))
-                if any(v < l or v > h for v, l, h in zip(total, lo, hi)):
-                    continue
-                value = 2 * p_val + small.cells[q_pt][0]
-                prior = cells.get(total)
-                if prior is None or value > prior[0]:
-                    cells[total] = (value, p_pt, q_pt)
-    return cells
+    Values are ``2*value(p) + value(q)``; ties keep the first witness in
+    sorted ``(p, q)`` order.  The kernel probes the window box in the
+    small set when the box is no larger, else bisects a sorted index.
+    """
+    return sumset(prev.cells, small.cells, 2, lo, hi)
 
 
 def reconstruct(levels: Sequence[LevelSet], b_up: Sequence[int]) -> list[tuple[int, ...]]:
     """Decode the witness chain ending at ``b_up`` into brick vectors.
 
     Returns one counts tuple per brick: ``x_k = sum_i 2^(I-i) * x~k(i)``.
-    Asserts the doubling identity at every step; a violation means a
-    corrupt witness and is a bug, never an input problem.
+    Checks the doubling identity at every step; a violation raises
+    ``InternalError``: a corrupt witness is a bug, never an input problem.
     """
     if not levels:
         raise ValueError("reconstruct needs at least one level")
     depth = len(levels)
     target = tuple(b_up)
-    per_block: dict[int, list[int]] | None = None
+    per_block: dict[int, list[int]] = {}
 
     for level_set in reversed(levels):
         cell = level_set.cells.get(target)
-        assert cell is not None, f"corrupt witness: {target} missing at level {level_set.level}"
+        if cell is None:
+            raise InternalError(
+                f"corrupt witness: {target} missing at level {level_set.level}"
+            )
         _, parent_pt, small_pt = cell
-        if level_set.level > 1:
-            assert parent_pt is not None, "corrupt witness: missing parent"
-            assert all(
-                2 * p + q == v for p, q, v in zip(parent_pt, small_pt, target)
-            ), "corrupt witness: doubling identity violated"
+        if level_set.level > 1 and (
+            parent_pt is None
+            or any(2 * p + q != v for p, q, v in zip(parent_pt, small_pt, target))
+        ):
+            raise InternalError("corrupt witness: doubling identity violated")
         weight = 1 << (depth - level_set.level)
-        witnesses = level_set.small.decode(small_pt)
-        if per_block is None:
-            per_block = {w.block: [0] * len(w.counts) for w in witnesses}
-        for w in witnesses:
-            acc = per_block[w.block]
+        for w in level_set.small.decode(small_pt):
+            acc = per_block.setdefault(w.block, [0] * len(w.counts))
             for j, cnt in enumerate(w.counts):
                 acc[j] += weight * cnt
-        target = parent_pt if parent_pt is not None else None
-        if target is None:
-            break
-    assert per_block is not None
+        target = parent_pt
     return [tuple(per_block[k]) for k in sorted(per_block)]
 
 
@@ -252,12 +219,8 @@ def solve_with_trace(
         cells_total += len(cells)
         trace.levels.append(LevelSet(level=level, cells=cells, small=small))
 
-    top = trace.levels[-1]
-    target = work.b_up
-    assert target in top.cells, "top window is exact; nonempty means target present"
-    value = top.cells[target][0]
-
-    bricks = reconstruct(trace.levels, target)
+    bricks = reconstruct(trace.levels, work.b_up)
+    value = trace.levels[-1].cells[work.b_up][0]
     x = map_back(reduced, tuple(v for brick in bricks for v in brick))
     stats = {
         "iterations": depth,
@@ -265,15 +228,18 @@ def solve_with_trace(
         "wall_time_s": watch.seconds(),
     }
     if mode == MODE_OPTIMIZE:
-        assert value == objective_value(inst, x), "corrupt witness: value drift"
-        assert verify_solution(inst, x, value), "corrupt witness: bad solution"
+        if value != objective_value(inst, x):
+            raise InternalError("corrupt witness: value drift")
+        if not verify_solution(inst, x, value):
+            raise InternalError("corrupt witness: bad solution")
         outcome = SolveOutcome(
             status=STATUS_OPTIMAL,
             solution=Solution(x=x, objective=value),
             stats=stats,
         )
     else:
-        assert verify_solution(inst, x), "corrupt witness: bad solution"
+        if not verify_solution(inst, x):
+            raise InternalError("corrupt witness: bad solution")
         outcome = SolveOutcome(
             status=STATUS_FEASIBLE, solution=Solution(x=x), stats=stats
         )

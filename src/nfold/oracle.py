@@ -12,7 +12,6 @@ it never truncates, because a truncated "infeasible" would be a lie.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
@@ -29,7 +28,6 @@ from .core import (
     Stopwatch,
 )
 
-logger = logging.getLogger(__name__)
 
 DEFAULT_BUDGET = 10_000_000
 

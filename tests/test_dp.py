@@ -16,6 +16,7 @@ from nfold.dp import (
     fold_tables,
     small_subproblem_set,
 )
+from nfold.driver import LevelSet, _combine_levels
 from nfold.oracle import oracle_point_set
 from nfold.plan import build_plan
 
@@ -227,3 +228,88 @@ def test_base_tables_for_level_respect_plan_and_costs():
     assert len(tables) == 2
     assert tables[0].value((4,)) == 2
     assert tables[1].value((1,)) == 1
+
+
+# ---------------------------------------------------------------------------
+# the windowed sumset kernel against a plain double loop
+
+
+def reference_sumset(a_cells, b_cells, scale, lo, hi):
+    """Every scale*p + q in [lo, hi]; larger value wins, first pair on ties."""
+    out = {}
+    for p in sorted(a_cells):
+        for q in sorted(b_cells):
+            total = tuple(scale * x + y for x, y in zip(p, q))
+            if any(v < l or v > h for v, l, h in zip(total, lo, hi)):
+                continue
+            value = scale * a_cells[p][0] + b_cells[q][0]
+            prev = out.get(total)
+            if prev is None or value > prev[0]:
+                out[total] = (value, p, q)
+    return out
+
+
+def random_cells(rng: random.Random, r: int, size: int, span: int) -> dict:
+    """Nonnegative points in shuffled key order; values 1..3 force ties."""
+    points = {tuple(rng.randint(0, span) for _ in range(r)) for _ in range(size)}
+    points = list(points)
+    rng.shuffle(points)
+    return {pt: (rng.randint(1, 3), ()) for pt in points}
+
+
+def kernel_windows(rng: random.Random, a_cells, b_cells, scale):
+    """Empty, single-point, wider-than-reach and random windows."""
+    r = len(next(iter(a_cells)))
+    reach_lo = [
+        scale * min(p[j] for p in a_cells) + min(q[j] for q in b_cells)
+        for j in range(r)
+    ]
+    reach_hi = [
+        scale * max(p[j] for p in a_cells) + max(q[j] for q in b_cells)
+        for j in range(r)
+    ]
+    empty_hi = list(reach_hi)
+    axis = rng.randrange(r)
+    empty_hi[axis] = reach_lo[axis] - 1
+    single = tuple(rng.randint(l, h) for l, h in zip(reach_lo, reach_hi))
+    yield tuple(reach_lo), tuple(empty_hi)
+    yield single, single
+    yield tuple(l - 3 for l in reach_lo), tuple(h + 3 for h in reach_hi)
+    for _ in range(3):
+        lo = tuple(rng.randint(l, h) for l, h in zip(reach_lo, reach_hi))
+        hi = tuple(rng.randint(l, rh) for l, rh in zip(lo, reach_hi))
+        yield lo, hi
+
+
+def test_sumset_kernel_matches_double_loop_in_both_callers():
+    rng = random.Random(2024)
+    paths = {"box": 0, "index": 0}
+    for trial in range(120):
+        r = rng.choice((1, 2, 3))
+        span = rng.choice((2, 4, 8))
+        a_cells = random_cells(rng, r, rng.randint(1, 30), span)
+        b_cells = random_cells(rng, r, rng.randint(1, 60), span)
+        a = PointTable(r, "base")
+        a.cells = a_cells
+        b = PointTable(r, "base")
+        b.cells = b_cells
+        prev_cells = {p: (v[0], None, p) for p, v in a_cells.items()}
+        prev = LevelSet(level=2, cells=prev_cells, small=b)
+
+        want = reference_sumset(a_cells, b_cells, 1, (-1,) * r, (10 * span,) * r)
+        assert list(convolve(a, b).cells.items()) == list(want.items())
+
+        for scale in (1, 2):
+            for lo, hi in kernel_windows(rng, a_cells, b_cells, scale):
+                volume = 1
+                for l, h in zip(lo, hi):
+                    volume *= max(h - l + 1, 0)
+                if volume:
+                    paths["box" if volume <= len(b_cells) else "index"] += 1
+                want = reference_sumset(a_cells, b_cells, scale, lo, hi)
+                if scale == 1:
+                    got = convolve(a, b, lo=lo, hi=hi).cells
+                else:
+                    got = _combine_levels(prev, b, lo, hi)
+                assert list(got.items()) == list(want.items()), (trial, scale, lo, hi)
+    assert paths["box"] > 50 and paths["index"] > 50, paths

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import nfold
 
 from nfold.core import (
     NFoldInstance,
@@ -167,3 +174,47 @@ def test_quick_optimize_sweep_against_oracle():
         want = oracle_solve(inst, mode="optimize")
         assert got.status == want.status == STATUS_OPTIMAL
         assert got.solution.objective == want.solution.objective
+
+
+def test_thousand_brick_fold_decodes_without_recursion():
+    n = 1200
+    inst = NFoldInstance(
+        n=n, r=1, t=(1,) * n, blocks=(((1,),),) * n, b_up=(n,), b_low=(1,) * n
+    )
+    out = solve(inst)
+    assert out.status == STATUS_FEASIBLE
+    assert verify_solution(inst, out.solution.x)
+
+
+def test_witness_check_survives_python_optimize_flag():
+    script = textwrap.dedent(
+        """
+        import nfold.driver as driver
+        from nfold.core import InternalError, NFoldInstance
+
+        driver.verify_solution = lambda *args: False
+        inst = NFoldInstance(n=2, r=1, t=(2, 2), blocks=(((1, 2),), ((0, 1),)),
+                             b_up=(4,), b_low=(2, 1), c=(0, 1, 0, 1))
+        print("debug", __debug__)
+        for mode in ("feasibility", "optimize"):
+            try:
+                out = driver.solve(inst, mode)
+            except InternalError as exc:
+                print(mode, "internal error:", exc)
+            else:
+                print(mode, out.status)
+        """
+    )
+    src = str(Path(nfold.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "debug False",
+        "feasibility internal error: corrupt witness: bad solution",
+        "optimize internal error: corrupt witness: bad solution",
+    ]
