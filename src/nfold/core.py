@@ -52,6 +52,22 @@ class InternalError(AssertionError):
     """A solver result failed its own check (a bug); raised even under -O."""
 
 
+def _require_int(value: Any, where: str) -> None:
+    """Reject anything but a plain ``int`` (``bool`` included), naming the field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(
+            f"instance field '{where}': expected integer, got {type(value).__name__}"
+        )
+
+
+def _int_tuple(values: Sequence[Any], where: str) -> tuple[int, ...]:
+    """Tuple of the given ints; any other entry is a ``ValueError``."""
+    out = tuple(values)
+    for i, v in enumerate(out):
+        _require_int(v, f"{where}[{i}]")
+    return out
+
+
 @dataclass
 class NFoldInstance:
     """One combinatorial n-fold program.
@@ -72,6 +88,9 @@ class NFoldInstance:
         Per-brick coordinate-sum targets, length ``n``, all >= 0.
     c : sequence of int, optional
         Objective (maximized), length ``sum(t)``.
+
+    Every number must be an ``int``; a ``float``, ``bool`` or other value
+    raises ``ValueError`` naming the field, never a silent coercion.
     """
 
     n: int
@@ -83,14 +102,17 @@ class NFoldInstance:
     c: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        self.t = tuple(int(v) for v in self.t)
+        _require_int(self.n, "n")
+        _require_int(self.r, "r")
+        self.t = _int_tuple(self.t, "t")
         self.blocks = tuple(
-            tuple(tuple(int(e) for e in row) for row in block) for block in self.blocks
+            tuple(_int_tuple(row, f"blocks[{k}][{j}]") for j, row in enumerate(block))
+            for k, block in enumerate(self.blocks)
         )
-        self.b_up = tuple(int(v) for v in self.b_up)
-        self.b_low = tuple(int(v) for v in self.b_low)
+        self.b_up = _int_tuple(self.b_up, "b_up")
+        self.b_low = _int_tuple(self.b_low, "b_low")
         if self.c is not None:
-            self.c = tuple(int(v) for v in self.c)
+            self.c = _int_tuple(self.c, "c")
 
     @property
     def h(self) -> int:
@@ -263,17 +285,13 @@ def _expect(obj: dict, key: str, kind: type, *, optional: bool = False) -> Any:
 
 
 def _int_list(value: Any, where: str) -> tuple[int, ...]:
-    """Coerce a JSON array to a tuple of ints with a located error."""
+    """Check that a JSON array holds only ints; return it as a tuple."""
     if not isinstance(value, list):
         raise InstanceFormatError(f"instance field '{where}': expected list")
-    out = []
-    for i, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise InstanceFormatError(
-                f"instance field '{where}[{i}]': expected integer, got {type(v).__name__}"
-            )
-        out.append(v)
-    return tuple(out)
+    try:
+        return _int_tuple(value, where)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from None
 
 
 def instance_from_json(obj: dict) -> NFoldInstance:

@@ -2,15 +2,23 @@
 
 A *point* is the r-vector a brick (or a partial group of bricks)
 contributes to the shared rows.  ``block_base_table`` enumerates every
-point one brick can reach with an exact number of placed units, via a
-bounded-count DP over the brick's columns.  ``sumset`` is the one
-windowed Minkowski-sum kernel, ``scale*p + q`` in ``[lo, hi]``, run at
-scale 1 by the in-level ``convolve`` and at scale 2 by the cross-level
-``driver._combine_levels``; it probes the window box when the box is no
-larger than the right table, else bisects a sorted-axis range index of
-that table.  ``fold_tables`` chains ``convolve`` across all bricks,
-keeping only points that can still land inside a per-axis target window
-given what the remaining bricks are able to add ("suffix reach" pruning).
+point one brick can reach with an exact number of placed units, in one
+pass per column: every column but the last runs the "one more copy"
+recurrence ``(u - 1, p) -> (u, p + col)`` in place with the unit count
+``u`` ascending, and the last column gives each state exactly the
+``placed - u`` copies it still owes.  Its witnesses are shared
+``(prefix, column, take)`` nodes, expanded into count tuples only for
+the kept cells; each cell keeps the largest value and, among its
+maximisers, the reverse-lexicographically largest count vector.
+
+``sumset`` is the one windowed Minkowski-sum kernel, ``scale*p + q`` in
+``[lo, hi]``, run at scale 1 by the in-level ``convolve`` and at scale 2
+by the cross-level ``driver._combine_levels``; it probes the window box
+when the box is no larger than the right table, else bisects a
+sorted-axis range index of that table.  ``fold_tables`` chains
+``convolve`` across all bricks, keeping only points that can still land
+inside a per-axis target window given what the remaining bricks are able
+to add ("suffix reach" pruning).
 
 Tables carry witnesses: a base cell remembers its column-count vector, a
 combined cell remembers the pair of points it was summed from, so any
@@ -29,7 +37,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, gt, mul
 from typing import Sequence
 
 from .core import MODE_FEASIBILITY, MODE_OPTIMIZE, NFoldInstance
@@ -122,17 +130,36 @@ def block_base_table(
 ) -> PointTable:
     """Every point one brick reaches with exactly ``placed`` units.
 
-    Runs a layered DP over the brick's columns: a state is (units used,
-    point); taking ``q`` copies of a column advances both.  Only the
-    exact layer ``placed`` survives.  Points are kept inside the
-    nonnegative box capped by ``hi`` (per axis); for bricks whose entries
-    are all nonnegative the cap also prunes mid-DP, since points only
-    grow.
+    A state ``(u, p)`` is a point ``p`` reached with ``u`` units on the
+    columns seen so far; ``layers[u]`` maps ``p`` to its best value and
+    witness.  Every column but the last runs one in-place pass with ``u``
+    ascending, in which ``(u, p + col)`` takes one more copy of the
+    column from ``(u - 1, p)``.  That source already holds this column's
+    best take, so any number of copies chains through the one pass: a
+    column costs one visit per state, each target has exactly one source,
+    and no layer is ever sorted.  The new candidate replaces the state
+    when its value is ``>=``, so on ties the larger take wins.  The last
+    column keeps only the exact layer: ``(u, p)`` takes exactly
+    ``placed - u`` copies, scanned with ``u`` ascending and replaced only
+    on a strictly larger value, so again the larger take wins ties.
+
+    Each cell holds the largest value of its point, and its witness is
+    the reverse-lexicographically largest count vector (compared from the
+    last column back) among the maximisers.  Cells are inserted in sorted
+    point order.  Witnesses are stored as shared ``(prefix, column, take)``
+    nodes, made only for a take of at least one, and are expanded into
+    the dense count tuple for the kept cells alone.
+
+    Kept points are nonnegative and at most ``hi`` per axis.  When every
+    entry is nonnegative, points only grow, so a candidate past ``hi`` is
+    dropped as soon as it is made.  The cap is checked only on a take of
+    at least one: an untaken state is unchanged, and the origin may lie
+    above a cap below 0, in which case the final filter empties the table.
 
     Parameters
     ----------
     block : matrix
-        r x t brick matrix.
+        r x t brick matrix, ``t >= 1``.
     placed : int
         Exact number of units this brick must place.
     costs : sequence of int, optional
@@ -143,45 +170,56 @@ def block_base_table(
     """
     r = len(block)
     cols = list(zip(*block))  # column vectors of the row-major brick
+    if not cols:
+        raise ValueError("a brick needs at least one column")
+    if costs is None:
+        costs = (0,) * len(cols)
     monotone = all(e >= 0 for col in cols for e in col)
+    cap = hi if monotone else None
+
+    # layers[u] : point -> (value, witness node or None for no copies)
+    layers: list[dict[tuple[int, ...], tuple]] = [{} for _ in range(placed + 1)]
+    layers[0][(0,) * r] = (0, None)
+    for j, col in enumerate(cols[:-1]):
+        cost = costs[j]
+        for u in range(1, placed + 1):
+            dst = layers[u]
+            for p, (value, node) in layers[u - 1].items():
+                q = tuple(map(add, p, col))
+                if cap is not None and any(map(gt, q, cap)):
+                    continue
+                value += cost
+                prev = dst.get(q)
+                if prev is None or value >= prev[0]:
+                    if node is not None and node[1] == j:
+                        node = (node[0], j, node[2] + 1)
+                    else:
+                        node = (node, j, 1)
+                    dst[q] = (value, node)
+
+    j = len(cols) - 1
+    final: dict[tuple[int, ...], tuple] = {}
+    for u, layer in enumerate(layers):
+        take = placed - u
+        shift = tuple(take * e for e in cols[j])
+        gain = take * costs[j]
+        for p, (value, node) in layer.items():
+            q = tuple(map(add, p, shift))
+            if min(q) < 0 or (hi is not None and any(map(gt, q, hi))):
+                continue
+            value += gain
+            prev = final.get(q)
+            if prev is None or value > prev[0]:
+                final[q] = (value, (node, j, take) if take else node)
+
     table = PointTable(r, "base", block=block_index)
-    origin = (0,) * r
-
-    # layers[u] : point -> (value, counts-so-far)
-    layers: dict[int, dict[tuple[int, ...], tuple[int, tuple[int, ...]]]] = {
-        0: {origin: (0, ())}
-    }
-    for idx, col in enumerate(cols):
-        cost = costs[idx] if costs is not None else 0
-        new_layers: dict[int, dict[tuple[int, ...], tuple[int, tuple[int, ...]]]] = {}
-        for used in sorted(layers):
-            for pt in sorted(layers[used]):
-                value, counts = layers[used][pt]
-                current = pt
-                current_value = value
-                for take in range(0, placed - used + 1):
-                    if take > 0:
-                        current = tuple(a + b for a, b in zip(current, col))
-                        current_value += cost
-                        if monotone and hi is not None and any(
-                            v > cap for v, cap in zip(current, hi)
-                        ):
-                            break
-                    bucket = new_layers.setdefault(used + take, {})
-                    prev = bucket.get(current)
-                    entry = (current_value, counts + (take,))
-                    if prev is None or entry[0] > prev[0]:
-                        bucket[current] = entry
-        layers = new_layers
-
-    final = layers.get(placed, {})
-    for pt in sorted(final):
-        value, counts = final[pt]
-        if any(v < 0 for v in pt):
-            continue
-        if hi is not None and any(v > cap for v, cap in zip(pt, hi)):
-            continue
-        table.cells[pt] = (value, counts)
+    for q in sorted(final):
+        value, node = final[q]
+        counts = [0] * len(cols)
+        while node is not None:
+            node, col_index, take = node
+            counts[col_index] = take
+        table.cells[q] = (value, tuple(counts))
     return table
 
 

@@ -201,7 +201,8 @@ def solve_with_trace(
         per_block_cap = plan.support * work.delta
         base_hi = tuple(min(per_block_cap, h) for h in small_hi)
         base = base_tables_for_level(work, plan, level, mode, hi=base_hi)
-        cells_total += sum(len(b) for b in base)
+        base_cells = sum(len(b) for b in base)
+        cells_total += base_cells
         small = fold_tables(base, small_lo, small_hi)
         cells_total += len(small)
 
@@ -212,7 +213,8 @@ def solve_with_trace(
         else:
             cells = _combine_levels(trace.levels[-1], small, lo, hi)
         logger.debug(
-            "level %d/%d: %d small points, %d retained", level, depth, len(small), len(cells)
+            "level %d/%d: %d base cells, %d small points, %d retained",
+            level, depth, base_cells, len(small), len(cells),
         )
         if not cells:
             return finish_infeasible(level, cells_total), trace

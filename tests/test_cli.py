@@ -100,6 +100,23 @@ def test_bad_instance_document_is_a_usage_error(tmp_path, capsys):
     assert "b_low" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value, where",
+    [
+        ("t", [2.9, 1], "t[0]"),
+        ("blocks", [[[1, 1.7]], [[0]]], "blocks[0][0][1]"),
+        ("b_low", [1.5, 1], "b_low[0]"),
+        ("b_up", [True], "b_up[0]"),
+    ],
+)
+def test_non_integer_instance_value_is_a_usage_error(tmp_path, capsys, field, value, where):
+    doc = two_brick_doc()
+    doc[field] = value
+    path = write_json(tmp_path, "inst.json", doc)
+    assert main(["solve", "--in", path]) == 1
+    assert f"'{where}'" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_is_a_usage_error(capsys):
     assert main(["frobnicate"]) == 1
     assert "error" in capsys.readouterr().err

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -63,6 +64,25 @@ def test_brick_slices_partition_the_variable_vector():
         b_low=(0, 0),
     )
     assert inst.brick_slices() == [slice(0, 2), slice(2, 5)]
+
+
+@pytest.mark.parametrize(
+    "field, value, where",
+    [
+        ("t", (2.9,), "t[0]"),
+        ("blocks", (((1, 1.7),),), "blocks[0][0][1]"),
+        ("b_low", (1.5,), "b_low[0]"),
+        ("b_up", (True,), "b_up[0]"),
+        ("n", True, "n"),
+        ("r", 1.0, "r"),
+        ("c", (1, 2.0), "c[1]"),
+    ],
+)
+def test_instance_rejects_non_int_values_without_coercion(field, value, where):
+    fields = dict(n=1, r=1, t=(2,), blocks=(((1, 2),),), b_up=(3,), b_low=(2,))
+    fields[field] = value
+    with pytest.raises(ValueError, match=re.escape(f"'{where}'")):
+        NFoldInstance(**fields)
 
 
 def test_validate_rejects_negative_local_rhs():

@@ -53,6 +53,11 @@ def test_base_table_signed_entries_keep_only_nonnegative_points():
     assert points_of(table) == {(0,), (2,)}
 
 
+def test_base_table_needs_a_column():
+    with pytest.raises(ValueError, match="at least one column"):
+        block_base_table(((),), 0)
+
+
 def test_base_table_decode_recovers_counts():
     table = block_base_table(((1, 2),), 2, block_index=4)
     for pt in table.points():
@@ -313,3 +318,76 @@ def test_sumset_kernel_matches_double_loop_in_both_callers():
                     got = _combine_levels(prev, b, lo, hi)
                 assert list(got.items()) == list(want.items()), (trial, scale, lo, hi)
     assert paths["box"] > 50 and paths["index"] > 50, paths
+
+
+# ---------------------------------------------------------------------------
+# base tables against a plain enumeration of count vectors
+
+
+def compositions(total: int, parts: int):
+    """Every tuple of ``parts`` nonnegative ints summing to ``total``."""
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        edges = (-1, *bars, total + parts - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+def reference_base_table(block, placed, costs, hi):
+    """Kept points in sorted order, each with its max value and the
+    reverse-lexicographically largest maximising count vector."""
+    best = {}
+    for counts in compositions(placed, len(block[0])):
+        pt = tuple(sum(c * e for c, e in zip(counts, row)) for row in block)
+        if any(v < 0 for v in pt):
+            continue
+        if hi is not None and any(v > h for v, h in zip(pt, hi)):
+            continue
+        value = sum(c * w for c, w in zip(counts, costs)) if costs else 0
+        rank = (value, counts[::-1])
+        if pt not in best or rank > best[pt]:
+            best[pt] = rank
+    return [(pt, (best[pt][0], best[pt][1][::-1])) for pt in sorted(best)]
+
+
+def random_base_case(rng: random.Random):
+    r = rng.randint(1, 3)
+    t = rng.randint(1, 5)
+    low = rng.choice((0, -2))
+    cols = [tuple(rng.randint(low, 2) for _ in range(r)) for _ in range(t)]
+    if rng.random() < 0.4:
+        cols[rng.randrange(t)] = (0,) * r
+    if rng.random() < 0.3:
+        cols[rng.randrange(t)] = cols[rng.randrange(t)]
+    block = tuple(tuple(col[j] for col in cols) for j in range(r))
+    costs = rng.choice(
+        (None, tuple(rng.randint(0, 1) for _ in range(t)),
+         tuple(rng.randint(-2, 3) for _ in range(t)))
+    )
+    hi = rng.choice(
+        (None, tuple(rng.randint(-1, 8) for _ in range(r)),
+         tuple(rng.randint(-1, 0) for _ in range(r)))
+    )
+    return block, rng.randint(0, 6), costs, hi
+
+
+def test_base_table_matches_composition_enumeration():
+    rng = random.Random(733)
+    cases = [random_base_case(rng) for _ in range(400)]
+    k = 3
+    slack = tuple(
+        tuple(1 if row == col else 0 for col in range(k)) + (0,) for row in range(k)
+    )
+    cases += [
+        (slack, 3 * k, None, (3,) * k),
+        (slack, 3 * k, (1, 0, 1, 0), (2, 3, 3)),
+        (((1, 1, 0, 2, 1),), 4, (0, 0, 0, 0, 1), None),  # repeated columns tie
+        (((0, 1, 2), (0, 0, 0)), 3, None, (4, 0)),  # leading zero column
+    ]
+    wide = random.Random(9)
+    for r in (1, 2):
+        block = tuple(tuple(wide.randint(0, 3) for _ in range(40)) for _ in range(r))
+        cases.append((block, 2, tuple(wide.randint(0, 1) for _ in range(40)), (4,) * r))
+    for block, placed, costs, hi in cases:
+        got = block_base_table(block, placed, block_index=2, costs=costs, hi=hi)
+        want = reference_base_table(block, placed, costs, hi)
+        assert list(got.cells.items()) == want, (block, placed, costs, hi)
+        assert got.block == 2

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import logging
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -153,6 +155,25 @@ def test_stats_shape():
     assert set(out.stats) == {"iterations", "dp_cells", "wall_time_s"}
     assert out.stats["iterations"] >= 1
     assert out.stats["dp_cells"] > 0
+
+
+def test_debug_log_reports_cells_per_level(caplog):
+    inst = NFoldInstance(
+        n=1, r=1, t=(2,), blocks=(((1, 0),),), b_up=(40,), b_low=(100,)
+    )
+    with caplog.at_level(logging.DEBUG, logger="nfold.driver"):
+        out = solve(inst)
+    line = re.compile(
+        r"level \d+/4: (\d+) base cells, (\d+) small points, (\d+) retained"
+    )
+    counts = [
+        [int(v) for v in line.fullmatch(rec.getMessage()).groups()]
+        for rec in caplog.records
+        if rec.name == "nfold.driver"
+    ]
+    assert len(counts) == out.stats["iterations"] == 4
+    assert all(base > 0 for base, _, _ in counts)
+    assert sum(map(sum, counts)) == out.stats["dp_cells"]
 
 
 def test_quick_agreement_sweep_against_oracle():
