@@ -15,14 +15,24 @@ maximisers, the reverse-lexicographically largest count vector.
 ``[lo, hi]``, run at scale 1 by the in-level ``convolve`` and at scale 2
 by the cross-level ``driver._combine_levels``; it probes the window box
 when the box is no larger than the right table, else bisects a
-sorted-axis range index of that table.  ``fold_tables`` chains
-``convolve`` across all bricks, keeping only points that can still land
-inside a per-axis target window given what the remaining bricks are able
-to add ("suffix reach" pruning).
+sorted-axis range index of that table.  ``fold_tables`` sums the brick
+tables with ``convolve`` one at a time, keeping only points that can
+still land inside the target window given the summed reach of the bricks
+not yet folded; that window depends on which bricks remain, not on the
+order.  The order is greedy, as in bucket elimination: each step takes
+the brick with the smallest bound on its output plus its probe work,
+computed from table sizes and reaches alone, ties going to the lowest
+brick position.  Bricks that pin a shared row thus go before bricks that
+spread over several, and partial sums stay small.  Because the Minkowski
+sum and max-plus are associative and commutative, and every partial sum
+of a surviving decomposition stays inside its window, the point -> value
+map is the same in every order; only tie witnesses and dict order follow
+it.
 
 Tables carry witnesses: a base cell remembers its column-count vector, a
 combined cell remembers the pair of points it was summed from, so any
-surviving point can be decoded back into per-brick vectors.
+surviving point can be decoded back into per-brick vectors, listed in
+brick order whatever order the fold took.
 
 In optimize mode each cell also carries the best objective value seen
 for that point; feasibility mode is the same machinery with all-zero
@@ -34,14 +44,17 @@ bit-stable, dict order included.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import add, gt, mul
+from operator import add, attrgetter, gt, mul
 from typing import Sequence
 
 from .core import MODE_FEASIBILITY, MODE_OPTIMIZE, NFoldInstance
 from .plan import IterationPlan
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -103,7 +116,7 @@ class PointTable:
         return out
 
     def decode(self, pt: tuple[int, ...]) -> list[BlockWitness]:
-        """Expand a point into per-brick column counts (brick order)."""
+        """Expand a point into per-brick column counts, sorted by brick."""
         if pt not in self.cells:
             raise KeyError(f"point {pt} not in table")
         out: list[BlockWitness] = []
@@ -117,6 +130,7 @@ class PointTable:
                 left, right = table.parents
                 stack.append((right, cell[2]))
                 stack.append((left, cell[1]))
+        out.sort(key=attrgetter("block"))
         return out
 
 
@@ -338,38 +352,84 @@ def fold_tables(
     lo: tuple[int, ...],
     hi: tuple[int, ...],
 ) -> PointTable:
-    """Convolve brick tables left to right under a final target window.
+    """Sum brick tables into the window ``[lo, hi]``, cheapest step first.
 
-    After each step the partial sum is clipped to
-    ``[lo - suffix_hi, hi - suffix_lo]``: anything outside can no longer
-    be steered into ``[lo, hi]`` by the remaining bricks.  The last step
-    therefore lands exactly in the requested window.
+    Windows: with ``rest`` the summed per-axis reach of the tables not
+    yet folded, a partial sum is clipped to ``[max(0, lo - rest_hi),
+    hi - rest_lo]``; anything outside can no longer be steered into
+    ``[lo, hi]`` (every table point is nonnegative), and the last step
+    lands exactly in ``[lo, hi]``.  The window depends on which tables
+    remain, not on the order they were taken in.
+
+    Order: the partial starts as the origin and each step takes the
+    remaining table ``t`` with the lowest estimated cost, ties going to
+    the lowest position in ``tables``.  The estimate is the output bound
+    ``min(|P|*|t|, volume of window ∩ (box P + reach t))`` plus the
+    probe bound ``|P| * min(|t|, prod(min(window width, spread t) + 1))``,
+    where ``box P`` is the bound on the partial's reach carried from the
+    previous step (the partial is never rescanned).  The output term
+    pulls forward tables that pin shared rows, so partial sums stay
+    small; the probe term keeps a large table late.  Bricks of equal
+    size and reach are interchangeable for the rule, so they are scored
+    once per step and taken in position order.
+
+    The point -> value map does not depend on the order: the Minkowski
+    sum and max-plus are associative and commutative, and every partial
+    sum of a decomposition that ends in ``[lo, hi]`` lies inside its
+    window in any order.  Only tie witnesses and dict order follow the
+    order; ``PointTable.decode`` returns witnesses in brick order.
     """
     if not tables:
         raise ValueError("fold_tables needs at least one table")
     r = tables[0].r
-
-    suffix_lo = [(0,) * r] * (len(tables) + 1)
-    suffix_hi = [(0,) * r] * (len(tables) + 1)
+    reaches = [t.reach() for t in tables]
+    rest_lo = [sum(axis) for axis in zip(*(t_lo for t_lo, _ in reaches))]
+    rest_hi = [sum(axis) for axis in zip(*(t_hi for _, t_hi in reaches))]
+    # (size, reach) -> positions, highest first, so pop() takes the lowest.
+    groups: dict[tuple, list[int]] = {}
     for idx in range(len(tables) - 1, -1, -1):
-        t_lo, t_hi = tables[idx].reach()
-        suffix_lo[idx] = tuple(s + v for s, v in zip(suffix_lo[idx + 1], t_lo))
-        suffix_hi[idx] = tuple(s + v for s, v in zip(suffix_hi[idx + 1], t_hi))
+        groups.setdefault((len(tables[idx]), reaches[idx]), []).append(idx)
 
-    def window(idx: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        w_lo = tuple(
-            max(0, l - sh) for l, sh in zip(lo, suffix_hi[idx + 1])
-        )
-        w_hi = tuple(h - sl for h, sl in zip(hi, suffix_lo[idx + 1]))
-        return w_lo, w_hi
-
-    w_lo, w_hi = window(0)
-    partial = tables[0].filtered(w_lo, w_hi)
-    for idx in range(1, len(tables)):
-        if not partial.cells:
+    partial = None
+    size, box_lo, box_hi = 1, (0,) * r, (0,) * r
+    order: list[int] = []
+    peak = 0
+    while groups:
+        best = None
+        for key, idxs in groups.items():
+            n_t, (t_lo, t_hi) = key
+            w_lo = tuple(
+                max(0, l - rh + th) for l, rh, th in zip(lo, rest_hi, t_hi)
+            )
+            w_hi = tuple(h - rl + tl for h, rl, tl in zip(hi, rest_lo, t_lo))
+            o_lo = tuple(max(w, b + t) for w, b, t in zip(w_lo, box_lo, t_lo))
+            o_hi = tuple(min(w, b + t) for w, b, t in zip(w_hi, box_hi, t_hi))
+            volume = math.prod(max(0, h - l + 1) for l, h in zip(o_lo, o_hi))
+            probe = math.prod(
+                max(0, min(wh - wl, th - tl) + 1)
+                for wl, wh, tl, th in zip(w_lo, w_hi, t_lo, t_hi)
+            )
+            score = min(size * n_t, volume) + size * min(n_t, probe)
+            if best is None or (score, idxs[-1]) < best[:2]:
+                best = (score, idxs[-1], key, w_lo, w_hi, o_lo, o_hi)
+        _, idx, key, w_lo, w_hi, box_lo, box_hi = best
+        idxs = groups[key]
+        idxs.pop()
+        if not idxs:
+            del groups[key]
+        t_lo, t_hi = key[1]
+        rest_lo = [v - tl for v, tl in zip(rest_lo, t_lo)]
+        rest_hi = [v - th for v, th in zip(rest_hi, t_hi)]
+        if partial is None:
+            partial = tables[idx].filtered(w_lo, w_hi)
+        else:
+            partial = convolve(partial, tables[idx], lo=w_lo, hi=w_hi)
+        order.append(idx)
+        size = len(partial)
+        peak = max(peak, size)
+        if not size:
             break
-        w_lo, w_hi = window(idx)
-        partial = convolve(partial, tables[idx], lo=w_lo, hi=w_hi)
+    logger.debug("fold order %s, peak partial %d cells", order, peak)
     return partial
 
 

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+import logging
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import nfold.dp as dp
 from nfold.core import NFoldInstance
 from nfold.dp import (
     PointTable,
@@ -16,7 +21,8 @@ from nfold.dp import (
     fold_tables,
     small_subproblem_set,
 )
-from nfold.driver import LevelSet, _combine_levels
+from nfold.driver import LevelSet, _combine_levels, solve
+from nfold.imbalance import Graph, build_ordering_ilp
 from nfold.oracle import oracle_point_set
 from nfold.plan import build_plan
 
@@ -166,11 +172,122 @@ def test_fold_tables_zero_everything_is_origin():
     assert points_of(folded) == {(0,)}
 
 
+def test_fold_tables_take_tied_tables_in_position_order(caplog):
+    # Points {4, 5, 6}, {0, 1, 2}, {4, 5, 6}: every step ties on cost.
+    bricks = (((2, 3),), ((0, 1),), ((2, 3),))
+    tables = [block_base_table(b, 2, block_index=k) for k, b in enumerate(bricks)]
+    with caplog.at_level(logging.DEBUG, logger="nfold.dp"):
+        fold_tables(tables, (0,), (20,))
+        fold_tables(tables[::2], (0,), (20,))
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "fold order [0, 1, 2], peak partial 7 cells",
+        "fold order [0, 1], peak partial 5 cells",
+    ]
+
+
 def test_fold_tables_empty_window_short_circuits():
     a = block_base_table(((1, 2),), 2)  # min point 2
     b = block_base_table(((1, 2),), 2)
     folded = fold_tables([a, b], (0,), (1,))
     assert len(folded) == 0
+
+
+@st.composite
+def fold_cases(draw):
+    """Brick tables, a target window and a permutation of the tables.
+
+    Bricks either vary on all axes or each on its own subset of axes (the
+    imbalance shape: shared rows pinned by single-axis bricks); costs in
+    0..1 force value ties; ``hi < lo`` on an axis makes the window empty.
+    """
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    disjoint = draw(st.booleans())
+    tables, columns = [], []
+    for k in range(n):
+        t = draw(st.integers(1, 3))
+        axes = (
+            draw(st.sets(st.integers(0, r - 1), max_size=2)) if disjoint
+            else range(r)
+        )
+        block = tuple(
+            tuple(draw(st.integers(0, 2)) if j in axes else 0 for _ in range(t))
+            for j in range(r)
+        )
+        costs = tuple(draw(st.integers(0, 1)) for _ in range(t))
+        placed = draw(st.integers(0, 3))
+        tables.append(block_base_table(block, placed, block_index=k, costs=costs))
+        columns.append((tuple(zip(*block)), costs))
+    lo = tuple(draw(st.integers(0, 6)) for _ in range(r))
+    hi = tuple(draw(st.integers(l - 1, l + 8)) for l in lo)
+    order = draw(st.permutations(range(n)))
+    return tables, columns, lo, hi, order
+
+
+@settings(max_examples=300, deadline=None)
+@given(fold_cases())
+def test_fold_value_map_is_independent_of_table_order(case):
+    tables, columns, lo, hi, order = case
+    full = functools.reduce(convolve, tables)
+    want = {
+        pt: cell[0]
+        for pt, cell in full.cells.items()
+        if all(l <= v <= h for v, l, h in zip(pt, lo, hi))
+    }
+    folded = fold_tables([tables[k] for k in order], lo, hi)
+    assert {pt: cell[0] for pt, cell in folded.cells.items()} == want
+    for pt, (value, *_) in folded.cells.items():
+        witnesses = folded.decode(pt)
+        assert [w.block for w in witnesses] == list(range(len(tables)))
+        total, gain = [0] * len(pt), 0
+        for w in witnesses:
+            cols, costs = columns[w.block]
+            for count, col, cost in zip(w.counts, cols, costs):
+                total = [v + count * e for v, e in zip(total, col)]
+                gain += count * cost
+        assert tuple(total) == pt and gain == value
+
+
+def test_fold_pins_shared_rows_before_the_partial_grows(caplog, monkeypatch):
+    """Largest intermediate partial on one k = 4 imbalance program.
+
+    Cover order (0, 1, 2, 3) of the 16-vertex design graph: every pair of
+    cover vertices shares two private neighbours, plus the edges 0-1 and
+    2-3.  The six 2-axis neighbourhood-type bricks come first in brick
+    order; folded left to right the partial grows to 1,530 points before
+    the four 1-axis cover bricks pin each row.  Taking the cheapest step
+    first keeps the largest partial at 75 points.  The optimum (16) is
+    the same either way.
+    """
+    cover, others = range(4), range(4, 16)
+    hoods = list(itertools.combinations(cover, 2)) * 2
+    edges = [(i, w) for w, hood in zip(others, hoods) for i in hood]
+    graph = Graph.build(range(16), edges + [(0, 1), (2, 3)])
+    inst, _, ceiling, mass = build_ordering_ilp(graph, (0, 1, 2, 3))
+
+    sizes = []
+    real = dp.convolve
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(dp, "convolve", counting)
+    with caplog.at_level(logging.DEBUG, logger="nfold.dp"):
+        out = solve(inst, mode="optimize")
+    assert ceiling * mass - out.solution.objective == 16
+    assert len(sizes) == inst.n - 1
+    assert max(sizes) <= 1530 // 10
+
+    line = re.compile(r"fold order \[([\d, ]+)\], peak partial (\d+) cells")
+    (match,) = [
+        line.fullmatch(rec.getMessage())
+        for rec in caplog.records
+        if rec.name == "nfold.dp"
+    ]
+    assert sorted(map(int, match[1].split(", "))) == list(range(inst.n))
+    assert int(match[2]) == max(sizes)
 
 
 def small_instance() -> NFoldInstance:
