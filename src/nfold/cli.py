@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .closest_string import solve_closest
-from .core import (InstanceFormatError, NFoldInstance, instance_to_json,
+from .core import (NFoldInstance, _require_int, instance_to_json,
                    read_instance, result_to_json)
 from .driver import solve
 from .imbalance import Graph, solve_imbalance
@@ -87,21 +87,27 @@ def _fraction_json(value: Fraction) -> dict:
             "text": str(value)}
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _load_instance(path: str) -> NFoldInstance:
+    """Read an instance file; an unreadable one is a usage error.
+
+    A malformed one raises ``InstanceFormatError``, a ``ValueError`` that
+    ``main`` also reports with exit status 1.
+    """
     try:
-        inst = read_instance(args.in_path)
-    except (InstanceFormatError, OSError) as exc:
+        return read_instance(path)
+    except OSError as exc:
         raise _UsageError(str(exc)) from exc
+
+
+def _cmd_solve(args: argparse.Namespace) -> int:
+    inst = _load_instance(args.in_path)
     outcome = solve(inst, mode=args.mode)
     _dump(result_to_json(outcome), args.out)
     return 0
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    try:
-        inst = read_instance(args.in_path)
-    except (InstanceFormatError, OSError) as exc:
-        raise _UsageError(str(exc)) from exc
+    inst = _load_instance(args.in_path)
     plan = build_plan(inst, mode=args.mode)
     _dump(plan_to_json(plan), args.out)
     return 0
@@ -117,7 +123,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"bad scheduling input: {exc}") from exc
     solver = solve_cmin if args.objective == OBJECTIVE_CMIN else solve_cmax
-    sched = solver(inst, small_threshold=args.small_threshold_override)
+    sched = solver(inst)
     payload = {
         "objective": args.objective,
         "value": _fraction_json(sched.objective),
@@ -154,12 +160,13 @@ def _cmd_imbalance(args: argparse.Namespace) -> int:
         if "vertices" in doc:
             vertices = doc["vertices"]
         else:
-            vertices = list(range(int(doc["n"])))
+            _require_int(doc["n"], "n")
+            vertices = list(range(doc["n"]))
         graph = Graph.build(vertices, doc.get("edges", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"bad graph input: {exc}") from exc
     try:
-        result = solve_imbalance(graph, threads=args.threads)
+        result = solve_imbalance(graph)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     payload = {
@@ -184,10 +191,7 @@ def _check_one(inst: NFoldInstance, mode: str,
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
     if args.in_path is not None:
-        try:
-            inst = read_instance(args.in_path)
-        except (InstanceFormatError, OSError) as exc:
-            raise _UsageError(str(exc)) from exc
+        inst = _load_instance(args.in_path)
         try:
             agree, solver_doc, oracle_doc = _check_one(
                 inst, args.mode, args.budget)
@@ -319,8 +323,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--objective", choices=[OBJECTIVE_CMAX, OBJECTIVE_CMIN],
                    default=OBJECTIVE_CMAX,
                    help="minimise makespan (cmax) or maximise cover (cmin)")
-    p.add_argument("--small-threshold-override", type=int, default=None,
-                   help="force the sparse treatment below this load target")
     p.set_defaults(func=_cmd_schedule)
 
     p = sub.add_parser("closest-string", help="closest string under Hamming")
@@ -329,8 +331,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("imbalance", help="minimum imbalance vertex ordering")
     add_io(p)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads across cover orders")
     p.set_defaults(func=_cmd_imbalance)
 
     p = sub.add_parser("oracle-check",
@@ -370,10 +370,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"nfold: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, InstanceFormatError) as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"nfold: error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

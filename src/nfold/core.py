@@ -273,10 +273,10 @@ def _expect(obj: dict, key: str, kind: type, *, optional: bool = False) -> Any:
         raise InstanceFormatError(f"instance field '{key}': missing")
     value = obj[key]
     if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InstanceFormatError(
-                f"instance field '{key}': expected integer, got {type(value).__name__}"
-            )
+        try:
+            _require_int(value, key)
+        except ValueError as exc:
+            raise InstanceFormatError(str(exc)) from None
     elif not isinstance(value, kind):
         raise InstanceFormatError(
             f"instance field '{key}': expected {kind.__name__}, got {type(value).__name__}"

@@ -53,7 +53,7 @@ from .core import (
 )
 from .dp import PointTable, base_tables_for_level, fold_tables, sumset
 from .plan import IterationPlan, _ceil_div, build_plan
-from .reduction import ReducedInstance, map_back, reduce_instance
+from .reduction import ReducedInstance, reduce_instance
 
 logger = logging.getLogger(__name__)
 
@@ -72,7 +72,6 @@ class LevelSet:
 class SolveTrace:
     """Everything the solver saw, for invariant checks in tests."""
 
-    original: NFoldInstance
     reduced: ReducedInstance
     plan: IterationPlan | None = None
     windows: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=list)
@@ -160,7 +159,7 @@ def solve_with_trace(
     watch = Stopwatch()
     reduced = reduce_instance(inst)
     work = reduced.instance
-    trace = SolveTrace(original=inst, reduced=reduced)
+    trace = SolveTrace(reduced=reduced)
 
     def finish_infeasible(iterations: int, cells: int) -> SolveOutcome:
         return SolveOutcome(
@@ -223,7 +222,7 @@ def solve_with_trace(
 
     bricks = reconstruct(trace.levels, work.b_up)
     value = trace.levels[-1].cells[work.b_up][0]
-    x = map_back(reduced, tuple(v for brick in bricks for v in brick))
+    x = tuple(v for brick in bricks for v in brick)
     stats = {
         "iterations": depth,
         "dp_cells": cells_total,
@@ -254,8 +253,8 @@ def solve(inst: NFoldInstance, mode: str = MODE_FEASIBILITY) -> SolveOutcome:
     Parameters
     ----------
     inst : NFoldInstance
-        The program; entries may be negative (a sign reduction is applied
-        internally and undone in the reported solution).
+        The program; entries may be negative (the engine works on a
+        sign-shifted copy whose solutions are the instance's own).
     mode : str
         ``"feasibility"`` for a witness or ``"optimize"`` for a maximizer
         (requires ``inst.c >= 0``).

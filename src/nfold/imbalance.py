@@ -22,7 +22,6 @@ exact.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Hashable, Iterable, Optional, Sequence
@@ -253,9 +252,14 @@ class ImbalanceResult:
     cover: tuple[Vertex, ...]
 
 
-def solve_imbalance(graph: Graph, *, k_max: int = DEFAULT_COVER_LIMIT,
-                    threads: int = 1) -> ImbalanceResult:
+def solve_imbalance(graph: Graph, *,
+                    k_max: int = DEFAULT_COVER_LIMIT) -> ImbalanceResult:
     """Minimum imbalance over all vertex orderings, with a witness.
+
+    Cover orders are solved one after another, one exact optimize-mode
+    solve each: the engine is pure Python, and the interpreter lock lets
+    only one thread run Python code at a time.  Among equal values the
+    smallest ordering wins, so every run returns the same result.
 
     Parameters
     ----------
@@ -263,9 +267,6 @@ def solve_imbalance(graph: Graph, *, k_max: int = DEFAULT_COVER_LIMIT,
         Input graph; needs a vertex cover of size at most ``k_max``.
     k_max : int
         Cover size budget for the branching search.
-    threads : int
-        Worker threads across cover orders (the result is identical for
-        any thread count).
     """
     if not graph.edges:
         return ImbalanceResult(value=0, ordering=graph.vertices, cover=())
@@ -274,14 +275,9 @@ def solve_imbalance(graph: Graph, *, k_max: int = DEFAULT_COVER_LIMIT,
     # is unchanged; one cover order per reversal class suffices.
     orders = [order for order in permutations(cover)
               if order <= tuple(reversed(order))]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda order: _best_for_cover_order(graph, order), orders))
-    else:
-        results = [_best_for_cover_order(graph, order) for order in orders]
     best_value, best_ordering = None, None
-    for (value, ordering), order in zip(results, orders):
+    for order in orders:
+        value, ordering = _best_for_cover_order(graph, order)
         if best_value is None or value < best_value or (
                 value == best_value and ordering < best_ordering):
             best_value, best_ordering = value, ordering

@@ -6,13 +6,12 @@ contribution by exactly ``s * b_low[k]`` (the brick's coordinates sum to
 ``s * sum(b_low)`` preserves the solution set coordinate for coordinate.
 With ``s = delta`` every shifted entry lands in ``[0, 2*delta]``.
 
-The map back is the identity: the same ``x`` solves both programs.
+Solutions need no mapping back: the same ``x`` solves both programs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .core import NFoldInstance
 
@@ -21,7 +20,6 @@ from .core import NFoldInstance
 class ReducedInstance:
     """A sign-free copy of an instance plus the shift that produced it."""
 
-    original: NFoldInstance
     instance: NFoldInstance
     shift: int
 
@@ -32,7 +30,7 @@ def reduce_instance(inst: NFoldInstance) -> ReducedInstance:
         entry < 0 for block in inst.blocks for row in block for entry in row
     )
     if not has_negative:
-        return ReducedInstance(original=inst, instance=inst, shift=0)
+        return ReducedInstance(instance=inst, shift=0)
     shift = inst.delta
     total_low = sum(inst.b_low)
     blocks = tuple(
@@ -48,9 +46,4 @@ def reduce_instance(inst: NFoldInstance) -> ReducedInstance:
         b_low=inst.b_low,
         c=inst.c,
     )
-    return ReducedInstance(original=inst, instance=shifted, shift=shift)
-
-
-def map_back(reduced: ReducedInstance, x: Sequence[int]) -> tuple[int, ...]:
-    """Solutions transfer unchanged between the two programs."""
-    return tuple(x)
+    return ReducedInstance(instance=shifted, shift=shift)

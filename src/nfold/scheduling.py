@@ -33,9 +33,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .core import NFoldInstance
+from .core import STATUS_FEASIBLE, NFoldInstance, _int_tuple
 from .driver import solve as ilp_solve
-from .core import STATUS_FEASIBLE
 
 log = logging.getLogger(__name__)
 
@@ -57,6 +56,9 @@ class SchedulingInstance:
         Distinct machine speeds, each >= 1.
     m : tuple of int
         Machine count per speed, each >= 1.
+
+    Every value must be an ``int``; a ``float``, ``bool`` or other value
+    raises ``ValueError`` naming the field, never a silent coercion.
     """
 
     p: tuple[int, ...]
@@ -65,10 +67,8 @@ class SchedulingInstance:
     m: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", tuple(int(v) for v in self.p))
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-        object.__setattr__(self, "s", tuple(int(v) for v in self.s))
-        object.__setattr__(self, "m", tuple(int(v) for v in self.m))
+        for name in ("p", "n", "s", "m"):
+            object.__setattr__(self, name, _int_tuple(getattr(self, name), name))
         if len(self.p) != len(self.n) or not self.p:
             raise ValueError("processing times and multiplicities must align")
         if len(self.s) != len(self.m) or not self.s:
@@ -86,12 +86,19 @@ class SchedulingInstance:
     def build(cls, p: Sequence[int], n: Sequence[int], s: Sequence[int],
               m: Sequence[int]) -> "SchedulingInstance":
         """Normalise possibly-repeated sizes/speeds by merging their counts."""
+        p, n, s, m = (_int_tuple(values, name) for name, values in
+                      (("p", p), ("n", n), ("s", s), ("m", m)))
+        # zip would drop the unpaired tail without a word.
+        if len(p) != len(n):
+            raise ValueError("processing times and multiplicities must align")
+        if len(s) != len(m):
+            raise ValueError("speeds and machine counts must align")
         jobs: dict[int, int] = {}
         for size, count in zip(p, n):
-            jobs[int(size)] = jobs.get(int(size), 0) + int(count)
+            jobs[size] = jobs.get(size, 0) + count
         park: dict[int, int] = {}
         for speed, count in zip(s, m):
-            park[int(speed)] = park.get(int(speed), 0) + int(count)
+            park[speed] = park.get(speed, 0) + count
         sizes = tuple(sorted(jobs))
         speeds = tuple(sorted(park))
         return cls(p=sizes, n=tuple(jobs[v] for v in sizes),

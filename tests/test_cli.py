@@ -163,13 +163,31 @@ def test_schedule_missing_field_is_a_usage_error(tmp_path, capsys):
     assert "bad scheduling input" in capsys.readouterr().err
 
 
-def test_schedule_inapplicable_override_is_an_internal_error(tmp_path, capsys):
-    # forcing the sparse treatment on an instance without an abundant job
-    # size trips the solver's own sanity check, which is exit code 2
-    path = write_json(tmp_path, "jobs.json",
-                      {"p": [5, 7], "n": [1, 1], "s": [1, 3], "m": [2, 1]})
-    assert main(["schedule", "--in", path,
-                 "--small-threshold-override", "1"]) == 2
+@pytest.mark.parametrize(
+    "field, value, where",
+    [
+        ("p", [2.9, 3], "p[0]"),
+        ("n", [1, True], "n[1]"),
+        ("s", ["2"], "s[0]"),
+        ("m", [1.0], "m[0]"),
+    ],
+)
+def test_schedule_non_integer_value_is_a_usage_error(tmp_path, capsys, field,
+                                                     value, where):
+    doc = {"p": [2, 3], "n": [1, 1], "s": [1], "m": [1]}
+    doc[field] = value
+    path = write_json(tmp_path, "jobs.json", doc)
+    assert main(["schedule", "--in", path]) == 1
+    assert f"'{where}'" in capsys.readouterr().err
+
+
+def test_failed_witness_check_is_an_internal_error(tmp_path, capsys,
+                                                   monkeypatch):
+    # the solver re-verifies every witness it returns; a failure is a bug,
+    # which the CLI reports with exit code 2
+    monkeypatch.setattr("nfold.driver.verify_solution", lambda *args: False)
+    path = write_json(tmp_path, "inst.json", two_brick_doc())
+    assert main(["solve", "--in", path]) == 2
     assert "internal error" in capsys.readouterr().err
 
 
@@ -204,10 +222,19 @@ def test_imbalance_with_vertex_labels(tmp_path, capsys):
     path = write_json(tmp_path, "graph.json",
                       {"vertices": ["a", "b", "c"],
                        "edges": [["a", "b"], ["b", "c"]]})
-    assert main(["imbalance", "--in", path, "--threads", "2"]) == 0
+    assert main(["imbalance", "--in", path]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["imbalance"] == 2
     assert doc["cover"] == ["b"]
+
+
+@pytest.mark.parametrize("value", [3.7, True, "3", None])
+def test_imbalance_non_integer_vertex_count_is_a_usage_error(tmp_path, capsys,
+                                                             value):
+    path = write_json(tmp_path, "graph.json",
+                      {"n": value, "edges": [[0, 1]]})
+    assert main(["imbalance", "--in", path]) == 1
+    assert "'n'" in capsys.readouterr().err
 
 
 def test_imbalance_rejects_self_loop(tmp_path, capsys):

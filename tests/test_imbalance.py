@@ -200,11 +200,11 @@ def test_random_graphs_match_reference():
         assert result.value == imbalance_reference(n, edges)
 
 
-def test_thread_count_does_not_change_the_answer():
+def test_rerun_gives_the_same_answer():
     rng = random.Random(31)
     for _ in range(5):
         n, edges = random_small_graph(rng)
         g = Graph.build(range(n), edges)
-        single = solve_imbalance(g, k_max=n, threads=1)
-        multi = solve_imbalance(g, k_max=n, threads=2)
-        assert single == multi
+        first = solve_imbalance(g, k_max=n)
+        again = solve_imbalance(g, k_max=n)
+        assert first == again

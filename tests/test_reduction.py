@@ -6,7 +6,7 @@ import random
 
 from nfold.core import NFoldInstance, verify_solution
 from nfold.oracle import oracle_solve
-from nfold.reduction import map_back, reduce_instance
+from nfold.reduction import reduce_instance
 
 from helpers import random_core_instance
 
@@ -23,7 +23,6 @@ def test_frozen_signed_example():
     # x = (2, 1): original row -2 + 2 = 0; shifted row 2 + 4 = 6
     assert verify_solution(inst, (2, 1))
     assert verify_solution(reduced.instance, (2, 1))
-    assert map_back(reduced, (2, 1)) == (2, 1)
 
 
 def test_nonnegative_instance_is_left_alone():
@@ -81,6 +80,6 @@ def test_oracle_verdicts_survive_the_shift():
         assert original.status == shifted.status
         if original.solution is not None:
             x = original.solution.x
-            assert verify_solution(reduced.instance, map_back(reduced, x))
+            assert verify_solution(reduced.instance, x)
         if shifted.solution is not None:
-            assert verify_solution(inst, map_back(reduced, shifted.solution.x))
+            assert verify_solution(inst, shifted.solution.x)

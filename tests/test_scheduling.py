@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,31 @@ def test_build_merges_and_sorts():
 def test_constructor_rejects_malformed_parks(kwargs):
     with pytest.raises(ValueError):
         SchedulingInstance(**kwargs)
+
+
+@pytest.mark.parametrize("make", [SchedulingInstance, SchedulingInstance.build])
+@pytest.mark.parametrize(
+    "field, value, where",
+    [
+        ("p", (2.9, 3), "p[0]"),
+        ("n", (1, True), "n[1]"),
+        ("s", ("2",), "s[0]"),
+        ("m", (1.0,), "m[0]"),
+    ],
+)
+def test_non_int_values_are_rejected_without_coercion(make, field, value,
+                                                      where):
+    kwargs = dict(p=(2, 3), n=(1, 1), s=(1,), m=(1,))
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=rf"'{re.escape(where)}'"):
+        make(**kwargs)
+
+
+def test_build_rejects_unpaired_counts():
+    with pytest.raises(ValueError, match="must align"):
+        SchedulingInstance.build(p=(5, 7), n=(1,), s=(1,), m=(1,))
+    with pytest.raises(ValueError, match="must align"):
+        SchedulingInstance.build(p=(5,), n=(1,), s=(1, 3), m=(1,))
 
 
 def test_completion_is_exact_fraction():
