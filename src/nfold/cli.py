@@ -156,9 +156,15 @@ def _cmd_imbalance(args: argparse.Namespace) -> int:
     doc = _read_json(args.in_path)
     if not isinstance(doc, dict):
         raise _UsageError("imbalance input must be a JSON object")
+    if "vertices" in doc and "n" in doc:
+        raise _UsageError("bad graph input: give 'n' or 'vertices', not both")
     try:
         if "vertices" in doc:
             vertices = doc["vertices"]
+            if not isinstance(vertices, list):
+                raise ValueError("'vertices' must be a JSON list")
+            if len(set(vertices)) != len(vertices):
+                raise ValueError("'vertices' repeats a label")
         else:
             _require_int(doc["n"], "n")
             vertices = list(range(doc["n"]))

@@ -14,9 +14,11 @@ window (e = levels - i)
 
 which is the classical +-D box around ``b_up / 2^e`` tightened one-sidedly:
 after the sign reduction every level contribution is nonnegative, so the
-remaining levels can only add to ``2^e * v``.  At the top level (e = 0)
-the window collapses to exactly ``b_up`` — feasibility is then simply
-"is the top set nonempty".
+remaining levels can only add to ``2^e * v``.  The windows hold for any
+valid level size K (see ``plan``): a level places at most K units per
+brick, so it adds at most ``D = n*K*delta`` per axis.  At the top level
+(e = 0) the window collapses to exactly ``b_up`` — feasibility is then
+simply "is the top set nonempty".
 
 The combine is ``dp.sumset`` at scale 2 (the in-level fold runs it at
 scale 1): a box probe or a sorted-axis range index, and on value ties
@@ -52,7 +54,7 @@ from .core import (
     verify_solution,
 )
 from .dp import PointTable, base_tables_for_level, fold_tables, sumset
-from .plan import IterationPlan, _ceil_div, build_plan
+from .plan import IterationPlan, build_plan, level_window, small_window
 from .reduction import ReducedInstance, reduce_instance
 
 logger = logging.getLogger(__name__)
@@ -76,19 +78,6 @@ class SolveTrace:
     plan: IterationPlan | None = None
     windows: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=list)
     levels: list[LevelSet] = field(default_factory=list)
-
-
-def level_window(
-    b_up: Sequence[int], radius: int, levels: int, level: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-axis retention window for level ``level`` (1-based)."""
-    e = levels - level
-    scale = 1 << e
-    lo = tuple(
-        max(0, _ceil_div(v - radius * (scale - 1), scale)) for v in b_up
-    )
-    hi = tuple(v // scale for v in b_up)
-    return lo, hi
 
 
 def _combine_levels(
@@ -168,6 +157,7 @@ def solve_with_trace(
                 "iterations": iterations,
                 "dp_cells": cells,
                 "wall_time_s": watch.seconds(),
+                "support": trace.plan.support if trace.plan else None,
             },
         )
 
@@ -183,18 +173,12 @@ def solve_with_trace(
     cells_total = 0
 
     for level in range(1, depth + 1):
-        lo, hi = level_window(work.b_up, radius, depth, level)
-        trace.windows.append((lo, hi))
-        if level == 1:
-            small_lo, small_hi = lo, tuple(min(radius, h) for h in hi)
-        else:
-            prev_lo, prev_hi = trace.windows[level - 2]
-            small_lo = tuple(
-                max(0, l - 2 * ph) for l, ph in zip(lo, prev_hi)
-            )
-            small_hi = tuple(
-                min(radius, h - 2 * pl) for h, pl in zip(hi, prev_lo)
-            )
+        window = level_window(work.b_up, radius, depth, level)
+        lo, hi = window
+        small_lo, small_hi = small_window(
+            window, trace.windows[-1] if trace.windows else None, radius
+        )
+        trace.windows.append(window)
         # A single brick's point can never exceed the fold window on any
         # axis (the other bricks only add), so cap base tables there too.
         per_block_cap = plan.support * work.delta
@@ -227,6 +211,7 @@ def solve_with_trace(
         "iterations": depth,
         "dp_cells": cells_total,
         "wall_time_s": watch.seconds(),
+        "support": plan.support,
     }
     if mode == MODE_OPTIMIZE:
         if value != objective_value(inst, x):
@@ -263,7 +248,8 @@ def solve(inst: NFoldInstance, mode: str = MODE_FEASIBILITY) -> SolveOutcome:
     -------
     SolveOutcome
         Status plus a verified solution; stats carry the level count,
-        total DP cells, and wall time.
+        total DP cells, wall time, and the level size K the plan used
+        (``None`` when no plan was built).
     """
     outcome, _ = solve_with_trace(inst, mode)
     return outcome

@@ -1,13 +1,25 @@
-"""Pytest hooks: print the acceptance criteria verdict lines last."""
+"""Pytest hooks: a reproducible hypothesis profile, and the acceptance
+criteria verdict lines printed last."""
 
 from __future__ import annotations
 
 import helpers
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests themselves then fail to import
+    settings = None
+
+if settings is not None:
+    # Fixed examples on every run, and no example database on disk.
+    settings.register_profile("reproducible", derandomize=True, database=None)
+    settings.load_profile("reproducible")
+
 
 def pytest_terminal_summary(terminalreporter):
-    if not helpers.ACCEPTANCE_LINES:
-        return
-    terminalreporter.section("acceptance criteria")
-    for line in helpers.ACCEPTANCE_LINES:
-        terminalreporter.write_line(line)
+    for title, lines in (("deep plans", helpers.REPORT_LINES),
+                         ("acceptance criteria", helpers.ACCEPTANCE_LINES)):
+        if lines:
+            terminalreporter.section(title)
+            for line in lines:
+                terminalreporter.write_line(line)

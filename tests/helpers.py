@@ -25,6 +25,8 @@ from nfold.scheduling import (OBJECTIVE_CMAX, OBJECTIVE_CMIN,
 # One registry per process; the acceptance module appends a line per
 # criterion and conftest prints them in the terminal summary.
 ACCEPTANCE_LINES: list[str] = []
+# Coverage notes of the deep-plan sweeps, printed the same way.
+REPORT_LINES: list[str] = []
 
 # Generator-side cap on the oracle's enumeration space.  Keeps every
 # reference solve comfortably under the oracle's own refusal budget.

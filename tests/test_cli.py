@@ -7,7 +7,9 @@ import json
 import pytest
 
 from nfold.cli import main
-from nfold.core import STATUS_FEASIBLE, STATUS_INFEASIBLE, STATUS_OPTIMAL
+from nfold.core import (STATUS_FEASIBLE, STATUS_INFEASIBLE, STATUS_OPTIMAL,
+                        NFoldInstance)
+from nfold.plan import build_plan
 
 
 def write_json(tmp_path, name, doc):
@@ -73,6 +75,8 @@ def test_plan_reports_schedule_shape(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["mode"] == "feasibility"
     assert doc["support_bound"] == 16  # r=1, largest entry 2
+    inst = NFoldInstance(**two_brick_doc())
+    assert doc["support"] == build_plan(inst, "feasibility").support
     assert doc["levels"] >= 1
 
 
@@ -235,6 +239,19 @@ def test_imbalance_non_integer_vertex_count_is_a_usage_error(tmp_path, capsys,
                       {"n": value, "edges": [[0, 1]]})
     assert main(["imbalance", "--in", path]) == 1
     assert "'n'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"vertices": "abc", "edges": [["a", "b"], ["b", "c"]]}, "JSON list"),
+    ({"vertices": {"a": 1, "b": 2}, "edges": [["a", "b"]]}, "JSON list"),
+    ({"vertices": ["a", "b", "a"], "edges": [["a", "b"]]}, "repeats"),
+    ({"n": 3, "vertices": [0, 1, 2], "edges": [[0, 1]]}, "not both"),
+])
+def test_imbalance_vertex_list_is_checked(tmp_path, capsys, doc, message):
+    path = write_json(tmp_path, "graph.json", doc)
+    assert main(["imbalance", "--in", path]) == 1
+    err = capsys.readouterr().err
+    assert "bad graph input" in err and message in err
 
 
 def test_imbalance_rejects_self_loop(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import random
@@ -12,6 +13,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nfold
 
@@ -22,10 +25,16 @@ from nfold.core import (
     STATUS_OPTIMAL,
     verify_solution,
 )
+from nfold import driver, plan
 from nfold.driver import level_window, solve, solve_with_trace
 from nfold.oracle import oracle_solve
+from nfold.plan import support_floor
+from nfold.reduction import reduce_instance
 
+import helpers
 from helpers import random_core_instance
+from test_acceptance import (FEASIBILITY_TRIALS, OPTIMIZE_TRIALS,
+                             SEED_FEASIBILITY, SEED_OPTIMIZE)
 
 
 def two_brick(c=None) -> NFoldInstance:
@@ -64,8 +73,16 @@ def test_zero_instance_returns_zero_vector():
     assert out.solution.x == (0, 0)
 
 
-def test_multi_level_brick_target():
-    # b_low = 100 forces a four-level plan under K = 12
+def pin_support(monkeypatch, support: int) -> None:
+    """Make the solver plan with level size ``support``."""
+    monkeypatch.setattr(
+        driver, "build_plan", functools.partial(plan.build_plan, support=support)
+    )
+
+
+def test_multi_level_brick_target(monkeypatch):
+    # b_low = 100 forces a four-level plan under the paper's K = 12
+    pin_support(monkeypatch, 12)
     inst = NFoldInstance(
         n=1, r=1, t=(2,), blocks=(((1, 0),),), b_up=(40,), b_low=(100,)
     )
@@ -74,6 +91,16 @@ def test_multi_level_brick_target():
     assert out.status == STATUS_FEASIBLE
     assert out.solution.x == (40, 60)
     assert out.stats["iterations"] == 4
+
+
+def test_default_level_size_solves_the_deep_target():
+    inst = NFoldInstance(
+        n=1, r=1, t=(2,), blocks=(((1, 0),),), b_up=(40,), b_low=(100,)
+    )
+    out = solve(inst)
+    assert out.status == STATUS_FEASIBLE
+    assert out.solution.x == (40, 60)
+    assert out.stats["support"] >= support_floor(inst) == 2
 
 
 def test_signed_entries_are_handled_in_place():
@@ -152,12 +179,13 @@ def test_solver_is_deterministic():
 
 def test_stats_shape():
     out = solve(two_brick())
-    assert set(out.stats) == {"iterations", "dp_cells", "wall_time_s"}
+    assert set(out.stats) == {"iterations", "dp_cells", "wall_time_s", "support"}
     assert out.stats["iterations"] >= 1
     assert out.stats["dp_cells"] > 0
 
 
-def test_debug_log_reports_cells_per_level(caplog):
+def test_debug_log_reports_cells_per_level(caplog, monkeypatch):
+    pin_support(monkeypatch, 12)
     inst = NFoldInstance(
         n=1, r=1, t=(2,), blocks=(((1, 0),),), b_up=(40,), b_low=(100,)
     )
@@ -239,3 +267,77 @@ def test_witness_check_survives_python_optimize_flag():
         "feasibility internal error: corrupt witness: bad solution",
         "optimize internal error: corrupt witness: bad solution",
     ]
+
+
+# ---------------------------------------------------------------------------
+# deep plans: the acceptance streams again, at the smallest valid K
+
+
+def pin_floor(monkeypatch) -> list[int]:
+    """Plan every solve at ``K = support_floor``; returns the level counts."""
+    depths = []
+
+    def at_floor(inst, mode):
+        built = plan.build_plan(inst, mode, support=support_floor(inst))
+        depths.append(built.levels)
+        return built
+
+    monkeypatch.setattr(driver, "build_plan", at_floor)
+    return depths
+
+
+@pytest.mark.parametrize("sweep, seed, trials", [
+    (helpers.feasibility_sweep, SEED_FEASIBILITY, FEASIBILITY_TRIALS),
+    (helpers.optimize_sweep, SEED_OPTIMIZE, OPTIMIZE_TRIALS),
+])
+def test_acceptance_streams_agree_with_brute_force_at_the_floor(
+        monkeypatch, sweep, seed, trials):
+    """Criteria 3 and 4 (same seeds and trials) with K pinned to the floor.
+
+    The sweeps compare every verdict and optimum with ``oracle_solve``
+    and check every witness; at the paper's K none of these trials has
+    three levels, at the floor many do.
+    """
+    depths = pin_floor(monkeypatch)
+    report = sweep(seed, trials)
+    assert report["trials"] == trials
+    deep = sum(levels >= 3 for levels in depths)
+    helpers.REPORT_LINES.append(
+        f"{report['kind']} stream at K = floor: {deep} of {len(depths)} "
+        f"solves reach L >= 3, deepest L = {max(depths)}"
+    )
+    assert deep >= trials // 5
+
+
+@st.composite
+def core_cases(draw):
+    mode = draw(st.sampled_from(["feasibility", "optimize"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    optimize = mode == "optimize"
+    inst = random_core_instance(rng, with_costs=optimize, plant=optimize or None)
+    work = reduce_instance(inst).instance
+    paper = plan.support_bound(work.r, work.delta, mode)
+    floor = support_floor(work)
+    support = draw(st.one_of(
+        st.none(), st.just(paper), st.integers(floor, max(floor, paper))
+    ))
+    return inst, mode, support
+
+
+@settings(max_examples=300, deadline=None)
+@given(core_cases())
+def test_any_valid_level_size_agrees_with_brute_force(case):
+    inst, mode, support = case
+    with pytest.MonkeyPatch.context() as patch:
+        if support is not None:
+            patch.setattr(driver, "build_plan",
+                          functools.partial(plan.build_plan, support=support))
+        got = solve(inst, mode=mode)
+    want = oracle_solve(inst, mode=mode)
+    assert got.status == want.status
+    if support is not None:
+        # None when a negative shifted target ends the solve before a plan
+        assert got.stats["support"] in (support, None)
+    if got.solution is not None:
+        assert verify_solution(inst, got.solution.x, got.solution.objective)
+        assert got.solution.objective == want.solution.objective
