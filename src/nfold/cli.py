@@ -34,6 +34,7 @@ from .driver import solve
 from .imbalance import Graph, solve_imbalance
 from .oracle import OracleBudgetError, oracle_solve
 from .plan import build_plan, plan_to_json
+from .reduction import reduce_instance
 from .scheduling import (OBJECTIVE_CMAX, OBJECTIVE_CMIN, SchedulingInstance,
                          solve_cmax, solve_cmin)
 
@@ -107,7 +108,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.in_path)
+    # Plan the sign-shifted copy, as ``solve`` does, so the printed plan is
+    # the one the solver runs.
+    inst = reduce_instance(_load_instance(args.in_path)).instance
     plan = build_plan(inst, mode=args.mode)
     _dump(plan_to_json(plan), args.out)
     return 0
@@ -320,7 +323,7 @@ def _build_parser() -> _Parser:
     add_io(p, with_mode=True)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("plan", help="print the iteration plan for an instance")
+    p = sub.add_parser("plan", help="print the plan solve runs for an instance")
     add_io(p, with_mode=True)
     p.set_defaults(func=_cmd_plan)
 

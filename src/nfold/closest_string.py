@@ -6,9 +6,10 @@ by their *pattern* — which rows agree with which — since two columns with
 the same agreement pattern are interchangeable.  For a distance guess
 ``d``, one brick per pattern chooses how many of its columns pick each
 candidate letter (only letters occurring in the column matter), shared
-rows cap every string's mismatch count at ``d``, and a slack brick absorbs
-the gap below ``d``.  The smallest feasible ``d`` is found by binary
-search; a witness center is decoded from the brick solution.
+rows cap every string's mismatch count at ``d``, and one slack brick per
+string absorbs that string's gap below ``d``.  The smallest feasible
+``d`` is found by binary search; a witness center is decoded from the
+brick solution.
 """
 
 from __future__ import annotations
@@ -79,9 +80,11 @@ def build_ilp(strings: list[str], d: int) -> tuple[NFoldInstance,
     """Compile "some center is within distance d of every string".
 
     One brick per column type: its columns are the candidate letters (by
-    first-appearance id), entries flag the rows that would mismatch.  A
-    final brick of unit columns plus one open column turns the row caps
-    into equalities.
+    first-appearance id), entries flag the rows that would mismatch.  Then
+    one slack brick per row, with columns ``(e_row, 0)`` and ``d`` units,
+    turns that row's cap into an equality: it reaches only the ``d + 1``
+    points ``j*e_row``, where a single brick over all rows would reach
+    ``(d + 1)^k``.
     """
     if d < 0:
         raise ValueError("distance bound must be nonnegative")
@@ -99,12 +102,11 @@ def build_ilp(strings: list[str], d: int) -> tuple[NFoldInstance,
         blocks.append(block)
         t.append(width)
         b_low.append(ctype.count)
-    slack = tuple(
-        tuple(1 if row == col else 0 for col in range(k)) + (0,)
-        for row in range(k))
-    blocks.append(slack)
-    t.append(k + 1)
-    b_low.append(d * k)
+    for slack_row in range(k):
+        blocks.append(tuple(
+            (1 if row == slack_row else 0, 0) for row in range(k)))
+        t.append(2)
+        b_low.append(d)
     inst = NFoldInstance(n=len(blocks), r=k, t=tuple(t),
                          blocks=tuple(blocks), b_up=(d,) * k,
                          b_low=tuple(b_low))

@@ -21,8 +21,12 @@ brick, so it adds at most ``D = n*K*delta`` per axis.  At the top level
 simply "is the top set nonempty".
 
 The combine is ``dp.sumset`` at scale 2 (the in-level fold runs it at
-scale 1): a box probe or a sorted-axis range index, and on value ties
-a point keeps the first witness in sorted ``(p, q)`` order.
+scale 1).  It probes the window box when the box is no larger than the
+small set; else, when every value is 0 (feasibility mode), it ORs
+shifted copies of a big-int bitset of the small set, unless that bitset
+would be large against the set; else it bisects a sorted-axis range
+index.  On value ties a point keeps the first witness in sorted
+``(p, q)`` order, whichever path runs.
 
 Witnesses are pairs (parent point, small point) per level; decoding
 walks them down and recombines ``x = sum_i 2^(levels-i) * x~(i)``.
@@ -90,7 +94,8 @@ def _combine_levels(
 
     Values are ``2*value(p) + value(q)``; ties keep the first witness in
     sorted ``(p, q)`` order.  The kernel probes the window box in the
-    small set when the box is no larger, else bisects a sorted index.
+    small set when the box is no larger, else takes the bitset path for
+    zero values or bisects a sorted index (see ``dp.sumset``).
     """
     return sumset(prev.cells, small.cells, 2, lo, hi)
 

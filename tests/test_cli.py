@@ -9,7 +9,8 @@ import pytest
 from nfold.cli import main
 from nfold.core import (STATUS_FEASIBLE, STATUS_INFEASIBLE, STATUS_OPTIMAL,
                         NFoldInstance)
-from nfold.plan import build_plan
+from nfold.driver import solve_with_trace
+from nfold.plan import build_plan, plan_to_json
 
 
 def write_json(tmp_path, name, doc):
@@ -78,6 +79,17 @@ def test_plan_reports_schedule_shape(tmp_path, capsys):
     inst = NFoldInstance(**two_brick_doc())
     assert doc["support"] == build_plan(inst, "feasibility").support
     assert doc["levels"] >= 1
+
+
+def test_plan_of_signed_instance_is_the_plan_solve_runs(tmp_path, capsys):
+    doc = {"n": 1, "r": 1, "t": [2], "blocks": [[[-1, 2]]],
+           "b_up": [30], "b_low": [40]}
+    path = write_json(tmp_path, "signed.json", doc)
+    assert main(["plan", "--in", path]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    _, trace = solve_with_trace(NFoldInstance(**doc))
+    assert printed == plan_to_json(trace.plan)
+    assert (printed["support_bound"], printed["box_radius"]) == (20, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -86,17 +86,16 @@ def test_build_ilp_shape():
     strings = ["aa", "bb"]
     inst, types = build_ilp(strings, 1)
     k = 2
-    # one brick per type plus the slack brick
-    assert inst.n == len(types) + 1
+    # one brick per type plus one slack brick per row
+    assert inst.n == len(types) + k
     assert inst.r == k
     assert inst.b_up == (1,) * k
-    # slack brick: identity columns plus one open column, budget d*k
-    assert inst.t[-1] == k + 1
-    assert inst.b_low[-1] == 1 * k
-    slack = inst.blocks[-1]
-    assert slack == ((1, 0, 0), (0, 1, 0))
+    # slack brick of row i: columns (e_i, 0), budget d
+    assert inst.t[-k:] == (2,) * k
+    assert inst.b_low[-k:] == (1,) * k
+    assert inst.blocks[-k:] == (((1, 0), (0, 0)), ((0, 0), (1, 0)))
     # type bricks spend exactly their column count
-    for ctype, width, budget in zip(types, inst.t[:-1], inst.b_low[:-1]):
+    for ctype, width, budget in zip(types, inst.t[:-k], inst.b_low[:-k]):
         assert width == ctype.groups
         assert budget == ctype.count
 

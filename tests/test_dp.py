@@ -7,6 +7,7 @@ import itertools
 import logging
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -435,6 +436,85 @@ def test_sumset_kernel_matches_double_loop_in_both_callers():
                     got = _combine_levels(prev, b, lo, hi)
                 assert list(got.items()) == list(want.items()), (trial, scale, lo, hi)
     assert paths["box"] > 50 and paths["index"] > 50, paths
+
+
+def zero_cells(rng: random.Random, r: int, size: int, span: int) -> dict:
+    return {pt: (0, ()) for pt in random_cells(rng, r, size, span)}
+
+
+def count_sumset_paths(monkeypatch) -> dict[str, int]:
+    """Count the box, index and bitset paths ``dp.sumset`` takes."""
+    hits = {"box": 0, "index": 0, "bits": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            if name != "bits" or out is not None:
+                hits[name] += 1
+            return out
+        return wrapper
+
+    monkeypatch.setattr(dp, "_probe_box", counted("box", dp._probe_box))
+    monkeypatch.setattr(dp, "_probe_index", counted("index", dp._probe_index))
+    monkeypatch.setattr(dp, "_sumset_bits", counted("bits", dp._sumset_bits))
+    return hits
+
+
+def test_zero_valued_sumset_matches_double_loop_on_every_path(monkeypatch):
+    hits = count_sumset_paths(monkeypatch)
+    rng = random.Random(2025)
+    for trial in range(150):
+        r = 1 + trial % 5
+        span = rng.choice((1, 2, 4, 8, 10**4))
+        a_cells = zero_cells(rng, r, rng.randint(1, 25), span)
+        b_cells = zero_cells(rng, r, rng.randint(1, 50), span)
+        for scale in (1, 2):
+            windows = list(kernel_windows(rng, a_cells, b_cells, scale))
+            # a window past the reach on one axis
+            (wide_lo, wide_hi), axis = windows[2], rng.randrange(r)
+            out_lo, out_hi = list(wide_lo), list(wide_hi)
+            out_lo[axis], out_hi[axis] = wide_hi[axis] - 2, wide_hi[axis] + 2
+            windows.append((tuple(out_lo), tuple(out_hi)))
+            for lo, hi in windows:
+                want = reference_sumset(a_cells, b_cells, scale, lo, hi)
+                got = dp.sumset(a_cells, b_cells, scale, lo, hi)
+                assert list(got.items()) == list(want.items()), (trial, scale, lo, hi)
+    assert min(hits.values()) > 20, hits
+
+
+def test_one_nonzero_value_never_takes_the_bitset_path(monkeypatch):
+    hits = count_sumset_paths(monkeypatch)
+    rng = random.Random(31)
+    for trial in range(40):
+        r = 1 + trial % 3
+        a_cells = zero_cells(rng, r, rng.randint(2, 20), 4)
+        b_cells = zero_cells(rng, r, rng.randint(2, 30), 4)
+        side = a_cells if trial % 2 else b_cells
+        side[rng.choice(sorted(side))] = (1, ())
+        lo, hi = (0,) * r, (12,) * r
+        want = reference_sumset(a_cells, b_cells, 1, lo, hi)
+        got = dp.sumset(a_cells, b_cells, 1, lo, hi)
+        assert list(got.items()) == list(want.items())
+        assert any(cell[0] for cell in got.values())
+    assert hits["bits"] == 0 and hits["index"] == 40, hits
+
+
+def test_widely_spread_zero_tables_fall_back_without_a_huge_bitset(monkeypatch):
+    hits = count_sumset_paths(monkeypatch)
+    rng = random.Random(5)
+    a_cells = zero_cells(rng, 3, 30, 10**6)
+    b_cells = zero_cells(rng, 3, 30, 10**6)
+    lo, hi = (0,) * 3, (3 * 10**6,) * 3
+    tracemalloc.start()
+    try:
+        got = dp.sumset(a_cells, b_cells, 2, lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hits == {"box": 0, "index": 1, "bits": 0}
+    assert peak < 1 << 20, peak  # the code space is ~10^19 bits
+    want = reference_sumset(a_cells, b_cells, 2, lo, hi)
+    assert list(got.items()) == list(want.items())
 
 
 # ---------------------------------------------------------------------------
