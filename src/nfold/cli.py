@@ -199,15 +199,20 @@ def _check_one(inst: NFoldInstance, mode: str,
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
+    try:
+        return _oracle_check(args)
+    except OracleBudgetError as exc:
+        raise _UsageError(
+            f"oracle refused: needs {exc.required} candidates, "
+            f"budget is {exc.allowed}") from exc
+
+
+def _oracle_check(args: argparse.Namespace) -> int:
+    """Check one ``--in`` instance, or ``--trials`` random ones."""
     if args.in_path is not None:
         inst = _load_instance(args.in_path)
-        try:
-            agree, solver_doc, oracle_doc = _check_one(
-                inst, args.mode, args.budget)
-        except OracleBudgetError as exc:
-            raise _UsageError(
-                f"oracle refused: needs {exc.required} candidates, "
-                f"budget is {exc.allowed}") from exc
+        agree, solver_doc, oracle_doc = _check_one(
+            inst, args.mode, args.budget)
         payload = {
             "agree": agree,
             "solver": solver_doc,
@@ -302,6 +307,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trial_count(text: str) -> int:
+    """``--trials`` value: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nfold", description=__doc__.splitlines()[0]
                      if __doc__ else None)
@@ -351,7 +368,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=["feasibility", "optimize"],
                    default="feasibility",
                    help="what to ask of the solver")
-    p.add_argument("--trials", type=int, default=100,
+    p.add_argument("--trials", type=_trial_count, default=100,
                    help="random instances to cross-check when --in is absent")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None,
@@ -359,7 +376,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("bench", help="time solver vs oracle on random inputs")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_trial_count, default=20,
+                   help="random instances to time")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["feasibility", "optimize"],
                    default="feasibility")

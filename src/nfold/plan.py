@@ -37,36 +37,24 @@ even vector whose half is the next target down.  The windows only use
 is exact, and so is the paper's K below the floor (by its support
 theorem).  ``build_plan`` accepts exactly these.
 
-Choosing K.  The level count ``I`` falls as K grows, and the floor is
-usually far below the paper's K.  Without an explicit K, ``build_plan``
-considers, for each level count from the paper plan's to the floor's,
-the smallest valid K that gives it.  (One-level plans are skipped when
-the paper plan has one level: they place every target whole, as it
-does.)  Each candidate gets a score from plan quantities alone:
+Choosing K.  The paper's bound ``(n r delta)^O(r) log ||b||`` puts K
+in the polynomial factor and the level count only in the log factor.
+So, without an explicit K, ``build_plan`` uses one rule:
 
-- base tables: per brick, ``t * (placed + 1) * min(C(placed + t - 1,
-  t - 1), volume of the capped box)`` state visits to build it, and the
-  table bound ``min(C(placed + t - 1, t - 1), volume of the reach box)``,
-  where the reach box runs from ``placed * min column`` to
-  ``placed * max column`` per axis; both boxes are capped as the driver
-  caps base tables;
-- the in-level fold: the table bounds folded smallest first under the
-  ``dp.fold_tables`` windows, each step adding its ``fold_tables`` step
-  score (the greedy order without rescoring, which would cost a pass
-  over the tables per step), with the partial bounded by its size and
-  box; this bounds the small set;
-- the cross-level combine: ``|retained of level i-1| * |small set|``,
-  capped by the window volume, which also caps the retained set.
+    K = paper K                     if max_k b_low_k <= paper K
+    K = min(paper K, floor)         otherwise
 
-Levels are scored from the top down, where deep plans peak, and a
-candidate stops being scored once its running total reaches the best so
-far.  A candidate must score strictly below the paper plan to replace
-it, so ties go to the paper's K; among candidates the larger K wins
-ties.  For a one-level paper plan the bar is its base-table work alone:
-its fold lands in the single point ``b_up``, where the fold bound
-overstates the work by orders of magnitude (395,000 against 2,943
-visited pairs on an imbalance program), and scoring that fold would
-cost a visible share of such small solves.
+A plan whose targets all fit the paper's K has one level, which is as
+shallow as a plan gets, and splitting it deeper only adds levels.  A
+plan that needs several levels anyway wants the smallest exact K.
+Measured on the seed-1 benchmark programs (one ``solve``, in-process,
+shared 2-vCPU host):
+
+- one level: an ``imbalance-opt`` program took 4.3 ms at the paper's K
+  and 733 ms at the floor, a closest-string d=6 program 21.6 ms and
+  53.4 ms;
+- several levels: ``core-deep`` took 2.3 ms at the floor and 32.8 ms at
+  the paper's K, ``core-wide`` 55 ms and 195 ms.
 
 Everything here is exact integer arithmetic; base-2 logarithms are taken
 via ``int.bit_length`` so no float ever rounds a bound the wrong way.
@@ -75,9 +63,7 @@ via ``int.bit_length`` so no float ever rounds a bound the wrong way.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Sequence
 
 from .core import MODE_FEASIBILITY, MODE_OPTIMIZE, NFoldInstance
@@ -274,173 +260,28 @@ def support_floor(inst: NFoldInstance) -> int:
     return max([1, *map(min, inst.t, inst.b_low)])
 
 
-def _fold_estimate(
-    tables: list[tuple[int, tuple[int, ...], tuple[int, ...]]],
-    lo: tuple[int, ...],
-    hi: tuple[int, ...],
-    limit: int | None,
-) -> tuple[int, int]:
-    """Fold of table bounds under the ``dp.fold_tables`` windows.
-
-    ``tables`` holds one ``(size bound, reach lo, reach hi)`` per brick,
-    folded smallest bound first.  Each step adds the ``fold_tables`` step
-    score, with the partial bounded by its size and box.  Returns the
-    summed scores, which stop growing once they pass ``limit``, and the
-    bound on the folded set.
-    """
-    rest_lo = [sum(axis) for axis in zip(*(t_lo for _, t_lo, _ in tables))]
-    rest_hi = [sum(axis) for axis in zip(*(t_hi for _, _, t_hi in tables))]
-    box_lo, box_hi = [0] * len(lo), [0] * len(lo)
-    axes = range(len(lo))
-    size = 1
-    work = 0
-    for n_t, t_lo, t_hi in sorted(tables, key=itemgetter(0)):
-        probe = volume = 1
-        for j in axes:
-            tl, th = t_lo[j], t_hi[j]
-            rest_lo[j] -= tl
-            rest_hi[j] -= th
-            w_lo = max(0, lo[j] - rest_hi[j])
-            w_hi = hi[j] - rest_lo[j]
-            probe *= max(0, min(w_hi - w_lo, th - tl) + 1)
-            b_lo = box_lo[j] + tl
-            box_lo[j] = b_lo = b_lo if b_lo > w_lo else w_lo
-            b_hi = box_hi[j] + th
-            box_hi[j] = b_hi = b_hi if b_hi < w_hi else w_hi
-            volume *= b_hi - b_lo + 1 if b_hi >= b_lo else 0
-        out = min(size * n_t, volume)
-        work += out + size * min(n_t, probe)
-        size = out
-        if not size or (limit is not None and work > limit):
-            break
-    return work, size
-
-
-def _plan_cost(
-    shapes: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]],
-    b_up: tuple[int, ...],
-    delta: int,
-    support: int,
-    levels: int,
-    budget: int | None,
-    *,
-    base_only: bool = False,
-) -> int | None:
-    """Estimated work of a K-plan, or ``None`` once it passes ``budget``.
-
-    ``shapes`` holds ``(b_low, t, per-axis column min, per-axis column
-    max)`` per brick.  Base tables and folds are scored from the top
-    level down, where deep plans peak, and the combines last; every level
-    counts as if it ran.  ``base_only`` counts the base tables alone.
-    """
-    radius = box_radius(len(shapes), support, delta)
-    cap = support * delta
-    placed = {
-        b: _schedule_top_down(b, support, levels).placed
-        for b in {shape[0] for shape in shapes}
-    }
-    windows = [
-        level_window(b_up, radius, levels, level)
-        for level in range(1, levels + 1)
-    ]
-    smalls = [0] * levels
-    total = 0
-    for i in reversed(range(levels)):
-        s_lo, s_hi = small_window(windows[i], windows[i - 1] if i else None, radius)
-        base_hi = [min(cap, h) for h in s_hi]
-        tables = []
-        for b, t, col_lo, col_hi in shapes:
-            p = placed[b][i]
-            t_lo, t_hi = [], []
-            reach = capped = 1
-            for e_lo, e_hi, h in zip(col_lo, col_hi, base_hi):
-                l = p * e_lo if e_lo > 0 else 0
-                u = p * e_hi if p * e_hi < h else h
-                t_lo.append(l)
-                t_hi.append(u)
-                capped *= u + 1 if u >= 0 else 0
-                reach *= u - l + 1 if u >= l else 0
-            bound = math.comb(p + t - 1, t - 1)
-            # one visit per column and unit count to every capped state
-            total += t * (p + 1) * min(bound, capped)
-            tables.append((min(bound, reach), t_lo, t_hi))
-        if base_only:
-            continue
-        limit = None if budget is None else budget - total
-        fold, smalls[i] = _fold_estimate(tables, s_lo, s_hi, limit)
-        total += fold
-        if budget is not None and total > budget:
-            return None
-    if base_only:
-        return total
-    retained = 0
-    for i, window in enumerate(windows):
-        room = math.prod(max(0, h - l + 1) for l, h in zip(*window))
-        if i:
-            total += retained * min(smalls[i], room)
-        retained = min(retained * smalls[i] if i else smalls[i], room)
-    if budget is not None and total > budget:
-        return None
-    return total
-
-
-def _choose_support(inst: NFoldInstance, delta: int, paper: int) -> int:
-    """Level size with the lowest plan cost score (see the module doc);
-    ``delta`` is the instance's and ``paper`` its paper K."""
-    floor = support_floor(inst)
-    b_max = max(inst.b_low, default=0)
-    paper_levels = iteration_count(b_max, paper)
-    floor_levels = iteration_count(b_max, floor)
-    candidates = []
-    for levels in range(min(paper_levels, floor_levels),
-                        max(paper_levels, floor_levels) + 1):
-        if levels == 1 == paper_levels:
-            continue  # one level places every target whole, whatever K is
-        # the smallest K >= floor with at most ``levels`` levels
-        support = max(floor, _ceil_div(b_max, (1 << levels) - 1))
-        if (iteration_count(b_max, support) == levels
-                and support not in (paper, *(k for k, _ in candidates))):
-            candidates.append((support, levels))
-    if not candidates:
-        return paper
-
-    shapes = [
-        (b, t, tuple(map(min, block)), tuple(map(max, block)))
-        for b, t, block in zip(inst.b_low, inst.t, inst.blocks)
-    ]
-    best = paper
-    bar = _plan_cost(shapes, inst.b_up, delta, paper, paper_levels, None,
-                     base_only=paper_levels == 1)
-    scores = [(paper, paper_levels, bar)]
-    for support, levels in candidates:
-        cost = _plan_cost(shapes, inst.b_up, delta, support, levels, bar - 1)
-        scores.append((support, levels, cost))
-        if cost is not None:
-            best, bar = support, cost
-    logger.debug(
-        "plan: paper K=%d, candidates (K, L, score) %s, pick K=%d",
-        paper, scores, best,
-    )
-    return best
-
-
 def build_plan(
     inst: NFoldInstance, mode: str, support: int | None = None
 ) -> IterationPlan:
     """Compute K, D, the global level count, and every brick's schedule.
 
     ``support`` pins the level size K; it must be the paper's K or at
-    least ``support_floor(inst)``.  ``None`` picks K by the plan cost
-    score.
+    least ``support_floor(inst)``.  ``None`` keeps the paper's K when
+    every target fits it (one level, nothing to split) and otherwise
+    takes the smaller of the paper's K and the floor, since a deep plan
+    pays for K in the size of every table and for the level count only
+    once per level (see the module doc for the measurements).
     """
     delta = inst.delta
     paper = support_bound(inst.r, delta, mode)
+    floor = support_floor(inst)
     if support is None:
-        support = _choose_support(inst, delta, paper)
-    elif support != paper and support < support_floor(inst):
+        fits = max(inst.b_low, default=0) <= paper
+        support = paper if fits else min(paper, floor)
+    elif support != paper and support < floor:
         raise ValueError(
             f"level size K={support} is neither the paper's K={paper} nor "
-            f"at least the floor {support_floor(inst)}"
+            f"at least the floor {floor}"
         )
     radius = box_radius(inst.n, support, delta)
     block_levels = tuple(iteration_count(b, support) for b in inst.b_low)
@@ -449,7 +290,8 @@ def build_plan(
         _schedule_top_down(b, support, levels) for b in inst.b_low
     )
     logger.debug(
-        "plan: K=%d D=%d levels=%d block_levels=%s", support, radius, levels, block_levels
+        "plan: paper K=%d, floor %d, K=%d D=%d levels=%d block_levels=%s",
+        paper, floor, support, radius, levels, block_levels,
     )
     return IterationPlan(
         mode=mode,

@@ -312,6 +312,33 @@ def test_bench_emits_csv(tmp_path):
         assert row.split(",")[5] in (STATUS_FEASIBLE, STATUS_INFEASIBLE)
 
 
+@pytest.mark.parametrize("single", [True, False], ids=["in", "trials"])
+def test_oracle_budget_refusal_is_a_usage_error(tmp_path, capsys, single):
+    source = (["--in", write_json(tmp_path, "inst.json", two_brick_doc())]
+              if single else ["--trials", "5"])
+    assert main(["oracle-check", "--budget", "1", *source]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("nfold: error: oracle refused: needs ")
+    assert captured.err.endswith(" candidates, budget is 1\n")
+
+
+@pytest.mark.parametrize("command", ["oracle-check", "bench"])
+def test_negative_trial_count_is_a_usage_error(capsys, command):
+    assert main([command, "--trials", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "nfold: error: argument --trials: must be >= 0, got -3\n")
+
+
+def test_zero_trials_is_an_empty_run(capsys):
+    assert main(["oracle-check", "--trials", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["agreements"] == 0
+    assert main(["bench", "--trials", "0"]) == 0
+    assert capsys.readouterr().out.count("\n") == 1  # the CSV header alone
+
+
 def test_log_level_environment_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NFOLD_LOG", "debug")
     path = write_json(tmp_path, "inst.json", two_brick_doc())

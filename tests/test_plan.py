@@ -216,6 +216,8 @@ def test_paper_k_below_the_floor_stays_valid():
     assert paper < support_floor(inst) == 20
     assert build_plan(inst, "feasibility", support=paper).support == paper
     assert build_plan(inst, "feasibility", support=20).support == 20
+    # targets above the paper's K and a floor above it: the paper's K wins
+    assert build_plan(inst, "feasibility").support == paper
     with pytest.raises(ValueError, match="level size K"):
         build_plan(inst, "feasibility", support=paper + 1)
 
@@ -275,7 +277,7 @@ def deep_pair() -> NFoldInstance:
     )
 
 
-def test_default_k_is_picked_by_cost_and_reported(caplog):
+def test_default_k_is_picked_by_rule_and_reported(caplog):
     inst = deep_pair()
     paper = support_bound(2, 2, "feasibility")
     with caplog.at_level(logging.DEBUG, logger="nfold.plan"):
@@ -283,19 +285,22 @@ def test_default_k_is_picked_by_cost_and_reported(caplog):
     assert plan.support_bound == paper == 27
     assert support_floor(inst) <= plan.support < paper
     assert plan.levels > iteration_count(150, paper)
+    # targets above the paper's K and a floor below it: the floor wins
+    assert plan.support == support_floor(inst) == 3
 
     (line,) = [
         rec.getMessage() for rec in caplog.records
         if rec.getMessage().startswith("plan: paper K")
     ]
     match = re.fullmatch(
-        r"plan: paper K=(\d+), candidates \(K, L, score\) \[(.*)\], pick K=(\d+)",
+        r"plan: paper K=(\d+), floor (\d+), K=(\d+) D=(\d+) levels=(\d+) "
+        r"block_levels=\((.*)\)",
         line,
     )
-    assert int(match[1]) == paper and int(match[3]) == plan.support
-    triples = re.findall(r"\((\d+), (\d+), (\d+|None)\)", match[2])
-    assert triples[0][:2] == (str(paper), str(iteration_count(150, paper)))
-    assert (str(plan.support), str(plan.levels)) in [t[:2] for t in triples]
+    assert int(match[1]) == paper and int(match[2]) == support_floor(inst)
+    assert int(match[3]) == plan.support and int(match[4]) == plan.radius
+    assert int(match[5]) == plan.levels
+    assert tuple(map(int, match[6].split(","))) == plan.block_levels
 
     doc = plan_to_json(plan)
     assert doc["support_bound"] == paper
