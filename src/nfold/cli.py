@@ -170,6 +170,8 @@ def _cmd_imbalance(args: argparse.Namespace) -> int:
                 raise ValueError("'vertices' repeats a label")
         else:
             _require_int(doc["n"], "n")
+            if doc["n"] < 0:
+                raise ValueError(f"'n' must be >= 0, got {doc['n']}")
             vertices = list(range(doc["n"]))
         graph = Graph.build(vertices, doc.get("edges", []))
     except (KeyError, TypeError, ValueError) as exc:
@@ -307,8 +309,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trial_count(text: str) -> int:
-    """``--trials`` value: a nonnegative integer."""
+def _nonnegative_int(text: str) -> int:
+    """``--trials`` or ``--budget`` value: a nonnegative integer."""
     try:
         value = int(text)
     except ValueError:
@@ -368,15 +370,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=["feasibility", "optimize"],
                    default="feasibility",
                    help="what to ask of the solver")
-    p.add_argument("--trials", type=_trial_count, default=100,
+    p.add_argument("--trials", type=_nonnegative_int, default=100,
                    help="random instances to cross-check when --in is absent")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_nonnegative_int, default=None,
                    help="candidate cap for the brute-force oracle")
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("bench", help="time solver vs oracle on random inputs")
-    p.add_argument("--trials", type=_trial_count, default=20,
+    p.add_argument("--trials", type=_nonnegative_int, default=20,
                    help="random instances to time")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["feasibility", "optimize"],

@@ -13,13 +13,8 @@ maximisers, the reverse-lexicographically largest count vector.
 
 ``sumset`` is the one windowed Minkowski-sum kernel, ``scale*p + q`` in
 ``[lo, hi]``, run at scale 1 by the in-level ``convolve`` and at scale 2
-by the cross-level ``driver._combine_levels``.  It has three paths: it
-probes the window box when the box is no larger than the right table;
-else, when every value in both tables is 0 (feasibility mode), it ORs
-shifted copies of one big-int bitset of the right table, unless that
-bitset would be large against the table; else it bisects a sorted-axis
-range index of the right table.  All three give the same dict, insertion
-order and tie witnesses included.  ``fold_tables`` sums the brick
+by the cross-level ``driver._combine_levels``; its docstring says which
+of its two paths runs.  ``fold_tables`` sums the brick
 tables with ``convolve`` one at a time, keeping only points that can
 still land inside the target window given the summed reach of the bricks
 not yet folded; that window depends on which bricks remain, not on the
@@ -47,7 +42,6 @@ bit-stable, dict order included.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from bisect import bisect_left, bisect_right
@@ -259,39 +253,25 @@ def sumset(
     ``scale*value(p) + value(q)`` (a cell's value is its first entry).
     Pairs go in sorted ``(p, q)`` order and only a strictly larger value
     replaces a cell, so ties keep the first witness and keys come out in
-    first-reached order.  Three paths give that same dict:
+    first-reached order.  Points may have any sign.  The kind of values
+    picks one of two paths, which give that same dict:
 
-    - box: a window box of at most ``len(b_cells)`` points is probed per
-      ``p`` (``b`` points are nonnegative, as in every engine table);
-    - bitset: otherwise, when every value in both tables is 0, as in
-      feasibility mode, ``_sumset_bits`` walks ``p`` over one big-int
-      bitset of ``b``; it declines when the bitset would exceed
-      ``_BITS_PER_POINT`` bits per point of ``b``;
-    - index: otherwise ``b_cells`` is grouped by prefix ``q[:-1]`` with
-      sorted last coordinates, and each ``p`` bisects axis 0 over
-      prefixes and the last axis per prefix.
-
-    The box and index paths accumulate sums under mixed-radix int keys
-    over the window.
+    - bitset: when every value in both tables is 0, as in feasibility
+      mode, ``_sumset_bits`` walks ``p`` over one big-int bitset of ``b``;
+      it declines when the bitset would exceed ``_BITS_PER_POINT`` bits
+      per point of ``b``, and the index path runs instead;
+    - index: otherwise ``_probe_index`` bisects a sorted-axis range index
+      of ``b`` for each ``p``.
     """
-    dims = [h - l + 1 for l, h in zip(lo, hi)]
-    if not a_cells or not b_cells or min(dims) <= 0:
+    if not a_cells or not b_cells or any(l > h for l, h in zip(lo, hi)):
         return {}
-    strides = [math.prod(dims[j + 1:]) for j in range(len(dims))]
-    box = math.prod(dims) <= len(b_cells)
-    if not box and not any(cell[0] for cell in a_cells.values()) and not any(
+    if not any(cell[0] for cell in a_cells.values()) and not any(
         cell[0] for cell in b_cells.values()
     ):
         cells = _sumset_bits(a_cells, b_cells, scale, lo, hi)
         if cells is not None:
             return cells
-    probe = _probe_box if box else _probe_index
-    acc: dict[int, tuple] = {}
-    probe(acc, a_cells, b_cells, scale, lo, hi, strides)
-    return {
-        tuple(scale * x + y for x, y in zip(cell[1], cell[2])): cell
-        for cell in acc.values()
-    }
+    return _probe_index(a_cells, b_cells, scale, lo, hi)
 
 
 # Largest bitset, in bits per clipped right-table point, that the bitset
@@ -335,9 +315,10 @@ def _sumset_bits(a_cells, b_cells, scale, lo, hi):
     probe per point of ``b``.  The bitset thus pays only while ``nbits``
     per point of ``b`` stays small, and this returns None, before
     allocating anything, when ``nbits > _BITS_PER_POINT * |b|`` with
-    ``b`` clipped.  4096 is the measured crossover, timed over the 682
-    zero-valued non-box calls of the core-wide, core-deep and apps-feas
-    benchmark workloads, seeds 1-3, by bits per point of ``b``:
+    ``b`` clipped.  4096 is the measured crossover, timed over 682
+    zero-valued calls of the core-wide, core-deep and apps-feas benchmark
+    workloads, seeds 1-3 (those whose window box held more points than
+    ``b``), by bits per point of ``b``:
 
     - 8 to 2048: bitset 0.14 s, index 0.88 s;
     - 2048 to 4096: bitset 5.6 ms, index 6.0 ms;
@@ -414,26 +395,16 @@ def _sumset_bits(a_cells, b_cells, scale, lo, hi):
     return out
 
 
-def _probe_box(acc, a_cells, b_cells, scale, lo, hi, strides) -> None:
-    get = b_cells.get
-    for p in sorted(a_cells):
-        ranges = [
-            range(max(l - scale * x, 0), h - scale * x + 1)
-            for x, l, h in zip(p, lo, hi)
-        ]
-        base = sum((scale * x - l) * s for x, l, s in zip(p, lo, strides))
-        p_val = scale * a_cells[p][0]
-        for q in itertools.product(*ranges):
-            cell = get(q)
-            if cell is not None:
-                key = base + sum(map(mul, q, strides))
-                value = p_val + cell[0]
-                prev = acc.get(key)
-                if prev is None or value > prev[0]:
-                    acc[key] = (value, p, q)
+def _probe_index(a_cells, b_cells, scale, lo, hi):
+    """Pairwise ``sumset`` over a sorted-axis range index of ``b``.
 
-
-def _probe_index(acc, a_cells, b_cells, scale, lo, hi, strides) -> None:
+    ``b`` is grouped by prefix ``q[:-1]`` with sorted last coordinates;
+    each ``p`` bisects axis 0 over the prefixes and the last axis within
+    each prefix, so only ``q`` with ``scale*p + q`` in the window are
+    visited.  Sums accumulate under mixed-radix int keys over the window.
+    """
+    dims = [h - l + 1 for l, h in zip(lo, hi)]
+    strides = [math.prod(dims[j + 1:]) for j in range(len(dims))]
     groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for q in sorted(b_cells):
         groups.setdefault(q[:-1], []).append(q)
@@ -444,6 +415,7 @@ def _probe_index(acc, a_cells, b_cells, scale, lo, hi, strides) -> None:
     ]
     last = len(lo) - 1
     firsts = [pre[0] for pre in groups] if last else []
+    acc: dict[int, tuple] = {}
     for p in sorted(a_cells):
         q_lo = [l - scale * x for x, l in zip(p, lo)]
         q_hi = [h - scale * x for x, h in zip(p, hi)]
@@ -466,6 +438,10 @@ def _probe_index(acc, a_cells, b_cells, scale, lo, hi, strides) -> None:
                 prev = acc.get(key)
                 if prev is None or value > prev[0]:
                     acc[key] = (value, p, qs[i])
+    return {
+        tuple(scale * x + y for x, y in zip(cell[1], cell[2])): cell
+        for cell in acc.values()
+    }
 
 
 def convolve(
@@ -478,10 +454,8 @@ def convolve(
     """Minkowski sum ``a + b`` inside ``[lo, hi]``: ``sumset`` at scale 1.
 
     Values add; ties keep the first witness in sorted (left, right) order.
-    The kernel probes the window box in ``b`` when the box is no larger
-    than ``b``, else takes the bitset path for zero-valued tables or
-    bisects a sorted-axis index of ``b`` (see ``sumset``).  A missing
-    window side defaults to ``reach(a) + reach(b)``.
+    ``sumset`` picks the path.  A missing window side defaults to
+    ``reach(a) + reach(b)``.
     """
     if lo is None or hi is None:
         (a_lo, a_hi), (b_lo, b_hi) = a.reach(), b.reach()
@@ -593,11 +567,16 @@ def base_tables_for_level(
     *,
     hi: tuple[int, ...] | None = None,
 ) -> list[PointTable]:
-    """Per-brick base tables for one level's placed counts."""
+    """Per-brick base tables for one level's placed counts.
+
+    Each table is capped per axis at ``K*delta``, the most one brick adds
+    with ``K`` units, and at ``hi`` when given: a brick's point never
+    exceeds the fold window it lands in, since the other bricks only add.
+    """
     placed = plan.placed_at(level)
-    cap = hi
-    if cap is None:
-        cap = (plan.support * inst.delta,) * inst.r
+    cap = (plan.support * inst.delta,) * inst.r
+    if hi is not None:
+        cap = tuple(map(min, cap, hi))
     costs = _block_costs(inst, mode)
     return [
         block_base_table(

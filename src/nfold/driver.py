@@ -21,12 +21,8 @@ brick, so it adds at most ``D = n*K*delta`` per axis.  At the top level
 simply "is the top set nonempty".
 
 The combine is ``dp.sumset`` at scale 2 (the in-level fold runs it at
-scale 1).  It probes the window box when the box is no larger than the
-small set; else, when every value is 0 (feasibility mode), it ORs
-shifted copies of a big-int bitset of the small set, unless that bitset
-would be large against the set; else it bisects a sorted-axis range
-index.  On value ties a point keeps the first witness in sorted
-``(p, q)`` order, whichever path runs.
+scale 1), which picks its own path.  On value ties a point keeps the
+first witness in sorted ``(p, q)`` order, whichever path runs.
 
 Witnesses are pairs (parent point, small point) per level; decoding
 walks them down and recombines ``x = sum_i 2^(levels-i) * x~(i)``.
@@ -93,9 +89,7 @@ def _combine_levels(
     """Every ``2*p + q`` in ``[lo, hi]``: ``dp.sumset`` at scale 2.
 
     Values are ``2*value(p) + value(q)``; ties keep the first witness in
-    sorted ``(p, q)`` order.  The kernel probes the window box in the
-    small set when the box is no larger, else takes the bitset path for
-    zero values or bisects a sorted index (see ``dp.sumset``).
+    sorted ``(p, q)`` order.  ``dp.sumset`` picks the path.
     """
     return sumset(prev.cells, small.cells, 2, lo, hi)
 
@@ -184,11 +178,7 @@ def solve_with_trace(
             window, trace.windows[-1] if trace.windows else None, radius
         )
         trace.windows.append(window)
-        # A single brick's point can never exceed the fold window on any
-        # axis (the other bricks only add), so cap base tables there too.
-        per_block_cap = plan.support * work.delta
-        base_hi = tuple(min(per_block_cap, h) for h in small_hi)
-        base = base_tables_for_level(work, plan, level, mode, hi=base_hi)
+        base = base_tables_for_level(work, plan, level, mode, hi=small_hi)
         base_cells = sum(len(b) for b in base)
         cells_total += base_cells
         small = fold_tables(base, small_lo, small_hi)

@@ -258,6 +258,7 @@ def test_imbalance_non_integer_vertex_count_is_a_usage_error(tmp_path, capsys,
     ({"vertices": {"a": 1, "b": 2}, "edges": [["a", "b"]]}, "JSON list"),
     ({"vertices": ["a", "b", "a"], "edges": [["a", "b"]]}, "repeats"),
     ({"n": 3, "vertices": [0, 1, 2], "edges": [[0, 1]]}, "not both"),
+    ({"n": -3}, "must be >= 0"),
 ])
 def test_imbalance_vertex_list_is_checked(tmp_path, capsys, doc, message):
     path = write_json(tmp_path, "graph.json", doc)
@@ -323,13 +324,17 @@ def test_oracle_budget_refusal_is_a_usage_error(tmp_path, capsys, single):
     assert captured.err.endswith(" candidates, budget is 1\n")
 
 
-@pytest.mark.parametrize("command", ["oracle-check", "bench"])
-def test_negative_trial_count_is_a_usage_error(capsys, command):
-    assert main([command, "--trials", "-3"]) == 1
+@pytest.mark.parametrize("command, option", [
+    pytest.param("oracle-check", "--trials", id="oracle-check"),
+    pytest.param("bench", "--trials", id="bench"),
+    pytest.param("oracle-check", "--budget", id="oracle-check-budget"),
+])
+def test_negative_trial_count_is_a_usage_error(capsys, command, option):
+    assert main([command, option, "-3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "nfold: error: argument --trials: must be >= 0, got -3\n")
+        f"nfold: error: argument {option}: must be >= 0, got -3\n")
 
 
 def test_zero_trials_is_an_empty_run(capsys):

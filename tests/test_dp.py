@@ -102,7 +102,7 @@ def test_convolve_window_filters_results():
     assert points_of(got) == {(5,), (6,)}
 
 
-def test_convolve_box_and_scan_paths_agree():
+def test_convolve_window_agrees_with_filtered_full_sum():
     rng = random.Random(17)
     for _ in range(40):
         r = rng.randint(1, 2)
@@ -372,9 +372,11 @@ def reference_sumset(a_cells, b_cells, scale, lo, hi):
     return out
 
 
-def random_cells(rng: random.Random, r: int, size: int, span: int) -> dict:
-    """Nonnegative points in shuffled key order; values 1..3 force ties."""
-    points = {tuple(rng.randint(0, span) for _ in range(r)) for _ in range(size)}
+def random_cells(
+    rng: random.Random, r: int, size: int, span: int, low: int = 0
+) -> dict:
+    """Points in ``[low, span]`` in shuffled key order; values 1..3 force ties."""
+    points = {tuple(rng.randint(low, span) for _ in range(r)) for _ in range(size)}
     points = list(points)
     rng.shuffle(points)
     return {pt: (rng.randint(1, 3), ()) for pt in points}
@@ -406,12 +408,13 @@ def kernel_windows(rng: random.Random, a_cells, b_cells, scale):
 
 def test_sumset_kernel_matches_double_loop_in_both_callers():
     rng = random.Random(2024)
-    paths = {"box": 0, "index": 0}
+    windows = {"volume <= |b|": 0, "volume > |b|": 0}
     for trial in range(120):
-        r = rng.choice((1, 2, 3))
+        r = rng.randint(1, 4)
         span = rng.choice((2, 4, 8))
-        a_cells = random_cells(rng, r, rng.randint(1, 30), span)
-        b_cells = random_cells(rng, r, rng.randint(1, 60), span)
+        low = -span if trial % 3 == 0 else 0
+        a_cells = random_cells(rng, r, rng.randint(1, 30), span, low)
+        b_cells = random_cells(rng, r, rng.randint(1, 60), span, low)
         a = PointTable(r, "base")
         a.cells = a_cells
         b = PointTable(r, "base")
@@ -419,7 +422,9 @@ def test_sumset_kernel_matches_double_loop_in_both_callers():
         prev_cells = {p: (v[0], None, p) for p, v in a_cells.items()}
         prev = LevelSet(level=2, cells=prev_cells, small=b)
 
-        want = reference_sumset(a_cells, b_cells, 1, (-1,) * r, (10 * span,) * r)
+        want = reference_sumset(
+            a_cells, b_cells, 1, (-10 * span,) * r, (10 * span,) * r
+        )
         assert list(convolve(a, b).cells.items()) == list(want.items())
 
         for scale in (1, 2):
@@ -428,14 +433,15 @@ def test_sumset_kernel_matches_double_loop_in_both_callers():
                 for l, h in zip(lo, hi):
                     volume *= max(h - l + 1, 0)
                 if volume:
-                    paths["box" if volume <= len(b_cells) else "index"] += 1
+                    small = volume <= len(b_cells)
+                    windows["volume <= |b|" if small else "volume > |b|"] += 1
                 want = reference_sumset(a_cells, b_cells, scale, lo, hi)
                 if scale == 1:
                     got = convolve(a, b, lo=lo, hi=hi).cells
                 else:
                     got = _combine_levels(prev, b, lo, hi)
                 assert list(got.items()) == list(want.items()), (trial, scale, lo, hi)
-    assert paths["box"] > 50 and paths["index"] > 50, paths
+    assert min(windows.values()) > 50, windows
 
 
 def zero_cells(rng: random.Random, r: int, size: int, span: int) -> dict:
@@ -443,8 +449,8 @@ def zero_cells(rng: random.Random, r: int, size: int, span: int) -> dict:
 
 
 def count_sumset_paths(monkeypatch) -> dict[str, int]:
-    """Count the box, index and bitset paths ``dp.sumset`` takes."""
-    hits = {"box": 0, "index": 0, "bits": 0}
+    """Count the index and bitset paths ``dp.sumset`` takes."""
+    hits = {"index": 0, "bits": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -454,7 +460,6 @@ def count_sumset_paths(monkeypatch) -> dict[str, int]:
             return out
         return wrapper
 
-    monkeypatch.setattr(dp, "_probe_box", counted("box", dp._probe_box))
     monkeypatch.setattr(dp, "_probe_index", counted("index", dp._probe_index))
     monkeypatch.setattr(dp, "_sumset_bits", counted("bits", dp._sumset_bits))
     return hits
@@ -511,7 +516,7 @@ def test_widely_spread_zero_tables_fall_back_without_a_huge_bitset(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert hits == {"box": 0, "index": 1, "bits": 0}
+    assert hits == {"index": 1, "bits": 0}
     assert peak < 1 << 20, peak  # the code space is ~10^19 bits
     want = reference_sumset(a_cells, b_cells, 2, lo, hi)
     assert list(got.items()) == list(want.items())
