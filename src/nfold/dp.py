@@ -6,10 +6,12 @@ point one brick can reach with an exact number of placed units, in one
 pass per column: every column but the last runs the "one more copy"
 recurrence ``(u - 1, p) -> (u, p + col)`` in place with the unit count
 ``u`` ascending, and the last column gives each state exactly the
-``placed - u`` copies it still owes.  Its witnesses are shared
-``(prefix, column, take)`` nodes, expanded into count tuples only for
-the kept cells; each cell keeps the largest value and, among its
-maximisers, the reverse-lexicographically largest count vector.
+``placed - u`` copies it still owes.  A point is one packed ``int`` in
+that pass (one field per axis under a guard bit), so a step is one add
+and the cap check one AND.  Its witnesses are shared ``(prefix, column,
+take)`` nodes; points and count tuples are decoded only for the kept
+cells, and each cell keeps the largest value and, among its maximisers,
+the reverse-lexicographically largest count vector.
 
 ``sumset`` is the one windowed Minkowski-sum kernel, ``scale*p + q`` in
 ``[lo, hi]``, run at scale 1 by the in-level ``convolve`` and at scale 2
@@ -46,7 +48,7 @@ import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import add, attrgetter, gt, mul
+from operator import add, attrgetter, gt, le, lshift, mul
 from typing import Sequence
 
 from .core import MODE_FEASIBILITY, MODE_OPTIMIZE, NFoldInstance
@@ -167,11 +169,24 @@ def block_base_table(
     nodes, made only for a take of at least one, and are expanded into
     the dense count tuple for the kept cells alone.
 
-    Kept points are nonnegative and at most ``hi`` per axis.  When every
-    entry is nonnegative, points only grow, so a candidate past ``hi`` is
-    dropped as soon as it is made.  The cap is checked only on a take of
-    at least one: an untaken state is unchanged, and the origin may lie
-    above a cap below 0, in which case the final filter empties the table.
+    Kept points are nonnegative and at most ``hi`` per axis.  The DP runs
+    on codes: field ``i`` holds ``x_i - low_i`` in ``w_i`` bits under one
+    zero guard bit, axis 0 most significant, so a step is ``q = p +
+    code(col)``.  Without a cap (a negative entry, or no ``hi``), ``low_i
+    = placed * min(0, min of row i)`` and ``w_i`` spans the row's range;
+    the final cells are filtered on their decoded points.  With a cap
+    (entries nonnegative, so points only grow and a candidate past ``hi``
+    is dropped as soon as it is made), ``c_i = min(hi_i, row range)``,
+    ``w_i`` holds ``c_i`` and ``low_i = c_i + 1 - 2**w_i`` puts the cap at
+    the top of the field: a point past it sets the field's guard bit, so
+    the check is ``q & guard``.  A kept point plus a column within the cap
+    is at most ``2*c_i``, whose field ``2*c_i - low_i`` is still below
+    ``2**(w_i + 1)``: it never carries past the guard.  Two pre-checks
+    keep it so: a column with an entry above the cap is skipped before its
+    loop, as is a last-column take whose ``take*col`` exceeds it.  A cap
+    below 0 counts as -1 and rejects every take.  Stored codes have every
+    guard bit 0, so they sort like points; only the final cells are
+    decoded.
 
     Parameters
     ----------
@@ -185,25 +200,43 @@ def block_base_table(
     hi : tuple of int, optional
         Per-axis upper cap for kept points.
     """
-    r = len(block)
     cols = list(zip(*block))  # column vectors of the row-major brick
     if not cols:
         raise ValueError("a brick needs at least one column")
     if costs is None:
         costs = (0,) * len(cols)
-    monotone = all(e >= 0 for col in cols for e in col)
-    cap = hi if monotone else None
+    cap = hi if all(e >= 0 for col in cols for e in col) else None
 
-    # layers[u] : point -> (value, witness node or None for no copies)
-    layers: list[dict[tuple[int, ...], tuple]] = [{} for _ in range(placed + 1)]
-    layers[0][(0,) * r] = (0, None)
+    # Point codes: (shift, mask, low) per axis, axis 0 in the highest field.
+    fields: list[tuple[int, int, int]] = []
+    shift = guard = 0
+    for i in range(len(block) - 1, -1, -1):
+        low = placed * min(0, *block[i])
+        span = placed * max(0, *block[i]) - low
+        if cap is not None:
+            c = min(max(cap[i], -1), span)  # any cap below 0 rejects every take
+            width = max(c, 0).bit_length()
+            low = c + 1 - (1 << width)  # the cap fills the field
+            guard |= 1 << (shift + width)
+        else:
+            width = span.bit_length()
+        fields.append((shift, (1 << width) - 1, low))
+        shift += width + 1
+    fields.reverse()
+    shifts = [s for s, _, _ in fields]
+
+    # layers[u] : code -> (value, witness node or None for no copies)
+    layers: list[dict[int, tuple]] = [{} for _ in range(placed + 1)]
+    layers[0][sum(-low << s for s, _, low in fields)] = (0, None)
     for j, col in enumerate(cols[:-1]):
-        cost = costs[j]
+        if cap is not None and any(map(gt, col, cap)):
+            continue
+        step, cost = sum(map(lshift, col, shifts)), costs[j]
         for u in range(1, placed + 1):
             dst = layers[u]
             for p, (value, node) in layers[u - 1].items():
-                q = tuple(map(add, p, col))
-                if cap is not None and any(map(gt, q, cap)):
+                q = p + step
+                if q & guard:
                     continue
                 value += cost
                 prev = dst.get(q)
@@ -215,23 +248,28 @@ def block_base_table(
                     dst[q] = (value, node)
 
     j = len(cols) - 1
-    final: dict[tuple[int, ...], tuple] = {}
+    final: dict[int, tuple] = {}
     for u, layer in enumerate(layers):
         take = placed - u
-        shift = tuple(take * e for e in cols[j])
+        if cap is not None and any(take * e > c for e, c in zip(cols[j], cap)):
+            continue
+        step = take * sum(map(lshift, cols[j], shifts))
         gain = take * costs[j]
         for p, (value, node) in layer.items():
-            q = tuple(map(add, p, shift))
-            if min(q) < 0 or (hi is not None and any(map(gt, q, hi))):
+            q = p + step
+            if q & guard:
                 continue
             value += gain
             prev = final.get(q)
             if prev is None or value > prev[0]:
                 final[q] = (value, (node, j, take) if take else node)
 
-    table = PointTable(r, "base", block=block_index)
-    for q in sorted(final):
-        value, node = final[q]
+    table = PointTable(len(block), "base", block=block_index)
+    for code in sorted(final):
+        q = tuple([(code >> s & mask) + low for s, mask, low in fields])
+        if cap is None and (min(q) < 0 or (hi is not None and any(map(gt, q, hi)))):
+            continue
+        value, node = final[code]
         counts = [0] * len(cols)
         while node is not None:
             node, col_index, take = node
@@ -293,17 +331,31 @@ def _repeat(bits: int, count: int, step: int) -> int:
     return out
 
 
+def _clip(cells, reach, lo, hi):
+    """Points of ``cells`` inside ``[lo, hi]`` per axis, with their reach.
+
+    When ``reach`` already lies inside, nothing can be removed: the points
+    are taken as they are and ``reach`` is kept, without a pass.  An empty
+    result also keeps ``reach``.
+    """
+    if all(map(le, lo, reach[0])) and all(map(le, reach[1], hi)):
+        return list(cells), reach
+    pts = [p for p in cells if all(l <= x <= h for x, l, h in zip(p, lo, hi))]
+    return pts, (_reach_of(pts) if pts else reach)
+
+
 def _sumset_bits(a_cells, b_cells, scale, lo, hi):
     """Zero-valued ``sumset`` as shifted ORs of one big-int bitset.
 
     ``a`` and ``b`` are first clipped to the points that can still land
-    in ``[lo, hi]``, and ``bits`` has one bit per point of ``b``.  A point
-    is coded in mixed radix, axis 0 most significant, relative to its
-    table's minimum, with ``radix_j = scale*spread(a)_j + spread(b)_j +
-    1``: digit sums never carry, so ``code(scale*p + q) = scale*code(p) +
-    code(q)`` and bit order is lexicographic point order.  ``free`` starts
-    as the window mask and holds the window codes no pair has reached
-    yet.  For ``p`` in sorted order, ``hit = (free >> scale*code(p)) &
+    in ``[lo, hi]``; a table whose reach already lies inside its clip
+    bounds is taken whole, with no clip pass and no second reach pass.
+    ``bits`` has one bit per point of ``b``.  A point is coded in mixed
+    radix, axis 0 most significant, relative to its table's minimum, with
+    ``radix_j = scale*spread(a)_j + spread(b)_j + 1``: digit sums never
+    carry, so ``code(scale*p + q) = scale*code(p) + code(q)`` and bit
+    order is lexicographic point order.  ``free`` starts as the window
+    mask and holds the window codes no pair has reached yet.  For ``p`` in sorted order, ``hit = (free >> scale*code(p)) &
     bits`` holds exactly the ``q`` whose sum is first reached by ``p``;
     its bits, read in ascending order, are those ``q`` in sorted order.
     That is the insertion order and tie witness of the pairwise kernels,
@@ -324,30 +376,25 @@ def _sumset_bits(a_cells, b_cells, scale, lo, hi):
     - 2048 to 4096: bitset 5.6 ms, index 6.0 ms;
     - 4096 to 8192: bitset 8.1 ms, index 6.9 ms;
     - 8192 to 16384: bitset 18.5 ms, index 14.6 ms;
-    - below 8, tiny one-axis calls where the set-up outweighs the saving:
-      bitset 23 ms, index 18 ms in all, too little for a second rule.
+    - below 8, tiny one-axis calls: bitset 23 ms, index 18 ms in all;
+      since the clip skip, the 208 such calls left once the box probe was
+      gone take 14.2 ms against the index's 32.6 ms.
     """
-    (a_lo, a_hi), (b_lo, b_hi) = _reach_of(a_cells), _reach_of(b_cells)
-    a_pts = [
-        p for p in a_cells
-        if all(
-            l - bh <= scale * x <= h - bl
-            for x, l, h, bl, bh in zip(p, lo, hi, b_lo, b_hi)
-        )
-    ]
+    a_reach, (b_lo, b_hi) = _reach_of(a_cells), _reach_of(b_cells)
+    a_pts, (a_lo, a_hi) = _clip(
+        a_cells, a_reach,
+        [-((bh - l) // scale) for l, bh in zip(lo, b_hi)],
+        [(h - bl) // scale for h, bl in zip(hi, b_lo)],
+    )
     if not a_pts:
         return {}
-    a_lo, a_hi = _reach_of(a_pts)
-    b_pts = [
-        q for q in b_cells
-        if all(
-            l - scale * ah <= y <= h - scale * al
-            for y, l, h, al, ah in zip(q, lo, hi, a_lo, a_hi)
-        )
-    ]
+    b_pts, (b_lo, b_hi) = _clip(
+        b_cells, (b_lo, b_hi),
+        [l - scale * ah for l, ah in zip(lo, a_hi)],
+        [h - scale * al for h, al in zip(hi, a_lo)],
+    )
     if not b_pts:
         return {}
-    b_lo, b_hi = _reach_of(b_pts)
     radix = [
         scale * (ah - al) + bh - bl + 1
         for al, ah, bl, bh in zip(a_lo, a_hi, b_lo, b_hi)

@@ -8,6 +8,7 @@ import logging
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from nfold.driver import LevelSet, _combine_levels, solve
 from nfold.imbalance import Graph, build_ordering_ilp
 from nfold.oracle import oracle_point_set
 from nfold.plan import build_plan
+from nfold.scheduling import OBJECTIVE_CMAX, SchedulingInstance, decide_guess
 
 
 def points_of(table: PointTable) -> set[tuple[int, ...]]:
@@ -467,6 +469,18 @@ def count_sumset_paths(monkeypatch) -> dict[str, int]:
 
 def test_zero_valued_sumset_matches_double_loop_on_every_path(monkeypatch):
     hits = count_sumset_paths(monkeypatch)
+    # The bitset path clips each table, or takes it whole when its reach
+    # already lies inside the clip bounds; count both branches per side.
+    clips = {(side, branch): 0 for side in "ab" for branch in ("skip", "clip")}
+    clip = dp._clip
+
+    def counted_clip(cells, reach, lo, hi):
+        pts, out = clip(cells, reach, lo, hi)
+        side = "a" if cells is a_cells else "b"
+        clips[side, "skip" if out is reach and pts else "clip"] += 1
+        return pts, out
+
+    monkeypatch.setattr(dp, "_clip", counted_clip)
     rng = random.Random(2025)
     for trial in range(150):
         r = 1 + trial % 5
@@ -485,6 +499,7 @@ def test_zero_valued_sumset_matches_double_loop_on_every_path(monkeypatch):
                 got = dp.sumset(a_cells, b_cells, scale, lo, hi)
                 assert list(got.items()) == list(want.items()), (trial, scale, lo, hi)
     assert min(hits.values()) > 20, hits
+    assert min(clips.values()) > 20, clips
 
 
 def test_one_nonzero_value_never_takes_the_bitset_path(monkeypatch):
@@ -571,9 +586,43 @@ def random_base_case(rng: random.Random):
     return block, rng.randint(0, 6), costs, hi
 
 
+def codec_edge_cases(rng: random.Random) -> list:
+    """Cases for the packed point codes of ``block_base_table``."""
+    cases = []
+    for _ in range(150):  # entries up to 9 against caps 0..3
+        r, t = rng.randint(1, 4), rng.randint(1, 5)
+        block = tuple(
+            tuple(rng.choice((0, 0, 1, 2, 3, 9)) for _ in range(t)) for _ in range(r)
+        )
+        hi = tuple(rng.randint(0, 3) for _ in range(r))
+        cases.append((block, rng.randint(1, 4), None, hi))
+    for _ in range(30):  # r=4: three narrow axes and one wide axis
+        t = rng.randint(3, 8)
+        block = tuple(tuple(rng.randint(0, 1) for _ in range(t)) for _ in range(3))
+        block += (tuple(rng.randint(0, 60) for _ in range(t)),)
+        hi = tuple(rng.randint(0, 3) for _ in range(3)) + (rng.randint(40, 200),)
+        costs = tuple(rng.randint(-1, 2) for _ in range(t))
+        cases.append((block, rng.randint(1, 3), costs, hi))
+    cases += [
+        (((1, 2),), 3, None, (4,)),  # last-column takes 3*2 past the cap
+        (((0, 1), (1, 3)), 4, None, (4, 5)),  # take 4*3 past a 3-bit field
+        (((9, 0, 1), (0, 9, 1)), 3, None, (2, 2)),  # no column but the last fits
+        (((0, 1, 1), (1, 0, 1)), 2, None, (0, 2)),  # cap 0
+        (((0, 1), (2, 0)), 2, (1, 0), (-1, 3)),  # a cap below 0
+        (((0, 1), (2, 0)), 0, None, (-1, 3)),  # the origin above a cap below 0
+        (((3, 5),), 0, None, (7,)),  # placed=0, cap above placed*max
+        (((3, 5), (1, 0)), 0, (2, 1), (0, 0)),  # placed=0, cap 0
+        (((-2, 1, 3), (2, -1, 0)), 3, (1, 0, -1), None),  # negative, no cap
+        (((-1, 0), (4, -2)), 4, None, None),
+        (((-1, 2, 9), (0, 0, 1)), 3, None, (5, 1)),  # negative, capped only at the end
+    ]
+    return cases
+
+
 def test_base_table_matches_composition_enumeration():
     rng = random.Random(733)
     cases = [random_base_case(rng) for _ in range(400)]
+    cases += codec_edge_cases(random.Random(17))
     k = 3
     slack = tuple(
         tuple(1 if row == col else 0 for col in range(k)) + (0,) for row in range(k)
@@ -593,3 +642,53 @@ def test_base_table_matches_composition_enumeration():
         want = reference_base_table(block, placed, costs, hi)
         assert list(got.cells.items()) == want, (block, placed, costs, hi)
         assert got.block == 2
+
+
+def pairwise_base_table(block, placed, costs, hi):
+    """``reference_base_table`` for ``placed <= 2``, over picks of columns.
+
+    A pick ``(j, k)`` with ``j <= k`` ranks by ``(value, k, j)``: that is
+    the reverse-lexicographic order of the count vectors, and no dense
+    count vector is built for a pick that is not kept.
+    """
+    cols = list(zip(*block))
+    costs = costs or (0,) * len(cols)
+    picks = itertools.combinations_with_replacement(range(len(cols)), placed)
+    best = {}
+    for pick in picks:
+        pt = tuple(map(sum, zip((0,) * len(block), *(cols[j] for j in pick))))
+        if min(pt) < 0 or (hi is not None and any(v > h for v, h in zip(pt, hi))):
+            continue
+        rank = (sum(costs[j] for j in pick), pick[::-1])
+        if pt not in best or rank > best[pt]:
+            best[pt] = rank
+    out = []
+    for pt in sorted(best):
+        value, pick = best[pt]
+        counts = [0] * len(cols)
+        for j in pick:
+            counts[j] += 1
+        out.append((pt, (value, tuple(counts))))
+    return out
+
+
+def test_scheduling_configuration_brick_matches_pairwise_reference(monkeypatch):
+    # The largest base table of the benchmark's scheduling items: the
+    # configuration brick of speed class 2 at the cmax guess 91/3.
+    calls = []
+    real = dp.block_base_table
+
+    def spy(block, placed, **kwargs):
+        calls.append((block, placed, kwargs))
+        return real(block, placed, **kwargs)
+
+    monkeypatch.setattr(dp, "block_base_table", spy)
+    inst = SchedulingInstance.build(p=(3, 5, 7), n=(10, 8, 6), s=(1, 2, 3), m=(2, 2, 1))
+    decide_guess(inst, Fraction(91, 3), OBJECTIVE_CMAX)
+    block, placed, kwargs = calls[1]
+    assert (len(block[0]), placed, kwargs["hi"]) == (401, 2, (10, 8, 6, 159))
+    for placed in (0, 1, 2):
+        got = real(block, placed, block_index=1, hi=kwargs["hi"])
+        want = pairwise_base_table(block, placed, None, kwargs["hi"])
+        assert list(got.cells.items()) == want, placed
+    assert len(got) == 693
