@@ -12,7 +12,6 @@ it never truncates, because a truncated "infeasible" would be a lie.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
 
@@ -41,19 +40,6 @@ class OracleBudgetError(RuntimeError):
         )
         self.required = required
         self.allowed = allowed
-
-
-@dataclass
-class OracleBudget:
-    """Enumeration allowance; ``charge`` refuses rather than truncates."""
-
-    limit: int = DEFAULT_BUDGET
-    exceeded: bool = False
-
-    def charge(self, required: int) -> None:
-        if required > self.limit:
-            self.exceeded = True
-            raise OracleBudgetError(required, self.limit)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -87,7 +73,7 @@ def enumeration_size(b_low: Sequence[int], t: Sequence[int]) -> int:
 def oracle_solve(
     inst: NFoldInstance,
     mode: str = MODE_FEASIBILITY,
-    budget: int | OracleBudget | None = None,
+    budget: int | None = None,
 ) -> SolveOutcome:
     """Decide (or optimize) a small instance by full enumeration.
 
@@ -98,7 +84,7 @@ def oracle_solve(
         an immediate "infeasible" (a brick cannot sum to a negative count).
     mode : str
         ``"feasibility"`` or ``"optimize"`` (the latter needs ``inst.c``).
-    budget : int or OracleBudget, optional
+    budget : int, optional
         Enumeration allowance, default 10**7 candidates.
 
     Raises
@@ -111,10 +97,6 @@ def oracle_solve(
         raise ValueError(f"unknown mode: {mode!r}")
     if mode == MODE_OPTIMIZE and inst.c is None:
         raise ValueError("optimize mode requires a cost vector")
-    if isinstance(budget, OracleBudget):
-        allowance = budget
-    else:
-        allowance = OracleBudget(limit=DEFAULT_BUDGET if budget is None else budget)
 
     watch = Stopwatch()
     if any(v < 0 for v in inst.b_low):
@@ -123,7 +105,10 @@ def oracle_solve(
             stats={"candidates": 0, "wall_time_s": watch.seconds()},
         )
 
-    allowance.charge(enumeration_size(inst.b_low, inst.t))
+    required = enumeration_size(inst.b_low, inst.t)
+    limit = DEFAULT_BUDGET if budget is None else budget
+    if required > limit:
+        raise OracleBudgetError(required, limit)
 
     slices = inst.brick_slices()
     cost_parts = None
@@ -195,8 +180,10 @@ def oracle_point_set(
     r = len(blocks[0])
     caps = tuple(cap) if isinstance(cap, (tuple, list)) else (int(cap),) * r
     widths = [len(block[0]) for block in blocks]
-    allowance = OracleBudget(limit=DEFAULT_BUDGET if budget is None else budget)
-    allowance.charge(enumeration_size(placed, widths))
+    required = enumeration_size(placed, widths)
+    limit = DEFAULT_BUDGET if budget is None else budget
+    if required > limit:
+        raise OracleBudgetError(required, limit)
 
     partial: set[tuple[int, ...]] = {(0,) * r}
     for block, units in zip(blocks, placed):

@@ -17,11 +17,16 @@ solved by :func:`nfold.driver.solve`.  ``cmax`` binary-searches the
 candidate list; ``cmin`` scans it downward from the averaging bound, which
 is required because infeasible guesses below the optimum can exist.
 
-Speed classes whose load target is very large (above ``p_max**4`` by
-default) get the sparse treatment: most jobs of a chosen pivot size are
-withheld from the program, configurations are thinned to residues modulo
-the pivot size, and a greedy pass distributes the withheld jobs and slack
-bundles afterwards.
+A speed class is *big* when its load target exceeds ``p_max**4``, and a
+job size is a *pivot* when it has at least ``p_max**2 * B`` jobs, ``B``
+being the number of big classes.  If some class is big and some size is a
+pivot, the big classes get the sparse treatment: ``p_max**2 * B`` jobs of
+the pivot size are withheld from the program, configurations are thinned
+to residues modulo the pivot size, and a greedy pass distributes the
+withheld jobs and slack bundles afterwards; each pivot is tried in turn.
+Otherwise every class is dense: its configurations are enumerated in full,
+which is exact, and without a pivot every job count is below
+``p_max**2 * B``, so there are at most ``prod(n_j + 1)`` of them.
 """
 
 from __future__ import annotations
@@ -193,16 +198,14 @@ class _GuessContext:
 
     inst: SchedulingInstance
     objective: str
-    guess: Fraction
     targets: tuple[int, ...]          # integer load target per speed class
     dummy_count: int                  # filler units needed across the park
     small: tuple[bool, ...]           # per speed class
-    pivot: Optional[int] = None       # pivot job size for sparse classes
-    withheld: int = 0                 # pivot jobs kept out of the program
-    adjusted_n: tuple[int, ...] = ()  # job multiplicities seen by the program
+    pivot: Optional[int]              # pivot job size for sparse classes
+    withheld: int                     # pivot jobs kept out of the program
+    adjusted_n: tuple[int, ...]       # job multiplicities seen by the program
     configs: list[list[tuple[int, ...]]] = field(default_factory=list)
     dummy_per_config: list[list[int]] = field(default_factory=list)
-    slack_columns: list[int] = field(default_factory=list)
 
 
 def _class_targets(inst: SchedulingInstance, guess: Fraction,
@@ -301,30 +304,20 @@ def _build_program(ctx: _GuessContext) -> NFoldInstance:
             if has_dummy:
                 col.append(dcount)
             cols.append(col)
-        if not cols:
-            cols = [[0] * rows]  # degenerate, forces infeasibility via rows
         block = tuple(tuple(col[i] for col in cols) for i in range(rows))
         blocks.append(block)
         t.append(len(cols))
         b_low.append(inst.m[k])
-    big_classes = [k for k in range(len(inst.s)) if not ctx.small[k]]
-    if big_classes:
-        a = ctx.pivot
-        assert a is not None
-        slack_cols: list[list[int]] = []
-        ctx.slack_columns = []
+    a = ctx.pivot
+    if a is not None:
+        # Column i bundles row i's pivot-sized chunk: one pivot job, `a`
+        # jobs of another size or `a` filler units; the last column is
+        # open so the brick sum is free.
+        slack_cols = [[0] * rows for _ in range(rows + 1)]
         for j, size in enumerate(inst.p):
-            col = [0] * rows
-            col[j] = 1 if size == a else a
-            slack_cols.append(col)
-            ctx.slack_columns.append(j)
+            slack_cols[j][j] = 1 if size == a else a
         if has_dummy:
-            col = [0] * rows
-            col[d] = a
-            slack_cols.append(col)
-            ctx.slack_columns.append(d)
-        slack_cols.append([0] * rows)  # open column so the brick sum is free
-        ctx.slack_columns.append(-1)
+            slack_cols[d][d] = a
         block = tuple(tuple(col[i] for col in slack_cols) for i in range(rows))
         blocks.append(block)
         t.append(len(slack_cols))
@@ -346,13 +339,10 @@ def _machine_configs_from_solution(ctx: _GuessContext,
     offset = 0
     for k in range(len(inst.s)):
         reals, dummies = ctx.configs[k], ctx.dummy_per_config[k]
-        width = max(len(reals), 1)
-        counts = x[offset:offset + width]
-        offset += width
+        counts = x[offset:offset + len(reals)]
+        offset += len(reals)
         chosen: list[tuple[tuple[int, ...], int]] = []
         for idx, times in enumerate(counts):
-            if not reals and times:
-                raise ScheduleError("solver used a placeholder column")
             for _ in range(times):
                 chosen.append((reals[idx], dummies[idx]))
         if len(chosen) != inst.m[k]:
@@ -361,13 +351,11 @@ def _machine_configs_from_solution(ctx: _GuessContext,
         chosen.sort()
         per_class.append(chosen)
     slack: dict[int, int] = {}
-    if ctx.slack_columns:
-        counts = x[offset:offset + len(ctx.slack_columns)]
-        offset += len(ctx.slack_columns)
-        for key, times in zip(ctx.slack_columns, counts):
-            if key == -1:
-                continue
-            slack[key] = slack.get(key, 0) + times
+    if ctx.pivot is not None:
+        # One slack column per program row, then the open column.
+        rows = len(inst.p) + (1 if ctx.dummy_count > 0 else 0)
+        slack = dict(enumerate(x[offset:offset + rows]))
+        offset += rows + 1
     if offset != len(x):
         raise ScheduleError("solution vector length inconsistent with program")
     return per_class, slack
@@ -484,9 +472,14 @@ def greedy_augment(ctx: _GuessContext,
     return Schedule(machines=tuple(assignments), objective=value)
 
 
-def decide_guess(inst: SchedulingInstance, guess: Fraction, objective: str,
-                 *, small_threshold: Optional[int] = None) -> Optional[Schedule]:
+def decide_guess(inst: SchedulingInstance, guess: Fraction,
+                 objective: str) -> Optional[Schedule]:
     """Decide whether the guessed objective value is achievable.
+
+    A class whose load target exceeds ``p_max**4`` is big; with ``B`` big
+    classes, a job size with at least ``p_max**2 * B`` jobs is a pivot.
+    When ``B > 0`` and a pivot exists, the big classes go sparse and each
+    pivot is tried in turn; otherwise every class is dense.
 
     Parameters
     ----------
@@ -498,10 +491,6 @@ def decide_guess(inst: SchedulingInstance, guess: Fraction, objective: str,
         completion time is at least the guess.
     objective : str
         ``"cmax"`` or ``"cmin"``.
-    small_threshold : int, optional
-        Load-target cutoff above which a speed class switches to the sparse
-        pivot treatment.  Defaults to ``p_max ** 4``; tests lower it to
-        force the sparse path on tiny instances.
 
     Returns
     -------
@@ -512,7 +501,6 @@ def decide_guess(inst: SchedulingInstance, guess: Fraction, objective: str,
         raise ValueError(f"unknown objective: {objective!r}")
     if guess < 0:
         raise ValueError("objective guesses must be nonnegative")
-    threshold = inst.p_max ** 4 if small_threshold is None else small_threshold
     targets = _class_targets(inst, guess, objective)
     mass = inst.mass
     park_load = sum(t * count for t, count in zip(targets, inst.m))
@@ -522,38 +510,31 @@ def decide_guess(inst: SchedulingInstance, guess: Fraction, objective: str,
         dummy_count = park_load - mass
     if dummy_count < 0:
         return None
-    small = tuple(t <= threshold for t in targets)
-    big_classes = [k for k in range(len(inst.s)) if not small[k]]
-    if not big_classes and objective == OBJECTIVE_CMIN and \
-            dummy_count > inst.p_max * inst.num_machines:
-        # Each machine absorbs at most p_max filler units, so the program
-        # cannot possibly place this many.
-        return None
-
-    pivots: list[Optional[int]]
-    if big_classes:
-        pivots = [size for size, count in zip(inst.p, inst.n)
-                  if count >= inst.p_max ** 2 * len(big_classes)]
-        if not pivots:
-            return None
-    else:
+    small = tuple(t <= inst.p_max ** 4 for t in targets)
+    big = small.count(False)
+    withheld = inst.p_max ** 2 * big
+    pivots: list[Optional[int]] = [
+        size for size, count in zip(inst.p, inst.n) if big and count >= withheld]
+    if not pivots:
+        # Every class dense, which is exact.  A big class without a pivot
+        # has every count below `withheld`, so few configurations.
+        small = (True,) * len(targets)
+        withheld = 0
         pivots = [None]
+        if objective == OBJECTIVE_CMIN and \
+                dummy_count > inst.p_max * inst.num_machines:
+            # Each machine absorbs at most p_max filler units, so the
+            # program cannot possibly place this many.
+            return None
 
     for pivot in pivots:
-        ctx = _GuessContext(inst=inst, objective=objective, guess=guess,
-                            targets=targets, dummy_count=dummy_count,
-                            small=small, pivot=pivot)
-        if pivot is None:
-            ctx.withheld = 0
-            ctx.adjusted_n = inst.n
-        else:
-            ctx.withheld = inst.p_max ** 2 * len(big_classes)
-            pivot_idx = inst.p.index(pivot)
+        ctx = _GuessContext(inst=inst, objective=objective, targets=targets,
+                            dummy_count=dummy_count, small=small, pivot=pivot,
+                            withheld=withheld, adjusted_n=inst.n)
+        if pivot is not None:
             adjusted = list(inst.n)
-            adjusted[pivot_idx] -= ctx.withheld
+            adjusted[inst.p.index(pivot)] -= withheld
             ctx.adjusted_n = tuple(adjusted)
-        ctx.configs = []
-        ctx.dummy_per_config = []
         empty_class = False
         for k in range(len(inst.s)):
             reals, dummies = _enumerate_class_configs(ctx, k)
@@ -591,8 +572,7 @@ def _candidate_values(inst: SchedulingInstance) -> list[Fraction]:
     return sorted(values)
 
 
-def solve_cmax(inst: SchedulingInstance, *,
-               small_threshold: Optional[int] = None) -> Schedule:
+def solve_cmax(inst: SchedulingInstance) -> Schedule:
     """Minimise the makespan; returns an optimal schedule.
 
     Feasibility of a makespan guess is monotone (any schedule for T also
@@ -604,16 +584,14 @@ def solve_cmax(inst: SchedulingInstance, *,
     best: Optional[Schedule] = None
     while lo < hi:
         mid = (lo + hi) // 2
-        sched = decide_guess(inst, candidates[mid], OBJECTIVE_CMAX,
-                             small_threshold=small_threshold)
+        sched = decide_guess(inst, candidates[mid], OBJECTIVE_CMAX)
         if sched is not None:
             best = sched
             hi = mid
         else:
             lo = mid + 1
     if best is None or best.objective != candidates[lo]:
-        best = decide_guess(inst, candidates[lo], OBJECTIVE_CMAX,
-                            small_threshold=small_threshold)
+        best = decide_guess(inst, candidates[lo], OBJECTIVE_CMAX)
     if best is None:
         raise ScheduleError("no feasible makespan among candidate values")
     log.info("cmax optimum %s over %d candidates", best.objective,
@@ -621,8 +599,7 @@ def solve_cmax(inst: SchedulingInstance, *,
     return best
 
 
-def solve_cmin(inst: SchedulingInstance, *,
-               small_threshold: Optional[int] = None) -> Schedule:
+def solve_cmin(inst: SchedulingInstance) -> Schedule:
     """Maximise the minimum machine completion time.
 
     Guess feasibility is *not* monotone below the optimum here (a smaller
@@ -648,8 +625,7 @@ def solve_cmin(inst: SchedulingInstance, *,
     bound = Fraction(inst.mass, total_speed)
     candidates = [v for v in _candidate_values(inst) if v <= bound]
     for guess in reversed(candidates):
-        sched = decide_guess(inst, guess, OBJECTIVE_CMIN,
-                             small_threshold=small_threshold)
+        sched = decide_guess(inst, guess, OBJECTIVE_CMIN)
         if sched is not None:
             log.info("cmin optimum %s after scanning from %s", sched.objective,
                      bound)

@@ -19,6 +19,7 @@ from nfold.core import (MODE_FEASIBILITY, MODE_OPTIMIZE, NFoldInstance,
                         verify_solution)
 from nfold.driver import solve
 from nfold.oracle import enumeration_size, oracle_solve
+from nfold import scheduling
 from nfold.scheduling import (OBJECTIVE_CMAX, OBJECTIVE_CMIN,
                               SchedulingInstance, solve_cmax, solve_cmin)
 
@@ -135,6 +136,49 @@ def random_scheduling_instance(
     for _ in range(total_machines - tau):
         machine_counts[rng.randrange(tau)] += 1
     return sizes, counts, speeds, machine_counts
+
+
+# (p, n, s, m) instances whose cmax and cmin optima both come out of the
+# sparse pivot path at its real threshold p_max**4, with p_max 1, 2 and 3.
+# In the second, the cmax schedule places a bundle of two size-1 jobs
+# beside the size-2 pivot.
+SPARSE_FIXTURES = [
+    ((1,), (6,), (1,), (2,)),
+    ((1, 2), (2, 9), (1, 20), (2, 1)),
+    ((1, 3), (1, 29), (1, 60), (2, 1)),
+]
+
+
+def random_fast_scheduling_instance(
+    rng: random.Random,
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Raw (p, n, s, m) lists with speeds up to 150, so load targets can
+    pass p_max**4 and the sparse pivot path gets its turn."""
+    p = sorted(rng.sample([1, 2, 3], rng.randint(1, 3)))
+    n = [rng.randint(1, 5) for _ in p]
+    s = sorted(rng.sample([1, 2, 3, 7, 20, 60, 150], rng.randint(1, 3)))
+    m = [rng.randint(1, 2) for _ in s]
+    return p, n, s, m
+
+
+def solve_noting_pivot(solver, inst):
+    """Run ``solver(inst)``; return its schedule and whether the sparse
+    pivot path (a ``greedy_augment`` call with a pivot) built it."""
+    pivoted = []
+    augment = scheduling.greedy_augment
+
+    def record(ctx, *args):
+        sched = augment(ctx, *args)
+        if ctx.pivot is not None:
+            pivoted.append(sched)
+        return sched
+
+    scheduling.greedy_augment = record
+    try:
+        sched = solver(inst)
+    finally:
+        scheduling.greedy_augment = augment
+    return sched, any(sched is seen for seen in pivoted)
 
 
 def schedule_reference(p, n, s, m, objective) -> Fraction:

@@ -260,24 +260,24 @@ def test_criterion_07_scheduling_optima(scheduling_run):
         assert report["trials"] == SCHEDULING_TRIALS
         assert len(report["results"]) == SCHEDULING_TRIALS
         assert elapsed < 900.0
-        # force the sparse treatment and cross-check the same reference
-        fixtures = [
-            ((1,), (6,), (1,), (2,)),
-            ((2,), (8,), (1, 2), (1, 1)),
-            ((1, 3), (9, 1), (1,), (3,)),
-        ]
-        for p, n, s, m in fixtures:
+        # instances whose optima come out of the sparse pivot path at its
+        # real threshold, cross-checked against the same reference
+        for p, n, s, m in helpers.SPARSE_FIXTURES:
             inst = SchedulingInstance.build(p=p, n=n, s=s, m=m)
             for objective, solver in ((OBJECTIVE_CMAX, solve_cmax),
                                       (OBJECTIVE_CMIN, solve_cmin)):
-                sched = solver(inst, small_threshold=1)
+                sched, pivoted = helpers.solve_noting_pivot(solver, inst)
+                assert pivoted, (
+                    f"{p, n, s, m} {objective} left the sparse path")
                 want = helpers.schedule_reference(
                     inst.p, inst.n, inst.s, inst.m, objective)
                 assert sched.objective == want, (
-                    f"forced sparse path wrong on {p, n, s, m} {objective}")
+                    f"sparse path wrong on {p, n, s, m} {objective}")
                 verify_schedule(inst, sched, objective)
-        info["detail"] = (f"{SCHEDULING_TRIALS} random instances + 3 forced "
-                          f"sparse-path fixtures, {elapsed:.1f}s")
+        p_maxes = sorted({max(p) for p, *_ in helpers.SPARSE_FIXTURES})
+        info["detail"] = (f"{SCHEDULING_TRIALS} random instances + "
+                          f"{len(helpers.SPARSE_FIXTURES)} sparse-path "
+                          f"fixtures (p_max {p_maxes}), {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,16 @@ def test_schedule_cmin_fractional_value(tmp_path, capsys):
     assert doc["value"] == {"numerator": 5, "denominator": 2, "text": "5/2"}
 
 
+def test_schedule_fast_class_without_pivot(tmp_path, capsys):
+    # above guess 16/150 speed 150's target passes 2**4, and 2 jobs of
+    # size 2 leave no pivot, so those guesses are decided dense
+    path = write_json(tmp_path, "jobs.json",
+                      {"p": [2], "n": [2], "s": [1, 7, 150], "m": [1, 1, 2]})
+    assert main(["schedule", "--in", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["value"] == {"numerator": 1, "denominator": 75, "text": "1/75"}
+
+
 def test_schedule_missing_field_is_a_usage_error(tmp_path, capsys):
     path = write_json(tmp_path, "jobs.json", {"p": [1], "n": [1], "s": [1]})
     assert main(["schedule", "--in", path]) == 1

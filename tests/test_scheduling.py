@@ -22,9 +22,12 @@ from nfold.scheduling import (
 )
 
 from helpers import (
+    SPARSE_FIXTURES,
+    random_fast_scheduling_instance,
     random_scheduling_instance,
     schedule_enumeration,
     schedule_reference,
+    solve_noting_pivot,
 )
 
 
@@ -161,30 +164,24 @@ def test_decide_guess_validates_arguments():
         decide_guess(inst, Fraction(-1), OBJECTIVE_CMAX)
 
 
-@pytest.mark.parametrize(
-    "p, n, s, m",
-    [
-        ([1], [6], [1], [2]),
-        ([2], [8], [1, 2], [1, 1]),
-        ([1, 3], [9, 1], [1], [3]),
-    ],
-)
+@pytest.mark.parametrize("p, n, s, m", SPARSE_FIXTURES)
 def test_sparse_path_fixtures_match_reference(p, n, s, m):
     inst = SchedulingInstance.build(p=p, n=n, s=s, m=m)
     for objective, solver in (
         (OBJECTIVE_CMAX, solve_cmax),
         (OBJECTIVE_CMIN, solve_cmin),
     ):
-        got = solver(inst, small_threshold=1)
+        got, pivoted = solve_noting_pivot(solver, inst)
+        assert pivoted, (inst, objective)
         want = schedule_reference(inst.p, inst.n, inst.s, inst.m, objective)
         assert got.objective == want
         verify_schedule(inst, got, objective)
 
 
-def test_sparse_and_dense_paths_agree_on_unit_jobs():
-    # unit sizes keep every bundle at the minimum chunk, so the sparse
-    # treatment stays exact no matter how low the threshold is forced
+def test_unit_jobs_on_the_sparse_path_match_reference():
+    # p_max = 1 puts the threshold at 1, so most optima come from a pivot
     rng = random.Random(71)
+    pivoted_count = 0
     for _ in range(25):
         count = rng.randint(1, 10)
         tau = rng.randint(1, 3)
@@ -193,19 +190,51 @@ def test_sparse_and_dense_paths_agree_on_unit_jobs():
         for _ in range(rng.randint(0, 4 - tau)):
             park[rng.randrange(tau)] += 1
         inst = SchedulingInstance.build(p=[1], n=[count], s=speeds, m=park)
-        for solver in (solve_cmax, solve_cmin):
-            dense = solver(inst).objective
-            sparse = solver(inst, small_threshold=1).objective
-            assert dense == sparse, (inst, solver.__name__)
+        for objective, solver in ((OBJECTIVE_CMAX, solve_cmax),
+                                  (OBJECTIVE_CMIN, solve_cmin)):
+            got, pivoted = solve_noting_pivot(solver, inst)
+            pivoted_count += pivoted
+            assert got.objective == schedule_reference(
+                inst.p, inst.n, inst.s, inst.m, objective), (inst, objective)
+    assert pivoted_count >= 25
 
 
-def test_forced_sparse_path_without_abundant_size_fails_loudly():
-    # the override is a test hook; with no job size abundant enough to
-    # pivot on, every guess is rejected and the scan surfaces an error
-    # instead of returning a wrong optimum
-    inst = SchedulingInstance.build(p=[5, 7], n=[1, 1], s=[1, 3], m=[2, 1])
-    with pytest.raises(ScheduleError):
-        solve_cmax(inst, small_threshold=1)
+def test_fast_speed_sweep_against_reference():
+    # speeds up to 150 make load targets pass p_max**4, with and without
+    # a pivot size
+    rng = random.Random(79)
+    for _ in range(80):
+        p, n, s, m = random_fast_scheduling_instance(rng)
+        inst = SchedulingInstance.build(p=p, n=n, s=s, m=m)
+        for objective, solver in ((OBJECTIVE_CMAX, solve_cmax),
+                                  (OBJECTIVE_CMIN, solve_cmin)):
+            got = solver(inst)
+            verify_schedule(inst, got, objective)
+            assert got.objective == schedule_reference(
+                inst.p, inst.n, inst.s, inst.m, objective), (inst, objective)
+
+
+@pytest.mark.parametrize(
+    "p, n, s, m",
+    [
+        ([2], [2], [1, 9], [1, 1]),
+        ([2], [2], [1, 7, 150], [1, 1, 2]),
+        ([2, 3], [3, 2], [1, 2, 150], [1, 1, 1]),
+        ([1, 2], [1, 2], [1, 7, 150], [2, 2, 1]),
+        ([1, 3], [2, 4], [2, 3, 150], [1, 1, 2]),
+    ],
+)
+def test_makespan_guesses_are_monotone(p, n, s, m):
+    # the binary search in solve_cmax needs every guess at or above the
+    # optimum to be accepted
+    inst = SchedulingInstance.build(p=p, n=n, s=s, m=m)
+    best = schedule_reference(inst.p, inst.n, inst.s, inst.m, OBJECTIVE_CMAX)
+    loads = range(inst.mass + 1)
+    guesses = {Fraction(load, speed) for speed in inst.s for load in loads}
+    for guess in sorted(g for g in guesses if g >= best):
+        got = decide_guess(inst, guess, OBJECTIVE_CMAX)
+        assert got is not None, guess
+        assert best <= got.objective <= guess
 
 
 def test_reference_matches_literal_enumeration():
