@@ -16,7 +16,10 @@ the reverse-lexicographically largest count vector.
 ``sumset`` is the one windowed Minkowski-sum kernel, ``scale*p + q`` in
 ``[lo, hi]``, run at scale 1 by the in-level ``convolve`` and at scale 2
 by the cross-level ``driver._combine_levels``; its docstring says which
-of its two paths runs.  ``fold_tables`` sums the brick
+of its two paths runs.  Its index path, which serves every table with
+values, also runs on packed codes: a field per axis under a guard bit,
+so ``code(scale*p + q)`` is one add and the window test on every middle
+axis is two subtractions and an AND.  ``fold_tables`` sums the brick
 tables with ``convolve`` one at a time, keeping only points that can
 still land inside the target window given the summed reach of the bricks
 not yet folded; that window depends on which bricks remain, not on the
@@ -48,7 +51,7 @@ import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import add, attrgetter, gt, le, lshift, mul
+from operator import add, attrgetter, gt, le, lshift, mul, sub
 from typing import Sequence
 
 from .core import MODE_FEASIBILITY, MODE_OPTIMIZE, NFoldInstance
@@ -291,25 +294,45 @@ def sumset(
     ``scale*value(p) + value(q)`` (a cell's value is its first entry).
     Pairs go in sorted ``(p, q)`` order and only a strictly larger value
     replaces a cell, so ties keep the first witness and keys come out in
-    first-reached order.  Points may have any sign.  The kind of values
-    picks one of two paths, which give that same dict:
+    first-reached order.  Points may have any sign.
+
+    A one-point window needs no index: each ``p`` has one partner,
+    ``lo - scale*p``, looked up in ``b_cells`` (the 72 such calls of the
+    imbalance-opt benchmark workload, seeds 1-3, take 1.0 ms this way and
+    6.5 ms through the index path).  Otherwise ``_clip_pair`` drops the
+    points that cannot land in the window, and the kind of values picks
+    one of two paths, which give that same dict:
 
     - bitset: when every value in both tables is 0, as in feasibility
       mode, ``_sumset_bits`` walks ``p`` over one big-int bitset of ``b``;
       it declines when the bitset would exceed ``_BITS_PER_POINT`` bits
       per point of ``b``, and the index path runs instead;
-    - index: otherwise ``_probe_index`` bisects a sorted-axis range index
-      of ``b`` for each ``p``.
+    - index: otherwise ``_probe_index`` packs every point into one
+      ``int`` (a field per axis under a guard bit) and, for each ``p``,
+      bisects the codes of ``b`` grouped by prefix.
     """
     if not a_cells or not b_cells or any(l > h for l, h in zip(lo, hi)):
+        return {}
+    if lo == hi:
+        best = None
+        for p, cell in a_cells.items():
+            q = tuple(l - scale * x for x, l in zip(p, lo))
+            if q in b_cells:
+                value = scale * cell[0] + b_cells[q][0]
+                # The largest value wins; among equals, the smallest p.
+                if best is None or (-value, p) < (-best[0], best[1]):
+                    best = (value, p, q)
+        return {} if best is None else {tuple(lo): best}
+    clipped = _clip_pair(a_cells, b_cells, scale, lo, hi)
+    if clipped is None:
         return {}
     if not any(cell[0] for cell in a_cells.values()) and not any(
         cell[0] for cell in b_cells.values()
     ):
-        cells = _sumset_bits(a_cells, b_cells, scale, lo, hi)
+        cells = _sumset_bits(*clipped, scale, lo, hi)
         if cells is not None:
             return cells
-    return _probe_index(a_cells, b_cells, scale, lo, hi)
+    return _probe_index(a_cells, b_cells, *clipped, scale, lo, hi)
 
 
 # Largest bitset, in bits per clipped right-table point, that the bitset
@@ -344,23 +367,49 @@ def _clip(cells, reach, lo, hi):
     return pts, (_reach_of(pts) if pts else reach)
 
 
-def _sumset_bits(a_cells, b_cells, scale, lo, hi):
+def _clip_pair(a_cells, b_cells, scale, lo, hi):
+    """``(a_pts, a_reach, b_pts, b_reach)``: the points that can land in the window.
+
+    ``a`` keeps the ``p`` with ``scale*p + q`` in ``[lo, hi]`` for some
+    ``q`` in the reach of ``b``; ``b`` then keeps the ``q`` that some
+    ``p`` in the reach of the kept ``a`` can carry there.  Each reach is
+    the per-axis (min, max) of the kept points.  Returns None when either
+    side is left empty.
+    """
+    a_reach, (b_lo, b_hi) = _reach_of(a_cells), _reach_of(b_cells)
+    a_pts, a_reach = _clip(
+        a_cells, a_reach,
+        [-((bh - l) // scale) for l, bh in zip(lo, b_hi)],
+        [(h - bl) // scale for h, bl in zip(hi, b_lo)],
+    )
+    if not a_pts:
+        return None
+    a_lo, a_hi = a_reach
+    b_pts, b_reach = _clip(
+        b_cells, (b_lo, b_hi),
+        [l - scale * ah for l, ah in zip(lo, a_hi)],
+        [h - scale * al for h, al in zip(hi, a_lo)],
+    )
+    if not b_pts:
+        return None
+    return a_pts, a_reach, b_pts, b_reach
+
+
+def _sumset_bits(a_pts, a_reach, b_pts, b_reach, scale, lo, hi):
     """Zero-valued ``sumset`` as shifted ORs of one big-int bitset.
 
-    ``a`` and ``b`` are first clipped to the points that can still land
-    in ``[lo, hi]``; a table whose reach already lies inside its clip
-    bounds is taken whole, with no clip pass and no second reach pass.
-    ``bits`` has one bit per point of ``b``.  A point is coded in mixed
-    radix, axis 0 most significant, relative to its table's minimum, with
-    ``radix_j = scale*spread(a)_j + spread(b)_j + 1``: digit sums never
-    carry, so ``code(scale*p + q) = scale*code(p) + code(q)`` and bit
-    order is lexicographic point order.  ``free`` starts as the window
-    mask and holds the window codes no pair has reached yet.  For ``p`` in sorted order, ``hit = (free >> scale*code(p)) &
-    bits`` holds exactly the ``q`` whose sum is first reached by ``p``;
-    its bits, read in ascending order, are those ``q`` in sorted order.
-    That is the insertion order and tie witness of the pairwise kernels,
-    whose all-zero values never replace a cell.  The walk stops once
-    ``free`` is empty.
+    ``a_pts`` and ``b_pts`` are the clipped tables of ``_clip_pair``, with
+    their reaches.  ``bits`` has one bit per point of ``b``.  A point is
+    coded in mixed radix, axis 0 most significant, relative to its
+    table's minimum, with ``radix_j = scale*spread(a)_j + spread(b)_j +
+    1``: digit sums never carry, so ``code(scale*p + q) = scale*code(p) +
+    code(q)`` and bit order is lexicographic point order.  ``free`` starts
+    as the window mask and holds the window codes no pair has reached yet.
+    For ``p`` in sorted order, ``hit = (free >> scale*code(p)) & bits``
+    holds exactly the ``q`` whose sum is first reached by ``p``; its bits,
+    read in ascending order, are those ``q`` in sorted order.  That is the
+    insertion order and tie witness of the index path, whose all-zero
+    values never replace a cell.  The walk stops once ``free`` is empty.
 
     Cap: each ``p`` costs a shift, an AND and an XOR over the code space,
     ``nbits`` bits, while the range index spends at most one interpreted
@@ -380,21 +429,7 @@ def _sumset_bits(a_cells, b_cells, scale, lo, hi):
       since the clip skip, the 208 such calls left once the box probe was
       gone take 14.2 ms against the index's 32.6 ms.
     """
-    a_reach, (b_lo, b_hi) = _reach_of(a_cells), _reach_of(b_cells)
-    a_pts, (a_lo, a_hi) = _clip(
-        a_cells, a_reach,
-        [-((bh - l) // scale) for l, bh in zip(lo, b_hi)],
-        [(h - bl) // scale for h, bl in zip(hi, b_lo)],
-    )
-    if not a_pts:
-        return {}
-    b_pts, (b_lo, b_hi) = _clip(
-        b_cells, (b_lo, b_hi),
-        [l - scale * ah for l, ah in zip(lo, a_hi)],
-        [h - scale * al for h, al in zip(hi, a_lo)],
-    )
-    if not b_pts:
-        return {}
+    (a_lo, a_hi), (b_lo, b_hi) = a_reach, b_reach
     radix = [
         scale * (ah - al) + bh - bl + 1
         for al, ah, bl, bh in zip(a_lo, a_hi, b_lo, b_hi)
@@ -442,49 +477,101 @@ def _sumset_bits(a_cells, b_cells, scale, lo, hi):
     return out
 
 
-def _probe_index(a_cells, b_cells, scale, lo, hi):
-    """Pairwise ``sumset`` over a sorted-axis range index of ``b``.
+def _probe_index(a_cells, b_cells, a_pts, a_reach, b_pts, b_reach, scale, lo, hi):
+    """Pairwise ``sumset`` over packed codes of the clipped tables.
 
-    ``b`` is grouped by prefix ``q[:-1]`` with sorted last coordinates;
-    each ``p`` bisects axis 0 over the prefixes and the last axis within
-    each prefix, so only ``q`` with ``scale*p + q`` in the window are
-    visited.  Sums accumulate under mixed-radix int keys over the window.
+    A code has one field per axis under one zero guard bit, axis 0 most
+    significant; field ``i`` of ``code(p)`` holds ``scale*(p_i - a_lo_i)``
+    and of ``code(q)`` holds ``q_i - b_lo_i``.  Its width fits
+    ``scale*spread(a)_i + spread(b)_i``, so a field of ``code(p) +
+    code(q)`` never carries and that sum is the code of ``scale*p + q``;
+    codes sort like points.  The window becomes ``[w_lo_i, w_hi_i]`` per
+    field.
+
+    ``b`` is grouped by prefix code (the last field zeroed), with the last
+    fields sorted inside each group.  For each ``p`` in sorted order one
+    bisect finds the groups whose axis-0 field lands in the window, and
+    ``k = code(p) + prefix`` tests every middle field at once:
+    ``((k | G) - LO) & G == G`` and ``((HI | G) - k) & G == G``, with
+    ``G`` the middle guard bits and ``LO``, ``HI`` the window bounds in
+    the middle fields (``HI`` has an all-ones last field, so no borrow
+    reaches them).  A guard bit set before the subtraction absorbs its own
+    field's borrow and survives exactly when that field is in bounds.  A
+    bisect on the last field then yields the ``q`` in sorted order.
+
+    Cells accumulate under mixed-radix keys over the window, which are
+    dense in ``[0, volume)``: the sum codes themselves leave most of each
+    field unused, and as dict keys they collide on their low bits (a dense
+    r=2 fold of 861 x 855 points ran 5-10% slower on them).  Tuples are
+    built for the kept cells only.
     """
-    dims = [h - l + 1 for l, h in zip(lo, hi)]
-    strides = [math.prod(dims[j + 1:]) for j in range(len(dims))]
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for q in sorted(b_cells):
-        groups.setdefault(q[:-1], []).append(q)
-    index = [
-        (pre, sum(map(mul, pre, strides)), [q[-1] for q in qs],
-         [b_cells[q][0] for q in qs], qs)
-        for pre, qs in groups.items()
-    ]
-    last = len(lo) - 1
-    firsts = [pre[0] for pre in groups] if last else []
+    (a_lo, a_hi), (b_lo, b_hi) = a_reach, b_reach
+    r = len(lo)
+    shifts, bases, w_lo, w_hi = [0] * r, [0] * r, [0] * r, [0] * r
+    shift = guards = 0
+    for i in range(r - 1, -1, -1):
+        width = (scale * (a_hi[i] - a_lo[i]) + b_hi[i] - b_lo[i]).bit_length()
+        shifts[i] = shift
+        bases[i] = scale * a_lo[i] + b_lo[i]
+        w_lo[i] = max(lo[i] - bases[i], 0)
+        w_hi[i] = min(hi[i] - bases[i], (1 << width) - 1)
+        if 0 < i < r - 1:
+            guards |= 1 << (shift + width)
+        shift += width + 1
+    last_mask = (1 << shifts[-2] - 1) - 1 if r > 1 else -1
+    top = shifts[0]
+    top_lo, top_hi = w_lo[0] << top, w_hi[0] + 1 << top
+    # k has no guard bit set, so (k | G) - LO == k + mid_lo.
+    mid_lo = guards - sum(map(lshift, w_lo[1:-1], shifts[1:-1]))
+    mid_hi = guards | last_mask + sum(map(lshift, w_hi[1:-1], shifts[1:-1]))
+    dims = [h - l + 1 for l, h in zip(w_lo, w_hi)]
+    strides = [math.prod(dims[i + 1:]) for i in range(r)]
+    key_base = sum(map(mul, map(add, bases, w_lo), strides)) - b_lo[-1]
+
+    b_base = sum(map(lshift, b_lo, shifts))
+    b_codes = {sum(map(lshift, q, shifts)) - b_base: q for q in b_pts}
+    prefixes: list[int] = []
+    index = []
+    for code in sorted(b_codes):
+        q = b_codes[code]
+        prefix = code & ~last_mask
+        if not prefixes or prefixes[-1] != prefix:
+            prefixes.append(prefix)
+            lasts, values, qs = [], [], []
+            q_key = sum(map(mul, q[:-1], strides))
+            index.append((prefix, q_key, lasts, values, qs))
+        lasts.append(code & last_mask)
+        values.append(b_cells[q][0])
+        qs.append(q)
+
+    a_base = sum(map(lshift, a_lo, shifts))
+    a_codes = {scale * (sum(map(lshift, p, shifts)) - a_base): p for p in a_pts}
     acc: dict[int, tuple] = {}
-    for p in sorted(a_cells):
-        q_lo = [l - scale * x for x, l in zip(p, lo)]
-        q_hi = [h - scale * x for x, h in zip(p, hi)]
-        g0, g1 = 0, 1
-        if last:
-            g0 = bisect_left(firsts, q_lo[0])
-            g1 = bisect_right(firsts, q_hi[0], g0)
-        base = sum((scale * x - l) * s for x, l, s in zip(p, lo, strides))
+    for pc in sorted(a_codes):
+        p = a_codes[pc]
+        groups = index
+        if r > 1:
+            head = pc >> top << top
+            g0 = bisect_left(prefixes, top_lo - head)
+            groups = index[g0:bisect_left(prefixes, top_hi - head, g0)]
+        k_lo, k_hi = pc + mid_lo, mid_hi - pc
+        p_last = pc & last_mask
+        q_lo, q_hi = w_lo[-1] - p_last, w_hi[-1] - p_last
+        p_key = scale * sum(map(mul, p, strides)) - key_base
         p_val = scale * a_cells[p][0]
-        for pre, pre_key, lasts, values, qs in index[g0:g1]:
-            if last > 1 and any(
-                not q_lo[j] <= pre[j] <= q_hi[j] for j in range(1, last)
-            ):
+        for prefix, q_key, lasts, values, qs in groups:
+            if guards and (k_lo + prefix) & (k_hi - prefix) & guards != guards:
                 continue
-            i0 = bisect_left(lasts, q_lo[last])
-            offset = base + pre_key
-            for i in range(i0, bisect_right(lasts, q_hi[last], i0)):
+            offset = p_key + q_key
+            i0 = bisect_left(lasts, q_lo)
+            for i in range(i0, bisect_right(lasts, q_hi, i0)):
                 key = offset + lasts[i]
                 value = p_val + values[i]
                 prev = acc.get(key)
                 if prev is None or value > prev[0]:
                     acc[key] = (value, p, qs[i])
+    if scale == 1:
+        return {tuple(map(add, cell[1], cell[2])): cell for cell in acc.values()}
     return {
         tuple(scale * x + y for x, y in zip(cell[1], cell[2])): cell
         for cell in acc.values()
@@ -561,31 +648,38 @@ def fold_tables(
     order: list[int] = []
     peak = 0
     while groups:
-        best = None
+        # The window of table t is [max(0, gap_lo + t_hi), gap_hi + t_lo].
+        gap_lo = list(map(sub, lo, rest_hi))
+        gap_hi = list(map(sub, hi, rest_lo))
+        best = best_key = None
         for key, idxs in groups.items():
             n_t, (t_lo, t_hi) = key
-            w_lo = tuple(
-                max(0, l - rh + th) for l, rh, th in zip(lo, rest_hi, t_hi)
-            )
-            w_hi = tuple(h - rl + tl for h, rl, tl in zip(hi, rest_lo, t_lo))
-            o_lo = tuple(max(w, b + t) for w, b, t in zip(w_lo, box_lo, t_lo))
-            o_hi = tuple(min(w, b + t) for w, b, t in zip(w_hi, box_hi, t_hi))
-            volume = math.prod(max(0, h - l + 1) for l, h in zip(o_lo, o_hi))
-            probe = math.prod(
-                max(0, min(wh - wl, th - tl) + 1)
-                for wl, wh, tl, th in zip(w_lo, w_hi, t_lo, t_hi)
-            )
+            volume = probe = 1
+            for gl, gh, bl, bh, tl, th in zip(
+                gap_lo, gap_hi, box_lo, box_hi, t_lo, t_hi
+            ):
+                wl = gl + th if gl + th > 0 else 0
+                wh = gh + tl
+                ol = bl + tl if bl + tl > wl else wl
+                oh = bh + th if bh + th < wh else wh
+                volume *= oh - ol + 1 if oh >= ol else 0
+                span = wh - wl if wh - wl < th - tl else th - tl
+                probe *= span + 1 if span >= 0 else 0
             score = min(size * n_t, volume) + size * min(n_t, probe)
-            if best is None or (score, idxs[-1]) < best[:2]:
-                best = (score, idxs[-1], key, w_lo, w_hi, o_lo, o_hi)
-        _, idx, key, w_lo, w_hi, box_lo, box_hi = best
-        idxs = groups[key]
+            if best is None or (score, idxs[-1]) < best:
+                best, best_key = (score, idxs[-1]), key
+        idx = best[1]
+        idxs = groups[best_key]
         idxs.pop()
         if not idxs:
-            del groups[key]
-        t_lo, t_hi = key[1]
-        rest_lo = [v - tl for v, tl in zip(rest_lo, t_lo)]
-        rest_hi = [v - th for v, th in zip(rest_hi, t_hi)]
+            del groups[best_key]
+        t_lo, t_hi = best_key[1]
+        w_lo = tuple(max(0, gl + th) for gl, th in zip(gap_lo, t_hi))
+        w_hi = tuple(map(add, gap_hi, t_lo))
+        box_lo = tuple(map(max, w_lo, map(add, box_lo, t_lo)))
+        box_hi = tuple(map(min, w_hi, map(add, box_hi, t_hi)))
+        rest_lo = list(map(sub, rest_lo, t_lo))
+        rest_hi = list(map(sub, rest_hi, t_hi))
         if partial is None:
             partial = tables[idx].filtered(w_lo, w_hi)
         else:

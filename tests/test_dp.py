@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import logging
 import random
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nfold.dp as dp
+import nfold.driver
 from nfold.core import NFoldInstance
 from nfold.dp import (
     PointTable,
@@ -24,7 +26,7 @@ from nfold.dp import (
     small_subproblem_set,
 )
 from nfold.driver import LevelSet, _combine_levels, solve
-from nfold.imbalance import Graph, build_ordering_ilp
+from nfold.imbalance import Graph, build_ordering_ilp, solve_imbalance
 from nfold.oracle import oracle_point_set
 from nfold.plan import build_plan
 from nfold.scheduling import OBJECTIVE_CMAX, SchedulingInstance, decide_guess
@@ -293,6 +295,81 @@ def test_fold_pins_shared_rows_before_the_partial_grows(caplog, monkeypatch):
     assert int(match[2]) == max(sizes)
 
 
+def design_graph(rng: random.Random) -> Graph:
+    """A 16-vertex graph with a 4-vertex cover, shaped like the design graph."""
+    labels = list(range(16))
+    rng.shuffle(labels)
+    cover, others = labels[:4], labels[4:]
+    hoods = list(itertools.combinations(range(4), 2)) * 2
+    rng.shuffle(hoods)
+    edges = [(cover[i], w) for w, hood in zip(others, hoods) for i in hood]
+    order = rng.sample(cover, 4)
+    edges += [(order[0], order[1]), (order[2], order[3])]
+    return Graph.build(labels, edges)
+
+
+def wide_instance(rng: random.Random, bricks: int = 24, target: int = 100):
+    """r = 1 bricks with the columns 0, 1, 2 shuffled; b_up from a planted x."""
+    blocks, b_up = [], 0
+    for _ in range(bricks):
+        cols = [0, 1, 2]
+        rng.shuffle(cols)
+        blocks.append((tuple(cols),))
+        cut = sorted(rng.sample(range(target + 2), 2))
+        x = (cut[0], cut[1] - cut[0] - 1, target + 1 - cut[1])
+        b_up += sum(c * v for c, v in zip(cols, x))
+    return NFoldInstance(
+        n=bricks, r=1, t=(3,) * bricks, blocks=tuple(blocks),
+        b_up=(b_up,), b_low=(target,) * bricks,
+    )
+
+
+def test_fold_order_and_cells_are_pinned(caplog, monkeypatch):
+    """Every ``fold_tables`` call of two solves: its order line and cells.
+
+    The twelve cover-order programs of one seeded imbalance graph (optimize
+    mode) and one 24-brick r = 1 feasibility instance.  Each call is pinned
+    by its ``fold order`` debug line and a digest of its ordered cells
+    (points, values and witnesses, in dict order); any change to the
+    scoring of fold steps or to the sumset kernel's tie order shows here.
+    """
+    calls = []
+    real = nfold.driver.fold_tables
+
+    def recording(tables, lo, hi):
+        before = len(caplog.records)
+        out = real(tables, lo, hi)
+        (line,) = [rec.getMessage() for rec in caplog.records[before:]]
+        cells = repr(list(out.cells.items())).encode()
+        calls.append((line, hashlib.sha256(cells).hexdigest()[:16]))
+        return out
+
+    monkeypatch.setattr(nfold.driver, "fold_tables", recording)
+    with caplog.at_level(logging.DEBUG, logger="nfold.dp"):
+        assert solve_imbalance(design_graph(random.Random(1))).value == 16
+        imbalance_calls = calls[:]
+        del calls[:]
+        assert solve(wide_instance(random.Random(3))).solution is not None
+
+    hood_line = "fold order [0, 1, 6, 2, 3, 7, 4, 8, 5, 9], peak partial 75 cells"
+    assert [line for line, _ in imbalance_calls] == [hood_line] * 12
+    assert [digest for _, digest in imbalance_calls] == [
+        "bc0a7c31260d253b", "bc0a7c31260d253b", "41ff29634a64b7a9",
+        "41ff29634a64b7a9", "bc0a7c31260d253b", "bc0a7c31260d253b",
+        "bc0a7c31260d253b", "bc0a7c31260d253b", "bc0a7c31260d253b",
+        "41ff29634a64b7a9", "41ff29634a64b7a9", "bc0a7c31260d253b",
+    ]
+    wide_order = f"fold order {list(range(24))}, peak partial"
+    assert calls == [
+        (f"{wide_order} 49 cells", "e869f326cfdab96b"),
+        (f"{wide_order} 97 cells", "75565dee325977a2"),
+        (f"{wide_order} 97 cells", "75565dee325977a2"),
+        (f"{wide_order} 145 cells", "097ce144c9db55cc"),
+        (f"{wide_order} 145 cells", "097ce144c9db55cc"),
+        (f"{wide_order} 96 cells", "481a02cc299f4840"),
+    ]
+
+
 def small_instance() -> NFoldInstance:
     return NFoldInstance(
         n=2,
@@ -444,6 +521,83 @@ def test_sumset_kernel_matches_double_loop_in_both_callers():
                     got = _combine_levels(prev, b, lo, hi)
                 assert list(got.items()) == list(want.items()), (trial, scale, lo, hi)
     assert min(windows.values()) > 50, windows
+
+
+def grouped_cells(
+    rng: random.Random, r: int, size: int, span: int, offset: int, dense: bool
+) -> dict:
+    """Points with values 1..3 (ties), shifted by ``offset`` on every axis.
+
+    ``dense`` puts every point on one of three prefixes (axes 0..r-2), so
+    each prefix group of the index holds many points; otherwise the points
+    spread over ``span`` per axis, about one per prefix.
+    """
+    if dense:
+        prefixes = [tuple(rng.randint(0, span) for _ in range(r - 1)) for _ in range(3)]
+        points = {rng.choice(prefixes) + (rng.randint(0, span),) for _ in range(size)}
+    else:
+        points = {tuple(rng.randint(0, span) for _ in range(r)) for _ in range(size)}
+    points = [tuple(x + offset for x in pt) for pt in points]
+    rng.shuffle(points)
+    return {pt: (rng.randint(1, 3), ()) for pt in points}
+
+
+def pair_windows(rng: random.Random, a_cells, b_cells, scale):
+    """The full reach, the reach with one middle axis pinned, a box around
+    one reached sum, and that sum alone."""
+    r = len(next(iter(a_cells)))
+    reach_lo = tuple(
+        scale * min(p[j] for p in a_cells) + min(q[j] for q in b_cells)
+        for j in range(r)
+    )
+    reach_hi = tuple(
+        scale * max(p[j] for p in a_cells) + max(q[j] for q in b_cells)
+        for j in range(r)
+    )
+    p, q = rng.choice(list(a_cells)), rng.choice(list(b_cells))
+    hit = tuple(scale * x + y for x, y in zip(p, q))
+    yield reach_lo, reach_hi
+    if r > 2:
+        axis = rng.randint(1, r - 2)
+        pin_lo, pin_hi = list(reach_lo), list(reach_hi)
+        pin_lo[axis] = pin_hi[axis] = hit[axis]
+        yield tuple(pin_lo), tuple(pin_hi)
+    width = rng.choice((1, 4, 2**34))
+    yield (
+        tuple(v - rng.randint(0, width) for v in hit),
+        tuple(v + rng.randint(0, width) for v in hit),
+    )
+    yield hit, hit
+
+
+def test_sumset_index_matches_double_loop_on_packed_code_cases(monkeypatch):
+    """r up to 5 at scales 1 and 2, valued cells with ties, dense and
+    sparse prefix groups, windows narrow on a middle axis only, and
+    coordinates past +-2**31 whose code fields span several int digits."""
+    hits = count_sumset_paths(monkeypatch)
+    rng = random.Random(2026)
+    seen = {"r=5": 0, "pinned middle": 0, "wide fields": 0, "dense": 0}
+    for trial in range(160):
+        r = 5 if trial % 2 else rng.randint(1, 4)
+        dense = trial % 4 < 2
+        wide = trial % 8 >= 4
+        span = 2**33 if wide else rng.choice((3, 12))
+        offset = rng.choice((-(2**40), 2**35)) if wide else rng.choice((0, -5))
+        a_cells = grouped_cells(rng, r, rng.randint(1, 30), span, offset, dense)
+        b_cells = grouped_cells(rng, r, rng.randint(1, 50), span, offset, dense)
+        for scale in (1, 2):
+            for lo, hi in pair_windows(rng, a_cells, b_cells, scale):
+                want = reference_sumset(a_cells, b_cells, scale, lo, hi)
+                got = dp.sumset(a_cells, b_cells, scale, lo, hi)
+                assert list(got.items()) == list(want.items()), (trial, scale, lo, hi)
+                seen["r=5"] += r == 5
+                seen["pinned middle"] += r > 2 and any(
+                    l == h for l, h in zip(lo[1:-1], hi[1:-1])
+                ) and lo[0] < hi[0]
+                seen["wide fields"] += wide and bool(got)
+                seen["dense"] += dense and r > 1 and len(got) > len(b_cells)
+    assert min(seen.values()) > 40, seen
+    assert hits["index"] > 400 and hits["bits"] == 0, hits
 
 
 def zero_cells(rng: random.Random, r: int, size: int, span: int) -> dict:
