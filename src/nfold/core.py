@@ -64,7 +64,8 @@ def _int_tuple(values: Sequence[Any], where: str) -> tuple[int, ...]:
     """Tuple of the given ints; any other entry is a ``ValueError``."""
     out = tuple(values)
     for i, v in enumerate(out):
-        _require_int(v, f"{where}[{i}]")
+        if type(v) is not int:  # name the entry only when it may be rejected
+            _require_int(v, f"{where}[{i}]")
     return out
 
 

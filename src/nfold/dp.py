@@ -3,15 +3,17 @@
 A *point* is the r-vector a brick (or a partial group of bricks)
 contributes to the shared rows.  ``block_base_table`` enumerates every
 point one brick can reach with an exact number of placed units, in one
-pass per column: every column but the last runs the "one more copy"
-recurrence ``(u - 1, p) -> (u, p + col)`` in place with the unit count
-``u`` ascending, and the last column gives each state exactly the
-``placed - u`` copies it still owes.  A point is one packed ``int`` in
-that pass (one field per axis under a guard bit), so a step is one add
-and the cap check one AND.  Its witnesses are shared ``(prefix, column,
-take)`` nodes; points and count tuples are decoded only for the kept
-cells, and each cell keeps the largest value and, among its maximisers,
-the reverse-lexicographically largest count vector.
+pass per column: each column runs the "one more copy" recurrence ``(u -
+1, p) -> (u, p + col)`` in place with the unit count ``u`` ascending,
+and the table is the ``u = placed`` layer after the last column.  Bricks
+are nonnegative (the solver shifts a signed program first, in
+``reduction.reduce_instance``), so points only grow and one capped codec
+serves every call: a point is one packed ``int`` (one field per axis
+under a guard bit), a step is one add and the cap check one AND.  Each
+cell keeps the largest value and, among its maximisers, the
+reverse-lexicographically largest count vector, stored as a shared
+``(prefix, column, take)`` node; points are decoded for the kept cells
+only, and count vectors only by ``PointTable.decode``.
 
 ``sumset`` is the one windowed Minkowski-sum kernel, ``scale*p + q`` in
 ``[lo, hi]``, run at scale 1 by the in-level ``convolve`` and at scale 2
@@ -33,10 +35,10 @@ of a surviving decomposition stays inside its window, the point -> value
 map is the same in every order; only tie witnesses and dict order follow
 it.
 
-Tables carry witnesses: a base cell remembers its column-count vector, a
+Tables carry witnesses: a base cell remembers its column-count chain, a
 combined cell remembers the pair of points it was summed from, so any
-surviving point can be decoded back into per-brick vectors, listed in
-brick order whatever order the fold took.
+surviving point can be decoded back into per-brick count vectors, listed
+in brick order whatever order the fold took.
 
 In optimize mode each cell also carries the best objective value seen
 for that point; feasibility mode is the same machinery with all-zero
@@ -77,24 +79,27 @@ class BlockWitness:
 class PointTable:
     """Reachable point set with witnesses and per-cell values.
 
-    ``cells`` maps an r-tuple point to ``(value, payload)``.  For a base
-    table the payload is the column-count tuple; for a combined table it
-    is ``(left_point, right_point)`` referring to the two parent tables.
+    ``cells`` maps an r-tuple point to ``(value, payload)``.  A table with
+    ``parents`` is a pair: its payload is ``(left_point, right_point)``
+    referring to the two parent tables.  Any other table is a base table
+    over ``columns`` columns: its payload is the ``(prefix, column, take)``
+    witness chain of ``block_base_table``, or None for no copies, and
+    ``decode`` expands it into the dense count vector.
     """
 
-    __slots__ = ("r", "cells", "kind", "block", "parents", "_reach")
+    __slots__ = ("r", "cells", "block", "columns", "parents", "_reach")
 
     def __init__(
         self,
         r: int,
-        kind: str,
         *,
         block: int | None = None,
+        columns: int = 0,
         parents: tuple["PointTable", "PointTable"] | None = None,
     ) -> None:
         self.r = r
-        self.kind = kind  # "base" | "pair"
         self.block = block
+        self.columns = columns
         self.parents = parents
         self.cells: dict[tuple[int, ...], tuple] = {}
         self._reach: tuple[tuple[int, ...], tuple[int, ...]] | None = None
@@ -117,7 +122,9 @@ class PointTable:
 
     def filtered(self, lo: tuple[int, ...], hi: tuple[int, ...]) -> "PointTable":
         """Copy containing only the points inside [lo, hi] per axis."""
-        out = PointTable(self.r, self.kind, block=self.block, parents=self.parents)
+        out = PointTable(
+            self.r, block=self.block, columns=self.columns, parents=self.parents
+        )
         for pt, cell in self.cells.items():
             if all(l <= v <= h for v, l, h in zip(pt, lo, hi)):
                 out.cells[pt] = cell
@@ -132,8 +139,13 @@ class PointTable:
         while stack:
             table, point = stack.pop()
             cell = table.cells[point]
-            if table.kind == "base":
-                out.append(BlockWitness(block=table.block, counts=cell[1]))
+            if table.parents is None:
+                counts = [0] * table.columns
+                node = cell[1]
+                while node is not None:
+                    node, j, take = node
+                    counts[j] = take
+                out.append(BlockWitness(block=table.block, counts=tuple(counts)))
             else:
                 left, right = table.parents
                 stack.append((right, cell[2]))
@@ -154,85 +166,81 @@ def block_base_table(
 
     A state ``(u, p)`` is a point ``p`` reached with ``u`` units on the
     columns seen so far; ``layers[u]`` maps ``p`` to its best value and
-    witness.  Every column but the last runs one in-place pass with ``u``
-    ascending, in which ``(u, p + col)`` takes one more copy of the
-    column from ``(u - 1, p)``.  That source already holds this column's
-    best take, so any number of copies chains through the one pass: a
-    column costs one visit per state, each target has exactly one source,
-    and no layer is ever sorted.  The new candidate replaces the state
-    when its value is ``>=``, so on ties the larger take wins.  The last
-    column keeps only the exact layer: ``(u, p)`` takes exactly
-    ``placed - u`` copies, scanned with ``u`` ascending and replaced only
-    on a strictly larger value, so again the larger take wins ties.
+    witness.  Each column runs one in-place pass with ``u`` ascending, in
+    which ``(u, p + col)`` takes one more copy of the column from ``(u -
+    1, p)``.  That source already holds this column's best take, so any
+    number of copies chains through the one pass: a column costs one
+    visit per state, each target has exactly one source, and no layer is
+    ever sorted.  The new candidate replaces the state when its value is
+    ``>=``, so on ties the larger take wins.  The table is
+    ``layers[placed]`` after the last column.
 
     Each cell holds the largest value of its point, and its witness is
     the reverse-lexicographically largest count vector (compared from the
     last column back) among the maximisers.  Cells are inserted in sorted
-    point order.  Witnesses are stored as shared ``(prefix, column, take)``
-    nodes, made only for a take of at least one, and are expanded into
-    the dense count tuple for the kept cells alone.
+    point order.  A witness is a shared ``(prefix, column, take)`` node,
+    made only for a take of at least one; ``PointTable.decode`` expands
+    it into the count vector, so no count vector is built here.
 
-    Kept points are nonnegative and at most ``hi`` per axis.  The DP runs
-    on codes: field ``i`` holds ``x_i - low_i`` in ``w_i`` bits under one
-    zero guard bit, axis 0 most significant, so a step is ``q = p +
-    code(col)``.  Without a cap (a negative entry, or no ``hi``), ``low_i
-    = placed * min(0, min of row i)`` and ``w_i`` spans the row's range;
-    the final cells are filtered on their decoded points.  With a cap
-    (entries nonnegative, so points only grow and a candidate past ``hi``
-    is dropped as soon as it is made), ``c_i = min(hi_i, row range)``,
-    ``w_i`` holds ``c_i`` and ``low_i = c_i + 1 - 2**w_i`` puts the cap at
-    the top of the field: a point past it sets the field's guard bit, so
-    the check is ``q & guard``.  A kept point plus a column within the cap
-    is at most ``2*c_i``, whose field ``2*c_i - low_i`` is still below
-    ``2**(w_i + 1)``: it never carries past the guard.  Two pre-checks
-    keep it so: a column with an entry above the cap is skipped before its
-    loop, as is a last-column take whose ``take*col`` exceeds it.  A cap
-    below 0 counts as -1 and rejects every take.  Stored codes have every
-    guard bit 0, so they sort like points; only the final cells are
-    decoded.
+    Entries must be nonnegative, and a negative one raises
+    ``ValueError``: the solver shifts a signed program first
+    (``reduction.reduce_instance``), so along a pass points only grow and
+    a candidate past the cap is dropped as soon as it is made.  The DP
+    runs on codes: field ``i`` holds ``x_i - low_i`` in ``w_i`` bits
+    under one zero guard bit, axis 0 most significant, so a step is ``q =
+    p + code(col)``.  With ``c_i = min(hi_i, placed * max of row i)``,
+    ``w_i`` holds ``c_i`` and ``low_i = c_i + 1 - 2**w_i`` puts the cap
+    at the top of the field: a point past it sets the field's guard bit,
+    so the check is ``q & guard``.  A kept point plus a column within the
+    cap is at most ``2*c_i``, whose field ``2*c_i - low_i`` is still below
+    ``2**(w_i + 1)``: it never carries past the guard, since a column
+    with an entry above the cap is skipped before its pass.  A cap below
+    0 counts as -1, so even the origin sets its guard and nothing is
+    kept.  Stored codes have every guard bit 0, so they sort like points;
+    only the final cells are decoded.
 
     Parameters
     ----------
     block : matrix
-        r x t brick matrix, ``t >= 1``.
+        r x t brick matrix, ``t >= 1``, entries ``>= 0``.
     placed : int
         Exact number of units this brick must place.
     costs : sequence of int, optional
         Per-column objective coefficients; omitted means feasibility
         (all values zero).
     hi : tuple of int, optional
-        Per-axis upper cap for kept points.
+        Per-axis upper cap for kept points; omitted means the brick's own
+        reach ``placed * max(row)``, which removes nothing.
     """
     cols = list(zip(*block))  # column vectors of the row-major brick
     if not cols:
         raise ValueError("a brick needs at least one column")
+    if min(map(min, block)) < 0:
+        raise ValueError("brick entries must be >= 0; shift signed programs first")
     if costs is None:
         costs = (0,) * len(cols)
-    cap = hi if all(e >= 0 for col in cols for e in col) else None
 
     # Point codes: (shift, mask, low) per axis, axis 0 in the highest field.
+    caps = [placed * max(row) for row in block]
+    if hi is not None:
+        caps = [max(min(c, h), -1) for c, h in zip(caps, hi)]
     fields: list[tuple[int, int, int]] = []
     shift = guard = 0
-    for i in range(len(block) - 1, -1, -1):
-        low = placed * min(0, *block[i])
-        span = placed * max(0, *block[i]) - low
-        if cap is not None:
-            c = min(max(cap[i], -1), span)  # any cap below 0 rejects every take
-            width = max(c, 0).bit_length()
-            low = c + 1 - (1 << width)  # the cap fills the field
-            guard |= 1 << (shift + width)
-        else:
-            width = span.bit_length()
-        fields.append((shift, (1 << width) - 1, low))
+    for c in reversed(caps):
+        width = max(c, 0).bit_length()
+        fields.append((shift, (1 << width) - 1, c + 1 - (1 << width)))
+        guard |= 1 << (shift + width)
         shift += width + 1
     fields.reverse()
     shifts = [s for s, _, _ in fields]
 
     # layers[u] : code -> (value, witness node or None for no copies)
     layers: list[dict[int, tuple]] = [{} for _ in range(placed + 1)]
-    layers[0][sum(-low << s for s, _, low in fields)] = (0, None)
-    for j, col in enumerate(cols[:-1]):
-        if cap is not None and any(map(gt, col, cap)):
+    origin = sum(-low << s for s, _, low in fields)
+    if not origin & guard:
+        layers[0][origin] = (0, None)
+    for j, col in enumerate(cols):
+        if any(map(gt, col, caps)):
             continue
         step, cost = sum(map(lshift, col, shifts)), costs[j]
         for u in range(1, placed + 1):
@@ -250,34 +258,11 @@ def block_base_table(
                         node = (node, j, 1)
                     dst[q] = (value, node)
 
-    j = len(cols) - 1
-    final: dict[int, tuple] = {}
-    for u, layer in enumerate(layers):
-        take = placed - u
-        if cap is not None and any(take * e > c for e, c in zip(cols[j], cap)):
-            continue
-        step = take * sum(map(lshift, cols[j], shifts))
-        gain = take * costs[j]
-        for p, (value, node) in layer.items():
-            q = p + step
-            if q & guard:
-                continue
-            value += gain
-            prev = final.get(q)
-            if prev is None or value > prev[0]:
-                final[q] = (value, (node, j, take) if take else node)
-
-    table = PointTable(len(block), "base", block=block_index)
+    final = layers[placed]
+    table = PointTable(len(block), block=block_index, columns=len(cols))
     for code in sorted(final):
         q = tuple([(code >> s & mask) + low for s, mask, low in fields])
-        if cap is None and (min(q) < 0 or (hi is not None and any(map(gt, q, hi)))):
-            continue
-        value, node = final[code]
-        counts = [0] * len(cols)
-        while node is not None:
-            node, col_index, take = node
-            counts[col_index] = take
-        table.cells[q] = (value, tuple(counts))
+        table.cells[q] = final[code]
     return table
 
 
@@ -595,7 +580,7 @@ def convolve(
         (a_lo, a_hi), (b_lo, b_hi) = a.reach(), b.reach()
         lo = lo if lo is not None else tuple(map(add, a_lo, b_lo))
         hi = hi if hi is not None else tuple(map(add, a_hi, b_hi))
-    out = PointTable(a.r, "pair", parents=(a, b))
+    out = PointTable(a.r, parents=(a, b))
     out.cells = sumset(a.cells, b.cells, 1, lo, hi)
     return out
 
@@ -710,9 +695,12 @@ def base_tables_for_level(
 ) -> list[PointTable]:
     """Per-brick base tables for one level's placed counts.
 
+    ``inst`` is the sign-reduced program, so every brick is nonnegative.
     Each table is capped per axis at ``K*delta``, the most one brick adds
     with ``K`` units, and at ``hi`` when given: a brick's point never
     exceeds the fold window it lands in, since the other bricks only add.
+    Cells hold witness chains; ``PointTable.decode`` expands the one
+    point reconstruction asks for.
     """
     placed = plan.placed_at(level)
     cap = (plan.support * inst.delta,) * inst.r

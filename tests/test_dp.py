@@ -36,6 +36,13 @@ def points_of(table: PointTable) -> set[tuple[int, ...]]:
     return set(table.cells)
 
 
+def decoded_cells(table: PointTable) -> list:
+    """A base table's ``(point, (value, counts))`` in dict order."""
+    return [
+        (pt, (cell[0], table.decode(pt)[0].counts)) for pt, cell in table.cells.items()
+    ]
+
+
 def test_base_table_frozen_points():
     table = block_base_table(((1, 2),), 2)
     assert points_of(table) == {(2,), (3,), (4,)}
@@ -59,9 +66,9 @@ def test_base_table_hi_cap_prunes_points():
     assert points_of(table) == {(2,), (3,)}
 
 
-def test_base_table_signed_entries_keep_only_nonnegative_points():
-    table = block_base_table(((-1, 1),), 2, hi=(5,))
-    assert points_of(table) == {(0,), (2,)}
+def test_base_table_rejects_negative_entries():
+    with pytest.raises(ValueError, match=">= 0"):
+        block_base_table(((-1, 1),), 2, hi=(5,))
 
 
 def test_base_table_needs_a_column():
@@ -494,9 +501,9 @@ def test_sumset_kernel_matches_double_loop_in_both_callers():
         low = -span if trial % 3 == 0 else 0
         a_cells = random_cells(rng, r, rng.randint(1, 30), span, low)
         b_cells = random_cells(rng, r, rng.randint(1, 60), span, low)
-        a = PointTable(r, "base")
+        a = PointTable(r)
         a.cells = a_cells
-        b = PointTable(r, "base")
+        b = PointTable(r)
         b.cells = b_cells
         prev_cells = {p: (v[0], None, p) for p, v in a_cells.items()}
         prev = LevelSet(level=2, cells=prev_cells, small=b)
@@ -766,9 +773,9 @@ def codec_edge_cases(rng: random.Random) -> list:
         (((0, 1), (2, 0)), 0, None, (-1, 3)),  # the origin above a cap below 0
         (((3, 5),), 0, None, (7,)),  # placed=0, cap above placed*max
         (((3, 5), (1, 0)), 0, (2, 1), (0, 0)),  # placed=0, cap 0
-        (((-2, 1, 3), (2, -1, 0)), 3, (1, 0, -1), None),  # negative, no cap
+        (((-2, 1, 3), (2, -1, 0)), 3, (1, 0, -1), None),  # negative: rejected
         (((-1, 0), (4, -2)), 4, None, None),
-        (((-1, 2, 9), (0, 0, 1)), 3, None, (5, 1)),  # negative, capped only at the end
+        (((-1, 2, 9), (0, 0, 1)), 3, None, (5, 1)),
     ]
     return cases
 
@@ -786,16 +793,26 @@ def test_base_table_matches_composition_enumeration():
         (slack, 3 * k, (1, 0, 1, 0), (2, 3, 3)),
         (((1, 1, 0, 2, 1),), 4, (0, 0, 0, 0, 1), None),  # repeated columns tie
         (((0, 1, 2), (0, 0, 0)), 3, None, (4, 0)),  # leading zero column
+        # The witness of (2,) takes only column 0: its chain never names
+        # the two trailing columns, and decode must still give t counts.
+        (((1, 0, 0),), 2, (0, 1, 0), None),
     ]
     wide = random.Random(9)
     for r in (1, 2):
         block = tuple(tuple(wide.randint(0, 3) for _ in range(40)) for _ in range(r))
         cases.append((block, 2, tuple(wide.randint(0, 1) for _ in range(40)), (4,) * r))
+    rejected = 0
     for block, placed, costs, hi in cases:
+        if min(map(min, block)) < 0:
+            with pytest.raises(ValueError, match=">= 0"):
+                block_base_table(block, placed, block_index=2, costs=costs, hi=hi)
+            rejected += 1
+            continue
         got = block_base_table(block, placed, block_index=2, costs=costs, hi=hi)
         want = reference_base_table(block, placed, costs, hi)
-        assert list(got.cells.items()) == want, (block, placed, costs, hi)
+        assert decoded_cells(got) == want, (block, placed, costs, hi)
         assert got.block == 2
+    assert 0 < rejected < len(cases) // 2, rejected
 
 
 def pairwise_base_table(block, placed, costs, hi):
@@ -844,5 +861,5 @@ def test_scheduling_configuration_brick_matches_pairwise_reference(monkeypatch):
     for placed in (0, 1, 2):
         got = real(block, placed, block_index=1, hi=kwargs["hi"])
         want = pairwise_base_table(block, placed, None, kwargs["hi"])
-        assert list(got.cells.items()) == want, placed
+        assert decoded_cells(got) == want, placed
     assert len(got) == 693
