@@ -696,16 +696,13 @@ def base_tables_for_level(
     """Per-brick base tables for one level's placed counts.
 
     ``inst`` is the sign-reduced program, so every brick is nonnegative.
-    Each table is capped per axis at ``K*delta``, the most one brick adds
-    with ``K`` units, and at ``hi`` when given: a brick's point never
-    exceeds the fold window it lands in, since the other bricks only add.
+    Each table is capped per axis at ``hi`` when given: a brick's point
+    never exceeds the fold window it lands in, since the other bricks only
+    add.  ``block_base_table`` itself caps at the brick's own reach.
     Cells hold witness chains; ``PointTable.decode`` expands the one
     point reconstruction asks for.
     """
     placed = plan.placed_at(level)
-    cap = (plan.support * inst.delta,) * inst.r
-    if hi is not None:
-        cap = tuple(map(min, cap, hi))
     costs = _block_costs(inst, mode)
     return [
         block_base_table(
@@ -713,7 +710,7 @@ def base_tables_for_level(
             placed[k],
             block_index=k,
             costs=costs[k],
-            hi=cap,
+            hi=hi,
         )
         for k in range(inst.n)
     ]

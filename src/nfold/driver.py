@@ -7,18 +7,17 @@ the plan.  Level 1 is the bottom small set; every later level combines
     N(i) = { 2*p + q  :  p in N(i-1),  q in small-set(i) }
 
 and keeps only points that can still reach ``b_up`` after the remaining
-doublings.  A point retained at level i must satisfy the exact integer
-window (e = levels - i)
-
-    ceil((b_up_j - D*(2^e - 1)) / 2^e)  <=  v_j  <=  b_up_j // 2^e
-
-which is the classical +-D box around ``b_up / 2^e`` tightened one-sidedly:
-after the sign reduction every level contribution is nonnegative, so the
-remaining levels can only add to ``2^e * v``.  The windows hold for any
-valid level size K (see ``plan``): a level places at most K units per
-brick, so it adds at most ``D = n*K*delta`` per axis.  At the top level
-(e = 0) the window collapses to exactly ``b_up`` — feasibility is then
-simply "is the top set nonempty".
+doublings.  Each level reads its windows from the plan (see ``plan``):
+a retained level-i point lies in ``[lo_i, hi_i]``, the exact range of
+level-i prefixes that the placed units of the levels below can build and
+the levels above can still complete to ``b_up``, and level i's small set
+is folded into ``[small_lo_i, small_hi_i]``, the range ``2*p + q`` needs
+from ``q`` for some ``p`` in the level-(i-1) window.  Every prefix and
+partial sum of a decomposition that reaches ``b_up`` lies inside these
+windows, so only dead-end points are dropped.  At the top level the
+window collapses to exactly ``b_up`` — feasibility is then simply "is
+the top set nonempty" — and the first level with an empty window ends
+the solve as infeasible before its base tables are built.
 
 The combine is ``dp.sumset`` at scale 2 (the in-level fold runs it at
 scale 1), which picks its own path.  On value ties a point keeps the
@@ -36,6 +35,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from operator import gt
 from typing import Sequence
 
 from .core import (
@@ -54,7 +54,7 @@ from .core import (
     verify_solution,
 )
 from .dp import PointTable, base_tables_for_level, fold_tables, sumset
-from .plan import IterationPlan, build_plan, level_window, small_window
+from .plan import IterationPlan, build_plan
 from .reduction import ReducedInstance, reduce_instance
 
 logger = logging.getLogger(__name__)
@@ -76,7 +76,6 @@ class SolveTrace:
 
     reduced: ReducedInstance
     plan: IterationPlan | None = None
-    windows: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=list)
     levels: list[LevelSet] = field(default_factory=list)
 
 
@@ -168,16 +167,15 @@ def solve_with_trace(
     plan = build_plan(work, mode)
     trace.plan = plan
     depth = plan.levels
-    radius = plan.radius
     cells_total = 0
 
-    for level in range(1, depth + 1):
-        window = level_window(work.b_up, radius, depth, level)
-        lo, hi = window
-        small_lo, small_hi = small_window(
-            window, trace.windows[-1] if trace.windows else None, radius
-        )
-        trace.windows.append(window)
+    for level, (lo, hi, small_lo, small_hi) in enumerate(plan.windows, 1):
+        if any(map(gt, lo, hi)) or any(map(gt, small_lo, small_hi)):
+            logger.debug(
+                "level %d/%d: empty window %s..%s, small %s..%s",
+                level, depth, lo, hi, small_lo, small_hi,
+            )
+            return finish_infeasible(level, cells_total), trace
         base = base_tables_for_level(work, plan, level, mode, hi=small_hi)
         base_cells = sum(len(b) for b in base)
         cells_total += base_cells
@@ -191,8 +189,10 @@ def solve_with_trace(
         else:
             cells = _combine_levels(trace.levels[-1], small, lo, hi)
         logger.debug(
-            "level %d/%d: %d base cells, %d small points, %d retained",
+            "level %d/%d: %d base cells, %d small points, %d retained; "
+            "window %s..%s, small %s..%s",
             level, depth, base_cells, len(small), len(cells),
+            lo, hi, small_lo, small_hi,
         )
         if not cells:
             return finish_infeasible(level, cells_total), trace

@@ -22,7 +22,7 @@ exact.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Hashable, Iterable, Optional, Sequence
 
@@ -43,6 +43,9 @@ class Graph:
     vertices: tuple[Vertex, ...]
     edges: frozenset[tuple[Vertex, Vertex]]
 
+    _adjacency: dict[Vertex, tuple[Vertex, ...]] = field(
+        init=False, repr=False, compare=False)
+
     @classmethod
     def build(cls, vertices: Iterable[Vertex],
               edges: Iterable[Sequence[Vertex]]) -> "Graph":
@@ -59,8 +62,19 @@ class Graph:
             norm.add((u, v) if u <= v else (v, u))
         return cls(vertices=verts, edges=frozenset(norm))
 
+    def __post_init__(self) -> None:
+        # Built once, with the graph; kept as tuples, since a set of more
+        # than four members is a separate heap block, and holding one per
+        # vertex raised the peak RSS of the imbalance benchmark.
+        adjacent: dict[Vertex, set[Vertex]] = {}
+        for a, b in self.edges:
+            adjacent.setdefault(a, set()).add(b)
+            adjacent.setdefault(b, set()).add(a)
+        object.__setattr__(self, "_adjacency", {
+            v: tuple(ws) for v, ws in adjacent.items()})
+
     def neighbours(self, v: Vertex) -> set[Vertex]:
-        return {b if a == v else a for a, b in self.edges if v in (a, b)}
+        return set(self._adjacency.get(v, ()))
 
 
 def _cover_branch(edges: list[tuple[Vertex, Vertex]], budget: int,

@@ -13,9 +13,26 @@ halved and pushed down a level:
 ``K`` is the level size.  The paper's choice is the support bound
 ``support_bound(r, delta, mode)``: some optimal brick vector is supported
 on at most that many coordinates per level.  ``D = n*K*delta`` is the
-box radius: no level adds more than ``D`` on a shared axis, so it is the
-per-axis slack a partial shared-row vector may have around
-``b_up / 2^(I-i)`` and still extend to a full solution.
+paper's box radius: no level adds more than ``D`` on a shared axis.
+
+Windows.  Level ``j`` places ``placed_k(j)`` units in brick ``k``, so on
+shared axis ``a`` it adds at least ``Rmin_j[a] = sum_k placed_k(j) *
+min(row a of brick k)`` and at most ``Rmax_j[a]``, the same with ``max``.
+The level-``i`` prefix ``N(i) = sum_{j<=i} 2^(i-j) q_j`` of a solution
+(``q_j`` the vector level ``j`` adds) then satisfies, per axis, with
+``e = I - i``:
+
+    lo_i = max(sum_{j<=i} 2^(i-j) Rmin_j,
+               ceil((b_up - sum_{j>i} 2^(I-j) Rmax_j) / 2^e))
+    hi_i = min(sum_{j<=i} 2^(i-j) Rmax_j,
+               floor((b_up - sum_{j>i} 2^(I-j) Rmin_j) / 2^e))
+
+the first term by what the levels below can add, the second because
+``b_up = 2^e N(i) + sum_{j>i} 2^(I-j) q_j``.  Level ``i``'s own vector
+``q_i = N(i) - 2 N(i-1)`` lies in ``[max(Rmin_i, lo_i - 2 hi_(i-1)),
+min(Rmax_i, hi_i - 2 lo_(i-1))]`` (``[lo_1, hi_1]`` at level 1), the
+level's small window.  These are exact reach bounds, never wider than the
+``+-D`` box, and an empty one means no solution exists.
 
 Why a smaller K is also exact.  The solver needs every brick vector
 ``x_k`` (with ``|x_k| = b_k``) to split along the plan as
@@ -30,7 +47,8 @@ them, ``K >= t_k`` whenever ``b_k > K``, and when ``z = 1`` their count
 has the parity of ``K - 1``, so it is not ``K``.  So the level takes one
 unit from each odd coordinate and the rest in pairs, which leaves an
 even vector whose half is the next target down.  The windows only use
-``D``, which bounds each level for any K.  Hence any
+that level ``i`` places ``placed_k(i)`` nonnegative units per brick,
+which holds for this split at any K.  Hence any
 
     K >= floor = max(1, max_k min(t_k, b_low_k))
 
@@ -106,7 +124,7 @@ def box_radius(n: int, support: int, delta: int) -> int:
 
 
 def _ceil_div(a: int, b: int) -> int:
-    """Exact ceiling division for nonnegative numerator."""
+    """Exact ceiling division for a positive divisor."""
     return -(-a // b)
 
 
@@ -207,7 +225,9 @@ class IterationPlan:
     ``k`` across the global ``levels`` count; bricks that need fewer
     levels are anchored at the top (their whole target is placed at the
     highest levels, zeros below), which is what the uniform top-down rule
-    produces on its own.
+    produces on its own.  ``windows[i - 1]`` is ``(lo, hi, small_lo,
+    small_hi)`` of level ``i``: the bounds of its retained prefixes and
+    of its small set (see the module doc).
     """
 
     mode: str
@@ -217,40 +237,44 @@ class IterationPlan:
     levels: int
     block_levels: tuple[int, ...]
     schedules: tuple[LevelSchedule, ...]
+    windows: tuple[tuple[tuple[int, ...], ...], ...]
 
     def placed_at(self, level: int) -> tuple[int, ...]:
         """Units every brick must place at ``level`` (1-based)."""
         return tuple(sched.placed[level - 1] for sched in self.schedules)
 
 
-def level_window(
-    b_up: Sequence[int], radius: int, levels: int, level: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-axis retention window for level ``level`` (1-based)."""
-    e = levels - level
-    scale = 1 << e
-    lo = tuple(
-        max(0, _ceil_div(v - radius * (scale - 1), scale)) for v in b_up
-    )
-    hi = tuple(v // scale for v in b_up)
-    return lo, hi
-
-
-def small_window(
-    window: tuple[tuple[int, ...], tuple[int, ...]],
-    below: tuple[tuple[int, ...], tuple[int, ...]] | None,
-    radius: int,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Window of a level's small set ``q``, given the window of the level
-    below (``None`` at level 1): ``2*p + q`` must land in ``window`` for
-    some ``p`` in ``below``, and no level adds more than ``radius``."""
-    lo, hi = window
-    if below is None:
-        return lo, tuple(min(radius, h) for h in hi)
-    below_lo, below_hi = below
-    return (
-        tuple(max(0, l - 2 * bh) for l, bh in zip(lo, below_hi)),
-        tuple(min(radius, h - 2 * bl) for h, bl in zip(hi, below_lo)),
+def reach_windows(
+    inst: NFoldInstance, schedules: Sequence[LevelSchedule], levels: int
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """``(lo, hi, small_lo, small_hi)`` per level, bottom first: the exact
+    reach windows of the module doc, computed one axis at a time."""
+    axes = []
+    for a, target in enumerate(inst.b_up):
+        rmin = [sum(s.placed[j] * min(block[a])
+                    for s, block in zip(schedules, inst.blocks))
+                for j in range(levels)]
+        rmax = [sum(s.placed[j] * max(block[a])
+                    for s, block in zip(schedules, inst.blocks))
+                for j in range(levels)]
+        lo, hi = [], []
+        below_lo = below_hi = 0
+        for i in range(levels):
+            e = levels - 1 - i
+            below_lo = 2 * below_lo + rmin[i]
+            below_hi = 2 * below_hi + rmax[i]
+            above_lo = sum(rmin[j] << (levels - 1 - j) for j in range(i + 1, levels))
+            above_hi = sum(rmax[j] << (levels - 1 - j) for j in range(i + 1, levels))
+            lo.append(max(below_lo, _ceil_div(target - above_hi, 1 << e)))
+            hi.append(min(below_hi, (target - above_lo) >> e))
+        small_lo = lo[:1] + [max(rmin[i], lo[i] - 2 * hi[i - 1])
+                             for i in range(1, levels)]
+        small_hi = hi[:1] + [min(rmax[i], hi[i] - 2 * lo[i - 1])
+                             for i in range(1, levels)]
+        axes.append((lo, hi, small_lo, small_hi))
+    return tuple(
+        tuple(tuple(axis[f][i] for axis in axes) for f in range(4))
+        for i in range(levels)
     )
 
 
@@ -301,6 +325,7 @@ def build_plan(
         levels=levels,
         block_levels=block_levels,
         schedules=schedules,
+        windows=reach_windows(inst, schedules, levels),
     )
 
 
@@ -317,4 +342,8 @@ def plan_to_json(plan: IterationPlan) -> dict:
         "placed": [list(s.placed) for s in plan.schedules],
         "carried": [list(s.carried) for s in plan.schedules],
         "parity": [list(s.parity) for s in plan.schedules],
+        "windows": [
+            dict(zip(("lo", "hi", "small_lo", "small_hi"), map(list, w)))
+            for w in plan.windows
+        ],
     }

@@ -90,6 +90,9 @@ def test_plan_of_signed_instance_is_the_plan_solve_runs(tmp_path, capsys):
     _, trace = solve_with_trace(NFoldInstance(**doc))
     assert printed == plan_to_json(trace.plan)
     assert (printed["support_bound"], printed["box_radius"]) == (20, 8)
+    assert len(printed["windows"]) == printed["levels"]
+    top = list(trace.reduced.instance.b_up)
+    assert printed["windows"][-1]["lo"] == printed["windows"][-1]["hi"] == top
 
 
 # ---------------------------------------------------------------------------

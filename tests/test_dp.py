@@ -373,7 +373,7 @@ def test_fold_order_and_cells_are_pinned(caplog, monkeypatch):
         (f"{wide_order} 97 cells", "75565dee325977a2"),
         (f"{wide_order} 145 cells", "097ce144c9db55cc"),
         (f"{wide_order} 145 cells", "097ce144c9db55cc"),
-        (f"{wide_order} 96 cells", "481a02cc299f4840"),
+        (f"{wide_order} 95 cells", "bfd9b04f4face0d1"),
     ]
 
 

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from operator import le
 from pathlib import Path
 
 import pytest
@@ -25,16 +26,20 @@ from nfold.core import (
     STATUS_OPTIMAL,
     verify_solution,
 )
-from nfold import driver, plan
-from nfold.driver import level_window, solve, solve_with_trace
+from nfold import dp, driver, plan
+from nfold.driver import solve, solve_with_trace
+from nfold.closest_string import solve_closest
+from nfold.imbalance import solve_imbalance
 from nfold.oracle import oracle_solve
 from nfold.plan import support_floor
 from nfold.reduction import reduce_instance
+from nfold.scheduling import SchedulingInstance, solve_cmax, solve_cmin
 
 import helpers
 from helpers import random_core_instance
 from test_acceptance import (FEASIBILITY_TRIALS, OPTIMIZE_TRIALS,
                              SEED_FEASIBILITY, SEED_OPTIMIZE)
+from test_dp import design_graph
 
 
 def two_brick(c=None) -> NFoldInstance:
@@ -137,16 +142,31 @@ def test_mode_argument_is_checked():
         solve(two_brick(c=(0, -1, 0, 0)), mode="optimize")
 
 
+def deep_line_plan():
+    """The four-level plan of ``b_low = 100`` at K = 12 on the brick (1 0).
+
+    Levels 1-4 place 2, 12, 12, 12 units, so level j adds between 0 and
+    that many on the one shared axis.
+    """
+    inst = NFoldInstance(
+        n=1, r=1, t=(2,), blocks=(((1, 0),),), b_up=(40,), b_low=(100,)
+    )
+    return plan.build_plan(inst, "feasibility", support=12)
+
+
 def test_level_window_collapses_at_the_top():
-    lo, hi = level_window((40,), 12, 4, 4)
+    lo, hi, _, _ = deep_line_plan().windows[-1]
     assert lo == hi == (40,)
 
 
 def test_level_window_bottom_is_interval():
-    lo, hi = level_window((40,), 12, 4, 1)
-    # e = 3: lo = ceil((40 - 12*7)/8) clamped to 0, hi = 40 // 8
-    assert lo == (0,)
-    assert hi == (5,)
+    built = deep_line_plan()
+    assert built.schedules[0].placed == (2, 12, 12, 12)
+    lo, hi, small_lo, small_hi = built.windows[0]
+    # e = 3: lo = max(0, ceil((40 - (4+2+1)*12) / 8)) = 0 and
+    # hi = min(2, 40 // 8) = 2, where the D-box gave [0, 5]
+    assert (lo, hi) == ((0,), (2,))
+    assert (small_lo, small_hi) == (lo, hi)
 
 
 def test_trace_points_stay_inside_their_windows():
@@ -161,11 +181,36 @@ def test_trace_points_stay_inside_their_windows():
     out, trace = solve_with_trace(inst)
     want = oracle_solve(inst)
     assert out.status == want.status
-    assert len(trace.windows) >= len(trace.levels)
+    assert len(trace.plan.windows) >= len(trace.levels)
     for level_set in trace.levels:
-        lo, hi = trace.windows[level_set.level - 1]
+        lo, hi, small_lo, small_hi = trace.plan.windows[level_set.level - 1]
         for pt in level_set.cells:
-            assert all(l <= v <= h for v, l, h in zip(pt, lo, hi))
+            assert inside(pt, lo, hi)
+        for pt in level_set.small.cells:
+            assert inside(pt, small_lo, small_hi)
+
+
+def inside(point, lo, hi) -> bool:
+    return all(l <= v <= h for v, l, h in zip(point, lo, hi))
+
+
+@pytest.mark.parametrize("b_up", [(99,), (201,)])
+def test_target_out_of_reach_ends_before_any_base_table(monkeypatch, b_up):
+    """The levels of ``b_low = 100`` at K = 12 add between 100 and 200 on
+    the brick (1 2) (placed 2, 12, 12, 12, weights 8, 4, 2, 1); a target
+    outside ``[100, 200]`` leaves level 1 an empty window."""
+    pin_support(monkeypatch, 12)
+
+    def no_base_table(*args, **kwargs):
+        raise AssertionError("block_base_table called")
+
+    monkeypatch.setattr(dp, "block_base_table", no_base_table)
+    inst = NFoldInstance(
+        n=1, r=1, t=(2,), blocks=(((1, 2),),), b_up=b_up, b_low=(100,)
+    )
+    out = solve(inst)
+    assert out.status == STATUS_INFEASIBLE
+    assert out.stats["iterations"] == 1 and out.stats["dp_cells"] == 0
 
 
 def test_solver_is_deterministic():
@@ -192,7 +237,8 @@ def test_debug_log_reports_cells_per_level(caplog, monkeypatch):
     with caplog.at_level(logging.DEBUG, logger="nfold.driver"):
         out = solve(inst)
     line = re.compile(
-        r"level \d+/4: (\d+) base cells, (\d+) small points, (\d+) retained"
+        r"level \d+/4: (\d+) base cells, (\d+) small points, (\d+) retained;"
+        r" window \(\d+,\)\.\.\(\d+,\), small \(\d+,\)\.\.\(\d+,\)"
     )
     counts = [
         [int(v) for v in line.fullmatch(rec.getMessage()).groups()]
@@ -341,3 +387,90 @@ def test_any_valid_level_size_agrees_with_brute_force(case):
     if got.solution is not None:
         assert verify_solution(inst, got.solution.x, got.solution.objective)
         assert got.solution.objective == want.solution.objective
+
+
+def d_box_windows(b_up, radius, levels):
+    """The ``+-D`` box windows that the reach windows replaced, per level
+    ``(lo, hi, small_lo, small_hi)``: the reference they must stay in."""
+    out = []
+    for level in range(1, levels + 1):
+        scale = 1 << (levels - level)
+        lo = tuple(max(0, -(-(v - radius * (scale - 1)) // scale)) for v in b_up)
+        hi = tuple(v // scale for v in b_up)
+        if out:
+            below_lo, below_hi = out[-1][:2]
+            small_lo = tuple(max(0, l - 2 * bh) for l, bh in zip(lo, below_hi))
+            small_hi = tuple(min(radius, h - 2 * bl) for h, bl in zip(hi, below_lo))
+        else:
+            small_lo, small_hi = lo, tuple(min(radius, h) for h in hi)
+        out.append((lo, hi, small_lo, small_hi))
+    return out
+
+
+@pytest.mark.parametrize("seed, trials, mode, kwargs", [
+    (SEED_FEASIBILITY, FEASIBILITY_TRIALS, "feasibility", {}),
+    (SEED_OPTIMIZE, OPTIMIZE_TRIALS, "optimize",
+     {"with_costs": True, "plant": True}),
+])
+def test_reach_windows_hold_the_witness_inside_the_d_box_at_the_floor(
+        monkeypatch, seed, trials, mode, kwargs):
+    """Criteria 3 and 4 streams at K = floor, every solve with L >= 3.
+
+    The returned solution's witness chain (each level's prefix and small
+    point) lies in the plan's windows, and every window lies in the old
+    ``+-D`` box: per axis its bounds are at least as tight.
+    """
+    pin_floor(monkeypatch)
+    rng = random.Random(seed)
+    deep = witnessed = 0
+    for _ in range(trials):
+        inst = random_core_instance(rng, **kwargs)
+        out, trace = solve_with_trace(inst, mode)
+        built = trace.plan
+        if built is None or built.levels < 3:
+            continue
+        deep += 1
+        b_up = trace.reduced.instance.b_up
+        box = d_box_windows(b_up, built.radius, built.levels)
+        for window, old in zip(built.windows, box):
+            lo, hi, small_lo, small_hi = window
+            old_lo, old_hi, old_small_lo, old_small_hi = old
+            assert all(map(le, old_lo, lo)) and all(map(le, hi, old_hi))
+            assert all(map(le, old_small_lo, small_lo))
+            assert all(map(le, small_hi, old_small_hi))
+        if out.solution is None:
+            continue
+        witnessed += 1
+        target = b_up
+        for level_set in reversed(trace.levels):
+            lo, hi, small_lo, small_hi = built.windows[level_set.level - 1]
+            _, parent, small_pt = level_set.cells[target]
+            assert inside(target, lo, hi) and inside(small_pt, small_lo, small_hi)
+            target = parent
+    assert deep >= trials // 5 and witnessed >= deep // 3
+
+
+def test_one_level_programs_keep_the_single_point_window(monkeypatch):
+    """Scheduling, closest-string and imbalance programs of the benchmark's
+    shapes plan one level, where the window is exactly ``b_up``, as the
+    ``+-D`` box made it too."""
+    plans = []
+
+    def recording(inst, mode):
+        built = plan.build_plan(inst, mode)
+        plans.append((built, inst.b_up))
+        return built
+
+    monkeypatch.setattr(driver, "build_plan", recording)
+    jobs = SchedulingInstance.build(p=(3, 5, 7), n=(10, 8, 6), s=(1, 2, 3),
+                                    m=(2, 2, 1))
+    solve_cmax(jobs)
+    solve_cmin(jobs)
+    rng = random.Random(5)
+    solve_closest(["".join(rng.choice("abc") for _ in range(8))
+                   for _ in range(5)])
+    solve_imbalance(design_graph(random.Random(1)))
+    assert len(plans) >= 12  # the imbalance graph alone solves 12 orders
+    for built, b_up in plans:
+        assert built.levels == 1
+        assert built.windows == ((b_up,) * 4,)
