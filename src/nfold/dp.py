@@ -36,9 +36,12 @@ map is the same in every order; only tie witnesses and dict order follow
 it.
 
 Tables carry witnesses: a base cell remembers its column-count chain, a
-combined cell remembers the pair of points it was summed from, so any
-surviving point can be decoded back into per-brick count vectors, listed
-in brick order whatever order the fold took.
+pair cell remembers the points ``p`` and ``q`` it was summed from, and its
+table the ``scale`` of the sum.  The fold's pair tables (scale 1) and the
+solver's level tables (scale 2) thus form one witness graph from the
+bricks to the top level, and ``PointTable.decode`` expands any point of
+it, in one walk, into per-brick count vectors, listed in brick order
+whatever order the fold took.
 
 In optimize mode each cell also carries the best objective value seen
 for that point; feasibility mode is the same machinery with all-zero
@@ -53,10 +56,10 @@ import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import add, attrgetter, gt, le, lshift, mul, sub
+from operator import add, gt, le, lshift, mul, sub
 from typing import Sequence
 
-from .core import MODE_FEASIBILITY, MODE_OPTIMIZE, NFoldInstance
+from .core import MODE_FEASIBILITY, MODE_OPTIMIZE, InternalError, NFoldInstance
 from .plan import IterationPlan
 
 logger = logging.getLogger(__name__)
@@ -80,14 +83,17 @@ class PointTable:
     """Reachable point set with witnesses and per-cell values.
 
     ``cells`` maps an r-tuple point to ``(value, payload)``.  A table with
-    ``parents`` is a pair: its payload is ``(left_point, right_point)``
-    referring to the two parent tables.  Any other table is a base table
-    over ``columns`` columns: its payload is the ``(prefix, column, take)``
-    witness chain of ``block_base_table``, or None for no copies, and
-    ``decode`` expands it into the dense count vector.
+    ``parents`` is a pair table at ``scale`` (1 for the in-level fold, 2
+    for the cross-level combine): its payload is ``(p, q)``, points of the
+    left and right parent with ``scale*p + q`` equal to the cell's point.
+    Any other table is a base table over ``columns`` columns: its payload
+    is the ``(prefix, column, take)`` witness chain of
+    ``block_base_table``, or None for no copies.  Tables and their parents
+    form one witness graph, from the bricks up to a solve's top level, and
+    ``decode`` expands a point of it into count vectors.
     """
 
-    __slots__ = ("r", "cells", "block", "columns", "parents", "_reach")
+    __slots__ = ("r", "cells", "block", "columns", "parents", "scale", "_reach")
 
     def __init__(
         self,
@@ -96,11 +102,13 @@ class PointTable:
         block: int | None = None,
         columns: int = 0,
         parents: tuple["PointTable", "PointTable"] | None = None,
+        scale: int = 1,
     ) -> None:
         self.r = r
         self.block = block
         self.columns = columns
         self.parents = parents
+        self.scale = scale
         self.cells: dict[tuple[int, ...], tuple] = {}
         self._reach: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
@@ -122,36 +130,46 @@ class PointTable:
 
     def filtered(self, lo: tuple[int, ...], hi: tuple[int, ...]) -> "PointTable":
         """Copy containing only the points inside [lo, hi] per axis."""
-        out = PointTable(
-            self.r, block=self.block, columns=self.columns, parents=self.parents
-        )
+        out = PointTable(self.r, block=self.block, columns=self.columns,
+                         parents=self.parents, scale=self.scale)
         for pt, cell in self.cells.items():
             if all(l <= v <= h for v, l, h in zip(pt, lo, hi)):
                 out.cells[pt] = cell
         return out
 
     def decode(self, pt: tuple[int, ...]) -> list[BlockWitness]:
-        """Expand a point into per-brick column counts, sorted by brick."""
-        if pt not in self.cells:
-            raise KeyError(f"point {pt} not in table")
-        out: list[BlockWitness] = []
-        stack: list[tuple[PointTable, tuple[int, ...]]] = [(self, pt)]
+        """Expand a point into per-brick column counts, sorted by brick.
+
+        One walk of the witness graph down to the base tables, carrying a
+        weight that starts at 1: the left parent of a scale-``s`` pair
+        gets ``weight*s`` and the right parent ``weight``, and a base
+        table adds ``weight*take`` into its brick's counts.  Every pair
+        must satisfy ``scale*p + q == point``; a missing point or a failed
+        check raises ``InternalError``: a corrupt witness is a bug, never
+        an input problem.
+        """
+        counts: dict[int, list[int]] = {}
+        stack: list[tuple[PointTable, tuple[int, ...], int]] = [(self, pt, 1)]
         while stack:
-            table, point = stack.pop()
-            cell = table.cells[point]
+            table, point, weight = stack.pop()
+            cell = table.cells.get(point)
+            if cell is None:
+                raise InternalError(f"corrupt witness: {point} missing")
             if table.parents is None:
-                counts = [0] * table.columns
+                acc = counts.setdefault(table.block, [0] * table.columns)
                 node = cell[1]
                 while node is not None:
                     node, j, take = node
-                    counts[j] = take
-                out.append(BlockWitness(block=table.block, counts=tuple(counts)))
-            else:
-                left, right = table.parents
-                stack.append((right, cell[2]))
-                stack.append((left, cell[1]))
-        out.sort(key=attrgetter("block"))
-        return out
+                    acc[j] += weight * take
+                continue
+            _, p, q = cell
+            scale = table.scale
+            if any(scale * x + y != v for x, y, v in zip(p, q, point)):
+                raise InternalError(f"corrupt witness: {scale}*{p} + {q} != {point}")
+            left, right = table.parents
+            stack.append((right, q, weight))
+            stack.append((left, p, weight * scale))
+        return [BlockWitness(block=k, counts=tuple(counts[k])) for k in sorted(counts)]
 
 
 def block_base_table(
@@ -699,8 +717,8 @@ def base_tables_for_level(
     Each table is capped per axis at ``hi`` when given: a brick's point
     never exceeds the fold window it lands in, since the other bricks only
     add.  ``block_base_table`` itself caps at the brick's own reach.
-    Cells hold witness chains; ``PointTable.decode`` expands the one
-    point reconstruction asks for.
+    Cells hold witness chains; ``PointTable.decode`` expands those on the
+    path of the solver's top point.
     """
     placed = plan.placed_at(level)
     costs = _block_costs(inst, mode)

@@ -23,12 +23,18 @@ The combine is ``dp.sumset`` at scale 2 (the in-level fold runs it at
 scale 1), which picks its own path.  On value ties a point keeps the
 first witness in sorted ``(p, q)`` order, whichever path runs.
 
-Witnesses are pairs (parent point, small point) per level; decoding
-walks them down and recombines ``x = sum_i 2^(levels-i) * x~(i)``.
-Objective values double along the same recursion (values are additive
-and ``c`` is required to be nonnegative, so doubled prefixes stay
-optimal substructures).  The decoded solution is re-verified; a
-failure raises ``InternalError``, also under ``python -O``.
+Every level set is a ``dp.PointTable``: level 1 is the folded small
+table itself, and level ``i`` is a scale-2 pair table whose parents are
+level ``i-1`` and the small table of level ``i``.  With the fold's own
+pair tables below them, the levels form one witness graph from the
+bricks to the top, and ``reconstruct`` is one ``PointTable.decode`` of
+``b_up``: the left parent of a scale-2 pair counts twice, which yields
+``x = sum_i 2^(levels-i) * x~(i)``, and every pair is checked against
+its point on the way down.  Objective values double along the same
+recursion (values are additive and ``c`` is required to be nonnegative,
+so doubled prefixes stay optimal substructures).  The decoded solution
+is re-verified; a failure raises ``InternalError``, also under
+``python -O``.
 """
 
 from __future__ import annotations
@@ -61,70 +67,42 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass
-class LevelSet:
-    """Retained points of one level with back-pointers for decoding."""
-
-    level: int
-    # point -> (value, parent point or None, small point)
-    cells: dict[tuple[int, ...], tuple]
-    small: PointTable
-
-
-@dataclass
 class SolveTrace:
-    """Everything the solver saw, for invariant checks in tests."""
+    """Everything the solver saw, for invariant checks in tests.
+
+    ``levels[i - 1]`` is the level-``i`` table: the small table itself at
+    level 1, a scale-2 pair table above it; the top one is the root of
+    the witness graph that ``reconstruct`` decodes.
+    """
 
     reduced: ReducedInstance
-    plan: IterationPlan | None = None
-    levels: list[LevelSet] = field(default_factory=list)
+    plan: IterationPlan
+    levels: list[PointTable] = field(default_factory=list)
 
 
 def _combine_levels(
-    prev: LevelSet,
+    prev: PointTable,
     small: PointTable,
     lo: tuple[int, ...],
     hi: tuple[int, ...],
-) -> dict[tuple[int, ...], tuple]:
+) -> PointTable:
     """Every ``2*p + q`` in ``[lo, hi]``: ``dp.sumset`` at scale 2.
 
     Values are ``2*value(p) + value(q)``; ties keep the first witness in
     sorted ``(p, q)`` order.  ``dp.sumset`` picks the path.
     """
-    return sumset(prev.cells, small.cells, 2, lo, hi)
+    out = PointTable(prev.r, parents=(prev, small), scale=2)
+    out.cells = sumset(prev.cells, small.cells, 2, lo, hi)
+    return out
 
 
-def reconstruct(levels: Sequence[LevelSet], b_up: Sequence[int]) -> list[tuple[int, ...]]:
-    """Decode the witness chain ending at ``b_up`` into brick vectors.
+def reconstruct(top: PointTable, b_up: Sequence[int]) -> list[tuple[int, ...]]:
+    """Decode ``b_up`` in the top level table: one counts tuple per brick.
 
-    Returns one counts tuple per brick: ``x_k = sum_i 2^(I-i) * x~k(i)``.
-    Checks the doubling identity at every step; a violation raises
-    ``InternalError``: a corrupt witness is a bug, never an input problem.
+    ``PointTable.decode`` walks the witness graph once and checks every
+    pair; a corrupt witness raises ``InternalError``.
     """
-    if not levels:
-        raise ValueError("reconstruct needs at least one level")
-    depth = len(levels)
-    target = tuple(b_up)
-    per_block: dict[int, list[int]] = {}
-
-    for level_set in reversed(levels):
-        cell = level_set.cells.get(target)
-        if cell is None:
-            raise InternalError(
-                f"corrupt witness: {target} missing at level {level_set.level}"
-            )
-        _, parent_pt, small_pt = cell
-        if level_set.level > 1 and (
-            parent_pt is None
-            or any(2 * p + q != v for p, q, v in zip(parent_pt, small_pt, target))
-        ):
-            raise InternalError("corrupt witness: doubling identity violated")
-        weight = 1 << (depth - level_set.level)
-        for w in level_set.small.decode(small_pt):
-            acc = per_block.setdefault(w.block, [0] * len(w.counts))
-            for j, cnt in enumerate(w.counts):
-                acc[j] += weight * cnt
-        target = parent_pt
-    return [tuple(per_block[k]) for k in sorted(per_block)]
+    return [w.counts for w in top.decode(tuple(b_up))]
 
 
 def solve_with_trace(
@@ -146,7 +124,9 @@ def solve_with_trace(
     watch = Stopwatch()
     reduced = reduce_instance(inst)
     work = reduced.instance
-    trace = SolveTrace(reduced=reduced)
+    plan = build_plan(work, mode)
+    trace = SolveTrace(reduced=reduced, plan=plan)
+    depth = plan.levels
 
     def finish_infeasible(iterations: int, cells: int) -> SolveOutcome:
         return SolveOutcome(
@@ -155,18 +135,10 @@ def solve_with_trace(
                 "iterations": iterations,
                 "dp_cells": cells,
                 "wall_time_s": watch.seconds(),
-                "support": trace.plan.support if trace.plan else None,
+                "support": plan.support,
             },
         )
 
-    # A shifted instance has nonnegative matrices; negative shared-row
-    # targets are then unreachable outright.
-    if any(v < 0 for v in work.b_up):
-        return finish_infeasible(0, 0), trace
-
-    plan = build_plan(work, mode)
-    trace.plan = plan
-    depth = plan.levels
     cells_total = 0
 
     for level, (lo, hi, small_lo, small_hi) in enumerate(plan.windows, 1):
@@ -182,25 +154,23 @@ def solve_with_trace(
         small = fold_tables(base, small_lo, small_hi)
         cells_total += len(small)
 
-        if level == 1:
-            cells = {
-                pt: (small.cells[pt][0], None, pt) for pt in small.points()
-            }
-        else:
-            cells = _combine_levels(trace.levels[-1], small, lo, hi)
+        table = small
+        if level > 1:
+            table = _combine_levels(trace.levels[-1], small, lo, hi)
         logger.debug(
             "level %d/%d: %d base cells, %d small points, %d retained; "
             "window %s..%s, small %s..%s",
-            level, depth, base_cells, len(small), len(cells),
+            level, depth, base_cells, len(small), len(table),
             lo, hi, small_lo, small_hi,
         )
-        if not cells:
+        if not table:
             return finish_infeasible(level, cells_total), trace
-        cells_total += len(cells)
-        trace.levels.append(LevelSet(level=level, cells=cells, small=small))
+        cells_total += len(table)
+        trace.levels.append(table)
 
-    bricks = reconstruct(trace.levels, work.b_up)
-    value = trace.levels[-1].cells[work.b_up][0]
+    top = trace.levels[-1]
+    bricks = reconstruct(top, work.b_up)
+    value = top.value(work.b_up)
     x = tuple(v for brick in bricks for v in brick)
     stats = {
         "iterations": depth,
@@ -243,8 +213,7 @@ def solve(inst: NFoldInstance, mode: str = MODE_FEASIBILITY) -> SolveOutcome:
     -------
     SolveOutcome
         Status plus a verified solution; stats carry the level count,
-        total DP cells, wall time, and the level size K the plan used
-        (``None`` when no plan was built).
+        total DP cells, wall time, and the level size K the plan used.
     """
     outcome, _ = solve_with_trace(inst, mode)
     return outcome

@@ -196,26 +196,23 @@ def test_criterion_05_level_sets_boxed_and_complete():
             for _ in range(trials):
                 inst = helpers.random_core_instance(rng, **kwargs)
                 _, trace = solve_with_trace(inst, mode=mode)
-                if trace.plan is None:
-                    continue  # negative shifted target: no levels built
                 work = trace.reduced.instance
                 plan = trace.plan
-                for level_set in trace.levels:
-                    scale = 2 ** (plan.levels - level_set.level)
-                    for point in level_set.cells:
+                for level, table in enumerate(trace.levels, 1):
+                    scale = 2 ** (plan.levels - level)
+                    for point in table.cells:
                         assert all(
                             abs(bv - scale * v) <= plan.radius * scale
                             for bv, v in zip(work.b_up, point)), (
-                            f"point {point} escapes the level-{level_set.level}"
+                            f"point {point} escapes the level-{level}"
                             f" box on {inst}")
                         cells += 1
                     got = set(small_subproblem_set(
-                        work, plan, level_set.level, mode).points())
+                        work, plan, level, mode).points())
                     want = oracle_point_set(
-                        work.blocks, plan.placed_at(level_set.level),
-                        plan.radius)
+                        work.blocks, plan.placed_at(level), plan.radius)
                     assert got == want, (
-                        f"level {level_set.level} point set mismatch on {inst}")
+                        f"level {level} point set mismatch on {inst}")
                     level_sets += 1
         info["detail"] = f"{cells} cells boxed, {level_sets} level sets equal"
 

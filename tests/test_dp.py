@@ -25,7 +25,7 @@ from nfold.dp import (
     fold_tables,
     small_subproblem_set,
 )
-from nfold.driver import LevelSet, _combine_levels, solve
+from nfold.driver import _combine_levels, solve
 from nfold.imbalance import Graph, build_ordering_ilp, solve_imbalance
 from nfold.oracle import oracle_point_set
 from nfold.plan import build_plan
@@ -505,8 +505,6 @@ def test_sumset_kernel_matches_double_loop_in_both_callers():
         a.cells = a_cells
         b = PointTable(r)
         b.cells = b_cells
-        prev_cells = {p: (v[0], None, p) for p, v in a_cells.items()}
-        prev = LevelSet(level=2, cells=prev_cells, small=b)
 
         want = reference_sumset(
             a_cells, b_cells, 1, (-10 * span,) * r, (10 * span,) * r
@@ -525,7 +523,7 @@ def test_sumset_kernel_matches_double_loop_in_both_callers():
                 if scale == 1:
                     got = convolve(a, b, lo=lo, hi=hi).cells
                 else:
-                    got = _combine_levels(prev, b, lo, hi)
+                    got = _combine_levels(a, b, lo, hi).cells
                 assert list(got.items()) == list(want.items()), (trial, scale, lo, hi)
     assert min(windows.values()) > 50, windows
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import nfold
 
 from nfold.core import (
+    InternalError,
     NFoldInstance,
     STATUS_FEASIBLE,
     STATUS_INFEASIBLE,
@@ -128,9 +129,12 @@ def test_negative_target_after_shift_is_infeasible():
     inst = NFoldInstance(
         n=1, r=1, t=(2,), blocks=(((1, 2),),), b_up=(-1,), b_low=(2,)
     )
-    out = solve(inst)
+    out, trace = solve_with_trace(inst)
     assert out.status == STATUS_INFEASIBLE
-    assert out.stats["iterations"] == 0
+    # The level-1 window is empty, so no base table is built.
+    assert out.stats["iterations"] == 1
+    assert out.stats["dp_cells"] == 0
+    assert out.stats["support"] == trace.plan.support
 
 
 def test_mode_argument_is_checked():
@@ -182,11 +186,12 @@ def test_trace_points_stay_inside_their_windows():
     want = oracle_solve(inst)
     assert out.status == want.status
     assert len(trace.plan.windows) >= len(trace.levels)
-    for level_set in trace.levels:
-        lo, hi, small_lo, small_hi = trace.plan.windows[level_set.level - 1]
-        for pt in level_set.cells:
+    for level, table in enumerate(trace.levels, 1):
+        lo, hi, small_lo, small_hi = trace.plan.windows[level - 1]
+        for pt in table.cells:
             assert inside(pt, lo, hi)
-        for pt in level_set.small.cells:
+        small = table if level == 1 else table.parents[1]
+        for pt in small.cells:
             assert inside(pt, small_lo, small_hi)
 
 
@@ -315,6 +320,43 @@ def test_witness_check_survives_python_optimize_flag():
     ]
 
 
+def corrupt_pair(table, point) -> None:
+    """Swap one parent point of ``point``'s pair for another point of the
+    same parent, so the pair no longer sums to ``point``."""
+    value, p, q = table.cells[point]
+    left, right = table.parents
+    other_q = [pt for pt in right.cells if pt != q]
+    if other_q:
+        table.cells[point] = (value, p, other_q[0])
+    else:
+        table.cells[point] = (value, next(pt for pt in left.cells if pt != p), q)
+
+
+def test_corrupt_pair_raises_in_decode():
+    """``decode`` checks ``scale*p + q == point`` at every pair: in an
+    in-level fold table (scale 1) and in a level table (scale 2)."""
+    inst = NFoldInstance(
+        n=2, r=1, t=(2, 2), blocks=(((1, 2),), ((0, 1),)), b_up=(50,),
+        b_low=(30, 30),
+    )
+    out, trace = solve_with_trace(inst)
+    assert out.status == STATUS_FEASIBLE and len(trace.levels) >= 2
+    fold, top = trace.levels[0], trace.levels[-1]
+    assert fold.parents and (fold.scale, top.scale) == (1, 2)
+    b_up = trace.reduced.instance.b_up
+
+    point = fold.points()[0]
+    corrupt_pair(fold, point)
+    with pytest.raises(InternalError, match=r"corrupt witness: 1\*"):
+        fold.decode(point)
+
+    corrupt_pair(top, b_up)
+    with pytest.raises(InternalError, match=r"corrupt witness: 2\*"):
+        driver.reconstruct(top, b_up)
+    with pytest.raises(InternalError, match="missing"):
+        driver.reconstruct(top, tuple(v + 1 for v in b_up))
+
+
 # ---------------------------------------------------------------------------
 # deep plans: the acceptance streams again, at the smallest valid K
 
@@ -382,8 +424,7 @@ def test_any_valid_level_size_agrees_with_brute_force(case):
     want = oracle_solve(inst, mode=mode)
     assert got.status == want.status
     if support is not None:
-        # None when a negative shifted target ends the solve before a plan
-        assert got.stats["support"] in (support, None)
+        assert got.stats["support"] == support
     if got.solution is not None:
         assert verify_solution(inst, got.solution.x, got.solution.objective)
         assert got.solution.objective == want.solution.objective
@@ -427,7 +468,7 @@ def test_reach_windows_hold_the_witness_inside_the_d_box_at_the_floor(
         inst = random_core_instance(rng, **kwargs)
         out, trace = solve_with_trace(inst, mode)
         built = trace.plan
-        if built is None or built.levels < 3:
+        if built.levels < 3:
             continue
         deep += 1
         b_up = trace.reduced.instance.b_up
@@ -442,9 +483,11 @@ def test_reach_windows_hold_the_witness_inside_the_d_box_at_the_floor(
             continue
         witnessed += 1
         target = b_up
-        for level_set in reversed(trace.levels):
-            lo, hi, small_lo, small_hi = built.windows[level_set.level - 1]
-            _, parent, small_pt = level_set.cells[target]
+        for level, table in reversed(list(enumerate(trace.levels, 1))):
+            lo, hi, small_lo, small_hi = built.windows[level - 1]
+            # Level 1 is the small table itself; above it, (value, p, q).
+            parent, small_pt = (
+                (None, target) if level == 1 else table.cells[target][1:])
             assert inside(target, lo, hi) and inside(small_pt, small_lo, small_hi)
             target = parent
     assert deep >= trials // 5 and witnessed >= deep // 3
