@@ -377,6 +377,103 @@ def test_fold_order_and_cells_are_pinned(caplog, monkeypatch):
     ]
 
 
+@st.composite
+def zero_fold_cases(draw):
+    """3 to 8 zero-valued brick tables and a window around a reachable sum.
+
+    Half of the windows are the one point itself; the others reach up to
+    3 past it on each side of each axis.
+    """
+    r = draw(st.integers(1, 3))
+    tables = []
+    for k in range(draw(st.integers(3, 8))):
+        t = draw(st.integers(1, 3))
+        block = tuple(
+            tuple(draw(st.integers(0, 2)) for _ in range(t)) for _ in range(r)
+        )
+        tables.append(block_base_table(block, draw(st.integers(0, 3)), block_index=k))
+    picks = [draw(st.sampled_from(sorted(t.cells))) for t in tables]
+    center = tuple(map(sum, zip(*picks)))
+    if draw(st.booleans()):
+        return tables, center, center
+    lo = tuple(c - draw(st.integers(0, 3)) for c in center)
+    hi = tuple(c + draw(st.integers(0, 3)) for c in center)
+    return tables, lo, hi
+
+
+def fold_steps(folded: PointTable, tables) -> list[tuple[int, PointTable]]:
+    """``(position in tables, partial after the step)`` for each step of a
+    fold, read off its witness graph (the first partial is a filtered copy
+    of its table)."""
+    steps = []
+    while folded.parents is not None:
+        left, brick = folded.parents
+        steps.append((next(k for k, t in enumerate(tables) if t is brick), folded))
+        folded = left
+    steps.append((folded.block, folded))
+    return steps[::-1]
+
+
+def convolve_chain(tables, order, lo, hi) -> list[PointTable]:
+    """The partials of ``convolve`` over the tables in ``order``, under the
+    fold's windows; an empty partial ends the chain."""
+    rest_lo = [sum(axis) for axis in zip(*(t.reach()[0] for t in tables))]
+    rest_hi = [sum(axis) for axis in zip(*(t.reach()[1] for t in tables))]
+    partials = []
+    for k in order:
+        t_lo, t_hi = tables[k].reach()
+        rest_lo = [v - x for v, x in zip(rest_lo, t_lo)]
+        rest_hi = [v - x for v, x in zip(rest_hi, t_hi)]
+        w_lo = tuple(max(0, l - v) for l, v in zip(lo, rest_hi))
+        w_hi = tuple(h - v for h, v in zip(hi, rest_lo))
+        if not partials:
+            partials.append(tables[k].filtered(w_lo, w_hi))
+        else:
+            partials.append(convolve(partials[-1], tables[k], lo=w_lo, hi=w_hi))
+        if not partials[-1]:
+            break
+    return partials
+
+
+@pytest.mark.parametrize("cap", [dp._FOLD_FRAME_BITS, 0], ids=["bitset", "fallback"])
+@settings(max_examples=150, deadline=None)
+@given(case=zero_fold_cases())
+def test_zero_valued_fold_matches_the_convolve_chain(cap, case):
+    """Bitset partials or not, a zero-valued fold has the chain's partials,
+    keeps the chain's cells in the chain's order, and decodes every point
+    to the same counts."""
+    tables, lo, hi = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dp, "_FOLD_FRAME_BITS", cap)
+        folded = fold_tables(tables, lo, hi)
+    steps = fold_steps(folded, tables)
+    chain = convolve_chain(tables, [k for k, _ in steps], lo, hi)
+    assert [p.points() for _, p in steps] == [p.points() for p in chain]
+    assert list(folded.cells.items()) == list(chain[-1].cells.items())
+    for pt in folded.cells:
+        assert folded.decode(pt) == chain[-1].decode(pt)
+    # Every step but the first and the last keeps a bitset partial.
+    in_bits = sum(p.bits is not None for _, p in steps)
+    assert in_bits == (min(len(chain), len(tables) - 1) - 1 if cap else 0)
+
+
+def test_optimize_mode_folds_never_take_the_bitset_path(monkeypatch):
+    """Tables with values keep cells: the twelve cover-order programs of
+    one imbalance graph fold without a bitset partial."""
+    steps_in_bits = []
+    monkeypatch.setattr(dp, "_fold_bits", lambda *args: steps_in_bits.append(args))
+    convolved = []
+    real = dp.convolve
+
+    def counted(*args, **kwargs):
+        convolved.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dp, "convolve", counted)
+    assert solve_imbalance(design_graph(random.Random(1))).value == 16
+    assert steps_in_bits == [] and len(convolved) > 12
+
+
 def small_instance() -> NFoldInstance:
     return NFoldInstance(
         n=2,

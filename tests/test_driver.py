@@ -10,7 +10,7 @@ import re
 import subprocess
 import sys
 import textwrap
-from operator import le
+from operator import le, mul
 from pathlib import Path
 
 import pytest
@@ -286,6 +286,19 @@ def test_thousand_brick_fold_decodes_without_recursion():
     assert verify_solution(inst, out.solution.x)
 
 
+def run_optimized(script: str) -> list[str]:
+    """Stdout lines of ``script`` run under ``python -O`` against this nfold."""
+    src = str(Path(nfold.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
 def test_witness_check_survives_python_optimize_flag():
     script = textwrap.dedent(
         """
@@ -305,15 +318,7 @@ def test_witness_check_survives_python_optimize_flag():
                 print(mode, out.status)
         """
     )
-    src = str(Path(nfold.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [
+    assert run_optimized(script) == [
         "debug False",
         "feasibility internal error: corrupt witness: bad solution",
         "optimize internal error: corrupt witness: bad solution",
@@ -332,18 +337,37 @@ def corrupt_pair(table, point) -> None:
         table.cells[point] = (value, next(pt for pt in left.cells if pt != p), q)
 
 
+def four_brick() -> NFoldInstance:
+    """Four bricks, so the level-1 fold keeps two bitset partials."""
+    return NFoldInstance(
+        n=4, r=1, t=(2, 2, 2, 2), blocks=(((1, 2),), ((0, 1),)) * 2,
+        b_up=(100,), b_low=(30, 30, 30, 30),
+    )
+
+
 def test_corrupt_pair_raises_in_decode():
     """``decode`` checks ``scale*p + q == point`` at every pair: in an
-    in-level fold table (scale 1) and in a level table (scale 2)."""
-    inst = NFoldInstance(
-        n=2, r=1, t=(2, 2), blocks=(((1, 2),), ((0, 1),)), b_up=(50,),
-        b_low=(30, 30),
-    )
-    out, trace = solve_with_trace(inst)
+    in-level fold table (scale 1) and in a level table (scale 2); and a
+    bitset partial must hold the point and a pair for it."""
+    out, trace = solve_with_trace(four_brick())
     assert out.status == STATUS_FEASIBLE and len(trace.levels) >= 2
     fold, top = trace.levels[0], trace.levels[-1]
     assert fold.parents and (fold.scale, top.scale) == (1, 2)
+    partial = fold.parents[0]
+    assert partial.bits is not None and partial.parents[0].bits is not None
     b_up = trace.reduced.instance.b_up
+
+    point = fold.points()[-1]
+    p = fold.cells[point][1]
+    bit = 1 << sum(map(mul, p, partial.strides))
+    partial.bits ^= bit
+    with pytest.raises(InternalError, match=rf"corrupt witness: \({p[0]},\) missing"):
+        fold.decode(point)
+    partial.bits ^= bit
+    assert fold.decode(point)
+    partial.parents[0].bits = 0
+    with pytest.raises(InternalError, match=rf"corrupt witness: no pair for \({p[0]},\)"):
+        fold.decode(point)
 
     point = fold.points()[0]
     corrupt_pair(fold, point)
@@ -355,6 +379,45 @@ def test_corrupt_pair_raises_in_decode():
         driver.reconstruct(top, b_up)
     with pytest.raises(InternalError, match="missing"):
         driver.reconstruct(top, tuple(v + 1 for v in b_up))
+
+
+def test_bitset_partial_checks_survive_python_optimize_flag():
+    script = textwrap.dedent(
+        f"""
+        from operator import mul
+        from nfold.core import InternalError, NFoldInstance
+        from nfold.driver import solve_with_trace
+
+        fold = solve_with_trace({four_brick()!r})[1].levels[0]
+        partial = fold.parents[0]
+        point = fold.points()[-1]
+        bit = 1 << sum(map(mul, fold.cells[point][1], partial.strides))
+
+        def attempt(label):
+            try:
+                fold.decode(point)
+            except InternalError as exc:
+                print(label, "internal error:", exc)
+            else:
+                print(label, "decoded")
+
+        print("debug", __debug__)
+        partial.bits ^= bit
+        attempt("cleared bit")
+        partial.bits ^= bit
+        partial.parents[0].bits = 0
+        attempt("no pair")
+        """
+    )
+    lines = run_optimized(script)
+    assert len(lines) == 3, lines
+    assert lines[0] == "debug False"
+    assert re.fullmatch(
+        r"cleared bit internal error: corrupt witness: \(\d+,\) missing", lines[1]
+    )
+    assert re.fullmatch(
+        r"no pair internal error: corrupt witness: no pair for \(\d+,\)", lines[2]
+    )
 
 
 # ---------------------------------------------------------------------------
