@@ -12,7 +12,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import nfold.dp as dp
 import nfold.driver
@@ -278,14 +278,17 @@ def test_fold_pins_shared_rows_before_the_partial_grows(caplog, monkeypatch):
     inst, _, ceiling, mass = build_ordering_ilp(graph, (0, 1, 2, 3))
 
     sizes = []
-    real = dp.convolve
 
-    def counting(*args, **kwargs):
-        out = real(*args, **kwargs)
-        sizes.append(len(out))
-        return out
+    def counting(real):
+        def step(*args, **kwargs):
+            out = real(*args, **kwargs)
+            sizes.append(len(out))
+            return out
+        return step
 
-    monkeypatch.setattr(dp, "convolve", counting)
+    # Every fold step but the first: packed partials, then the last convolve.
+    monkeypatch.setattr(dp, "convolve", counting(dp.convolve))
+    monkeypatch.setattr(dp, "_fold_packed", counting(dp._fold_packed))
     with caplog.at_level(logging.DEBUG, logger="nfold.dp"):
         out = solve(inst, mode="optimize")
     assert ceiling * mass - out.solution.objective == 16
@@ -457,21 +460,86 @@ def test_zero_valued_fold_matches_the_convolve_chain(cap, case):
     assert in_bits == (min(len(chain), len(tables) - 1) - 1 if cap else 0)
 
 
+@st.composite
+def valued_fold_cases(draw):
+    """3 to 9 brick tables with costs in 0..3 (ties are common), at least
+    one nonzero value, and a window around a reachable sum.
+
+    A third of the windows are the one point itself; the others reach up
+    to 3 past it on each side of each axis, so they cut the partials.
+    """
+    r = draw(st.integers(1, 4))
+    tables = []
+    for k in range(draw(st.integers(3, 9))):
+        t = draw(st.integers(1, 3))
+        block = tuple(
+            tuple(draw(st.integers(0, 2)) for _ in range(t)) for _ in range(r)
+        )
+        costs = tuple(draw(st.integers(0, 3)) for _ in range(t))
+        tables.append(block_base_table(
+            block, draw(st.integers(0, 3)), block_index=k, costs=costs
+        ))
+    assume(any(cell[0] for t in tables for cell in t.cells.values()))
+    picks = [draw(st.sampled_from(sorted(t.cells))) for t in tables]
+    center = tuple(map(sum, zip(*picks)))
+    if draw(st.integers(0, 2)) == 0:
+        return tables, center, center
+    lo = tuple(c - draw(st.integers(0, 3)) for c in center)
+    hi = tuple(c + draw(st.integers(0, 3)) for c in center)
+    return tables, lo, hi
+
+
+def convolve_step(left, brick, frame, lo, hi):
+    """A ``_fold_packed`` stand-in that keeps cells: the packed path off."""
+    return convolve(left, brick, lo=lo, hi=hi)
+
+
+@pytest.mark.parametrize("packed", [True, False], ids=["packed", "convolve"])
+@settings(max_examples=150, deadline=None)
+@given(case=valued_fold_cases())
+def test_valued_fold_matches_the_convolve_chain(packed, case):
+    """Packed partials or not, a valued fold has the chain's partials with
+    their values, keeps the chain's cells in the chain's order, and
+    decodes every point to the same counts."""
+    tables, lo, hi = case
+    with pytest.MonkeyPatch.context() as patch:
+        if not packed:
+            patch.setattr(dp, "_fold_packed", convolve_step)
+        folded = fold_tables(tables, lo, hi)
+    steps = fold_steps(folded, tables)
+    chain = convolve_chain(tables, [k for k, _ in steps], lo, hi)
+    assert [[(pt, p.value(pt)) for pt in p.points()] for _, p in steps] == [
+        [(pt, p.value(pt)) for pt in p.points()] for p in chain
+    ]
+    for _, p in steps:
+        assert all(pt in p for pt in p.points())
+        assert (-1,) * len(lo) not in p and tuple(h + 1 for h in hi) not in p
+    assert list(folded.cells.items()) == list(chain[-1].cells.items())
+    for pt in folded.cells:
+        assert folded.decode(pt) == chain[-1].decode(pt)
+    # Every step but the first and the last keeps a packed partial.
+    in_codes = sum(p.codes is not None for _, p in steps)
+    assert in_codes == (min(len(chain), len(tables) - 1) - 1 if packed else 0)
+
+
 def test_optimize_mode_folds_never_take_the_bitset_path(monkeypatch):
-    """Tables with values keep cells: the twelve cover-order programs of
-    one imbalance graph fold without a bitset partial."""
+    """Tables with values never become bitsets: the twelve cover-order
+    programs of one imbalance graph fold without a bitset partial, their
+    steps going through packed partials and ``convolve``."""
     steps_in_bits = []
     monkeypatch.setattr(dp, "_fold_bits", lambda *args: steps_in_bits.append(args))
-    convolved = []
-    real = dp.convolve
+    steps = []
 
-    def counted(*args, **kwargs):
-        convolved.append(args)
-        return real(*args, **kwargs)
+    def counted(real):
+        def step(*args, **kwargs):
+            steps.append(args)
+            return real(*args, **kwargs)
+        return step
 
-    monkeypatch.setattr(dp, "convolve", counted)
+    monkeypatch.setattr(dp, "convolve", counted(dp.convolve))
+    monkeypatch.setattr(dp, "_fold_packed", counted(dp._fold_packed))
     assert solve_imbalance(design_graph(random.Random(1))).value == 16
-    assert steps_in_bits == [] and len(convolved) > 12
+    assert steps_in_bits == [] and len(steps) > 12
 
 
 def small_instance() -> NFoldInstance:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import logging
 import os
@@ -418,6 +419,74 @@ def test_bitset_partial_checks_survive_python_optimize_flag():
     assert re.fullmatch(
         r"no pair internal error: corrupt witness: no pair for \(\d+,\)", lines[2]
     )
+
+
+def four_valued_bricks() -> NFoldInstance:
+    """``four_brick`` with costs: its level-1 fold keeps two packed partials."""
+    return dataclasses.replace(four_brick(), c=(0, 1, 1, 0) * 2)
+
+
+CORRUPT_PACKED = """
+from nfold.core import InternalError
+from nfold.driver import solve_with_trace
+
+
+def corrupt_packed_attempts(inst):
+    \"\"\"Decode the level-1 fold's last point after raising, then after
+    dropping, the value of its pair's point in the last packed partial.\"\"\"
+    fold = solve_with_trace(inst, "optimize")[1].levels[0]
+    partial = fold.parents[0]
+    assert partial.codes is not None and partial.parents[0].codes is not None
+    point = fold.points()[-1]
+    code = partial._code(fold.cells[point][1])
+    lines = []
+    for label in ("raised value", "dropped code"):
+        value = partial.codes[code]
+        if label == "raised value":
+            partial.codes[code] += 1
+        else:
+            del partial.codes[code]
+        try:
+            fold.decode(point)
+        except InternalError as exc:
+            lines.append(f"{label} internal error: {exc}")
+        else:
+            lines.append(f"{label} decoded")
+        partial.codes[code] = value
+    fold.decode(point)
+    return lines
+"""
+
+
+def check_corrupt_packed_lines(lines: list[str]) -> None:
+    assert len(lines) == 2, lines
+    assert re.fullmatch(
+        r"raised value internal error: corrupt witness: no pair for \(\d+,\)", lines[0]
+    )
+    assert re.fullmatch(
+        r"dropped code internal error: corrupt witness: \(\d+,\) missing", lines[1]
+    )
+
+
+def test_corrupt_packed_partial_raises_in_decode():
+    """A packed partial's value must come from a pair of its parents, and
+    the point must be stored: either corruption raises ``InternalError``."""
+    scope: dict = {}
+    exec(CORRUPT_PACKED, scope)
+    check_corrupt_packed_lines(scope["corrupt_packed_attempts"](four_valued_bricks()))
+
+
+def test_packed_partial_checks_survive_python_optimize_flag():
+    script = CORRUPT_PACKED + textwrap.dedent(
+        f"""
+        from nfold.core import NFoldInstance
+        print("debug", __debug__)
+        print(*corrupt_packed_attempts({four_valued_bricks()!r}), sep="\\n")
+        """
+    )
+    lines = run_optimized(script)
+    assert lines[0] == "debug False"
+    check_corrupt_packed_lines(lines[1:])
 
 
 # ---------------------------------------------------------------------------
