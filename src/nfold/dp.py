@@ -16,38 +16,42 @@ reverse-lexicographically largest count vector, stored as a shared
 only, and count vectors only by ``PointTable.decode``.
 
 ``sumset`` is the one windowed Minkowski-sum kernel, ``scale*p + q`` in
-``[lo, hi]``, run at scale 1 by the in-level ``convolve`` and at scale 2
-by the cross-level ``driver._combine_levels``; its docstring says which
-of its two paths runs.  Its index path, which serves every table with
-values, also runs on packed codes: a field per axis under a guard bit,
-so ``code(scale*p + q)`` is one add and the window test on every middle
-axis is two subtractions and an AND.  ``fold_tables`` sums the brick
-tables one at a time, keeping only points that can still land inside the
-target window given the summed reach of the bricks not yet folded; that
-window depends on which bricks remain, not on the order.  The order is
-greedy, as in bucket elimination: each step takes the brick with the
-smallest bound on its output plus its probe work, computed from table
-sizes and reaches alone, ties going to the lowest brick position.
-Bricks that pin a shared row thus go before bricks that spread over
-several, and partial sums stay small.  Because the Minkowski sum and
-max-plus are associative and commutative, and every partial sum of a
-surviving decomposition stays inside its window, the point -> value map
-is the same in every order; only tie witnesses and dict order follow it.
-A fold of at least 3 tables keeps each intermediate partial in one
-fold-wide frame: zero-valued tables (feasibility mode) as one big-int
-bitset whose steps are a few shift-ORs and one AND, when the frame fits
-a cap; tables with values (optimize mode) as one dict from packed code
-to value, whose steps run the index path's probe on codes.  Every other
-step is a ``convolve``, and the last one always is.
+``[lo, hi]``, run at scale 2 by the cross-level ``driver._combine_levels``
+and at scale 1 by ``convolve``, which the in-level fold calls only above
+its bitset cap; its docstring says which of its two paths runs.  Its
+index path, which serves every table with values, also runs on packed
+codes: a field per axis under a guard bit, so ``code(scale*p + q)`` is
+one add and the window test on every middle axis is two subtractions and
+an AND.  ``fold_tables`` sums the brick tables one at a time, keeping
+only points that can still land inside the target window given the
+summed reach of the bricks not yet folded; that window depends on which
+bricks remain, not on the order.  The order is greedy, as in bucket
+elimination: each step takes the brick with the smallest bound on its
+output plus its probe work, computed from table sizes and reaches alone,
+ties going to the lowest brick position.  Bricks that pin a shared row
+thus go before bricks that spread over several, and partial sums stay
+small.  Because the Minkowski sum and max-plus are associative and
+commutative, and every partial sum of a surviving decomposition stays
+inside its window, the point -> value map is the same in every order;
+only tie witnesses follow it.  A fold runs one of two paths.  In a
+frame, which every valued fold and every zero-valued fold under a cap
+takes, the partial starts as the origin and stays one fold-wide code per
+point: zero-valued tables (feasibility mode) as one big-int bitset whose
+steps are a few shift-ORs and one AND, tables with values (optimize
+mode) as one dict from packed code to value, whose steps run the index
+path's probe on codes.  A zero-valued fold whose frame exceeds the cap
+takes the cell chain instead: a filtered first table, then one
+``convolve`` per step.
 
 Tables carry witnesses: a base cell remembers its column-count chain, a
-pair cell remembers the points ``p`` and ``q`` it was summed from, and its
-table the ``scale`` of the sum.  A fold partial in a frame stores no
-pairs; ``decode`` recovers the one a cell would keep.  The fold's pair
-tables (scale 1) and the solver's level tables (scale 2) thus form one
-witness graph from the bricks to the top level, and ``PointTable.decode``
-expands any point of it, in one walk, into per-brick count vectors,
-listed in brick order whatever order the fold took.
+``sumset`` cell (of ``convolve`` or the combine) remembers the points
+``p`` and ``q`` it was summed from, and its table the ``scale`` of the
+sum.  A fold table in a frame stores no pairs; ``decode`` recovers the
+one a ``convolve`` cell would keep.  The fold's pair tables (scale 1)
+and the solver's level tables (scale 2) thus form one witness graph from
+the bricks to the top level, and ``PointTable.decode`` expands any point
+of it, in one walk, into per-brick count vectors, listed in brick order
+whatever order the fold took.
 
 In optimize mode each cell also carries the best objective value seen
 for that point; feasibility mode is the same machinery with all-zero
@@ -63,7 +67,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import add, gt, le, lshift, lt, mul, sub
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import MODE_FEASIBILITY, MODE_OPTIMIZE, InternalError, NFoldInstance
 from .plan import IterationPlan
@@ -89,22 +93,26 @@ class PointTable:
     """Reachable point set with witnesses and per-cell values.
 
     ``cells`` maps an r-tuple point to ``(value, payload)``.  A table with
-    ``parents`` is a pair table at ``scale`` (1 for the in-level fold, 2
-    for the cross-level combine): its payload is ``(p, q)``, points of the
+    ``parents`` is a pair table at ``scale`` (1 for ``convolve``, 2 for
+    the cross-level combine): its payload is ``(p, q)``, points of the
     left and right parent with ``scale*p + q`` equal to the cell's point.
-    Any other table is a base table over ``columns`` columns: its payload
-    is the ``(prefix, column, take)`` witness chain of
-    ``block_base_table``, or None for no copies.  Tables and their parents
-    form one witness graph, from the bricks up to a solve's top level, and
-    ``decode`` expands a point of it into count vectors.
+    A table with neither ``parents`` nor a frame is a base table over
+    ``columns`` columns: its payload is the ``(prefix, column, take)``
+    witness chain of ``block_base_table``, or None for no copies.  Tables
+    and their parents form one witness graph, from the bricks up to a
+    solve's top level, and ``decode`` expands a point of it into count
+    vectors.
 
-    An intermediate partial of a fold (see ``fold_tables``) has no cells:
-    it is a scale-1 pair table whose points are coded in the fold's frame,
-    one ``int`` per point with digit ``j`` in ``[0, radix_j)`` times
-    ``strides[j]`` (axis 0 most significant, so codes sort like points).
-    A zero-valued fold keeps the codes as the set bits of ``bits`` (every
-    value 0); a valued fold keeps ``codes``, a dict from code to value.
-    ``decode`` recovers their pairs on demand.
+    A table of a fold in a frame (see ``fold_tables``) has ``strides``
+    and codes its points in the fold's frame, one ``int`` per point with
+    digit ``j`` in ``[0, radix_j)`` times ``strides[j]`` (axis 0 most
+    significant, so codes sort like points).  A zero-valued fold keeps the
+    codes as the set bits of ``bits`` (every value 0); a valued fold keeps
+    ``codes``, a dict from code to value.  The fold starts at the origin,
+    a frame table without parents; every later one is a scale-1 pair
+    table that stores no pairs, and ``decode`` recovers them on demand.
+    Only the fold's result also lists its points in ``cells``, sorted,
+    each as ``(value,)``.
     """
 
     __slots__ = (
@@ -154,7 +162,7 @@ class PointTable:
         return tuple(pt)
 
     def _value_at(self, code: int) -> int | None:
-        """A frame partial's value at ``code``; None when no point has it."""
+        """A frame table's value at ``code``; None when no point has it."""
         if self.codes is not None:
             return self.codes.get(code)
         return 0 if code >= 0 and self.bits >> code & 1 else None
@@ -170,29 +178,23 @@ class PointTable:
             return pt in self.cells
         return self._value_at(self._code(pt)) is not None
 
-    def _pair(self, point: tuple[int, ...]) -> tuple[tuple, tuple]:
-        """A frame partial's ``(p, q)`` for ``point``: see ``decode``."""
-        code = self._code(point)
-        target = self._value_at(code)
-        if target is None:
-            raise InternalError(f"corrupt witness: {point} missing")
+    def _pair(self, point: tuple[int, ...], code: int, target: int) -> tuple:
+        """A frame table's ``(p, q, code(p), value(p))`` for ``point``,
+        coded ``code`` and valued ``target``: see ``decode``."""
         left, right = self.parents
-        # Descending q gives ascending p = point - q.
-        bricks = sorted(right.cells, reverse=True)
-        if not left.strides:  # the fold's first partial, a filtered table
-            for q in bricks:
-                p = tuple(map(sub, point, q))
-                cell = left.cells.get(p)
-                if cell is not None and cell[0] + right.cells[q][0] == target:
-                    return p, q
-        else:
-            strides = self.strides
-            value_at = left._value_at if left.codes is None else left.codes.get
-            for q in bricks:
-                value = value_at(code - sum(map(mul, q, strides)))
-                if value is not None and value + right.cells[q][0] == target:
-                    return tuple(map(sub, point, q)), q
+        value_at, brick = left._value_at, right.cells
+        for p_code, q in _partners(right, self.strides, code):
+            value = value_at(p_code)
+            if value is not None and value + brick[q][0] == target:
+                return tuple(map(sub, point, q)), q, p_code, value
         raise InternalError(f"corrupt witness: no pair for {point}")
+
+    def _list_cells(self) -> None:
+        """Fill a frame table's ``cells``: its points, sorted, as ``(value,)``."""
+        if self.codes is None:
+            self.cells = dict.fromkeys(self.points(), (0,))
+        else:
+            self.cells = {self._point(c): (self.codes[c],) for c in sorted(self.codes)}
 
     def value(self, pt: tuple[int, ...]) -> int:
         if not self.strides:
@@ -225,28 +227,35 @@ class PointTable:
         check raises ``InternalError``: a corrupt witness is a bug, never
         an input problem.
 
-        A fold partial in a frame (a bitset or a code -> value dict)
-        stores no pairs.  Its pair for ``point`` is the smallest ``p`` of
-        the left parent with ``q = point - p`` in the right one, the
-        brick, and ``value(p) + value(q) == value(point)``: the first
-        maximiser in sorted ``(p, q)`` order, which is the pair a cell of
-        the ``convolve`` chain keeps, so every fold path decodes to the
-        same counts.  The search takes the brick's ``q`` in descending
-        order; against a partial each candidate is one code subtraction
-        and one lookup.  That lookup is exact: a partial point, ``point``
-        and ``q`` differ by less than the radix on every axis, so
-        ``code(point) - code(q) == code(p)`` only for ``p == point - q``.
-        A point with no such pair raises ``InternalError`` too.
+        A frame table (a bitset or a code -> value dict) stores no pairs.
+        Its pair for ``point`` is the smallest ``p`` of the left parent with
+        ``q = point - p`` in the right one, the brick, and ``value(p) +
+        value(q) == value(point)``: the first maximiser in sorted ``(p,
+        q)`` order, which is the pair a ``convolve`` cell keeps, so a fold
+        in a frame decodes to the counts of the ``convolve`` chain.  The
+        search takes the brick's ``q`` in descending order, each one code
+        subtraction and one lookup (``_partners``).  That lookup is exact:
+        a partial point, ``point`` and ``q`` differ by less than the radix
+        on every axis, so ``code(point) - code(q) == code(p)`` only for
+        ``p == point - q``.  A point with no such pair raises
+        ``InternalError`` too; the fold's origin, which has no parents,
+        only has to hold its point.
         """
         counts: dict[int, list[int]] = {}
         stack: list[tuple[PointTable, tuple[int, ...], int]] = [(self, pt, 1)]
         while stack:
             table, point, weight = stack.pop()
             if table.strides:
-                p, q = table._pair(point)
-                left, right = table.parents
-                stack.append((right, q, weight))
-                stack.append((left, p, weight))
+                code = table._code(point)
+                target = table._value_at(code)
+                if target is None:
+                    raise InternalError(f"corrupt witness: {point} missing")
+                # Down the fold's frame tables to the origin; each pair
+                # found is in the left parent, at the code it was found.
+                while table.parents is not None:
+                    point, q, code, target = table._pair(point, code, target)
+                    table, right = table.parents
+                    stack.append((right, q, weight))
                 continue
             cell = table.cells.get(point)
             if cell is None:
@@ -595,10 +604,7 @@ def _sumset_bits(a_pts, a_reach, b_pts, b_reach, scale, lo, hi):
         free ^= hit << shift
         for code in _set_bits(hit):
             q = by_code[code]
-            if scale == 1:
-                out[tuple(map(add, p, q))] = (0, p, q)
-            else:
-                out[tuple(scale * x + y for x, y in zip(p, q))] = (0, p, q)
+            out[tuple(scale * x + y for x, y in zip(p, q))] = (0, p, q)
         if not free:
             break
     return out
@@ -652,10 +658,6 @@ def _probe_index(a_cells, b_cells, a_pts, a_reach, b_pts, b_reach, scale, lo, hi
     values: dict[int, int] = {}
     pairs: dict[int, tuple] = {}
     _index_sum(a_items, b_items, shifts, w_lo, w_hi, values, pairs)
-    if scale == 1:
-        return {
-            tuple(map(add, p, q)): (values[key], p, q) for key, (p, q) in pairs.items()
-        }
     return {
         tuple(scale * x + y for x, y in zip(p, q)): (values[key], p, q)
         for key, (p, q) in pairs.items()
@@ -739,141 +741,134 @@ def convolve(
     lo: tuple[int, ...] | None = None,
     hi: tuple[int, ...] | None = None,
 ) -> PointTable:
-    """Minkowski sum ``a + b`` inside ``[lo, hi]``: ``sumset`` at scale 1.
+    """Minkowski sum ``a + b`` of two cell tables inside ``[lo, hi]``:
+    ``sumset`` at scale 1.
 
     Values add; ties keep the first witness in sorted (left, right) order.
     ``sumset`` picks the path.  A missing window side defaults to
-    ``reach(a) + reach(b)``.  A fold partial ``a`` in a frame (see
-    ``PointTable``) enters as its points and values, except that a valued
-    one meets a one-point window in code space: each ``q`` of ``b`` looks
-    up ``code(lo) - code(q)``, which is exact as in ``decode``, and the
-    largest value, then the smallest ``p``, wins as in ``sumset``.
+    ``reach(a) + reach(b)``.
     """
     if lo is None or hi is None:
         (a_lo, a_hi), (b_lo, b_hi) = a.reach(), b.reach()
         lo = lo if lo is not None else tuple(map(add, a_lo, b_lo))
         hi = hi if hi is not None else tuple(map(add, a_hi, b_hi))
     out = PointTable(a.r, parents=(a, b))
-    if a.codes is not None and lo == hi:
-        strides, codes = a.strides, a.codes
-        target = sum(map(mul, lo, strides))
-        best = None
-        for q, cell in b.cells.items():
-            pc = target - sum(map(mul, q, strides))
-            value = codes.get(pc)
-            if value is not None:
-                value += cell[0]
-                if best is None or value > best[0] or value == best[0] and pc < best[1]:
-                    best = (value, pc, q)
-        if best is not None:
-            out.cells = {lo: (best[0], a._point(best[1]), best[2])}
-        return out
-    if a.bits is not None:
-        a_cells = dict.fromkeys(a.points(), (0,))
-    elif a.codes is not None:
-        a_cells = {a._point(code): (value,) for code, value in a.codes.items()}
-    else:
-        a_cells = a.cells
-    out.cells = sumset(a_cells, b.cells, 1, lo, hi)
+    out.cells = sumset(a.cells, b.cells, 1, lo, hi)
     return out
 
 
-# Largest frame, in bits, in which ``fold_tables`` keeps zero-valued
-# partials as bitsets; see ``fold_tables``.
+# Largest frame, in bits, in which ``fold_tables`` folds zero-valued
+# tables as bitsets; larger ones take the ``convolve`` chain.  See
+# ``fold_tables``.
 _FOLD_FRAME_BITS = 1 << 20
 
 
 def _fold_frame(tables, reaches, hi):
-    """``(step, (strides, radix))`` of a fold that keeps partials in a
-    frame, or None when the fold keeps cells.
+    """``(step, origin)`` of a fold in a frame, or None for a zero-valued
+    fold whose frame exceeds ``_FOLD_FRAME_BITS`` bits.
 
-    A partial point lies in ``[0, hi]`` and a brick point in ``[0,
-    reach_hi]``, so with ``top_j = hi_j + max_t reach_hi_j`` digit sums
-    never carry.  Axis 0 is most significant, so codes sort like points.
-    Valued tables take ``_fold_packed``: digit ``j`` has ``w_j`` bits
-    (``radix_j = 2**w_j > top_j``) under one zero guard bit.  Zero-valued
-    ones take ``_fold_bits``, in mixed radix ``radix_j = top_j + 1``, when
-    the frame has at most ``_FOLD_FRAME_BITS`` codes.
+    ``origin`` is the fold's first partial: the origin alone, coded in the
+    frame.  A partial point lies in ``[0, hi]`` and a brick point in ``[0,
+    reach_hi]``, so with ``top_j = max(hi_j, 0) + max_t reach_hi_j`` digit
+    sums never carry.  Axis 0 is most significant, so codes sort like
+    points.  Valued tables take ``_fold_packed``: digit ``j`` has ``w_j``
+    bits (``radix_j = 2**w_j > top_j``) under one zero guard bit.
+    Zero-valued ones take ``_fold_bits``, in mixed radix ``radix_j = top_j
+    + 1``.
     """
-    if len(tables) < 3 or min(hi) < 0 or any(min(t_lo) < 0 for t_lo, _ in reaches):
-        return None
     tops = map(max, zip(*(t_hi for _, t_hi in reaches)))
-    tops = [h + top for h, top in zip(hi, tops)]
+    tops = [max(h, 0) + top for h, top in zip(hi, tops)]
+    origin = PointTable(len(hi))
     if any(cell[0] for t in tables for cell in t.cells.values()):
-        step, radix = _fold_packed, [1 << top.bit_length() for top in tops]
-        fields = [2 * rd for rd in radix]  # each digit and its guard bit
+        step, origin.codes = _fold_packed, {0: 0}
+        origin.radix = tuple(1 << top.bit_length() for top in tops)
+        fields = [2 * rd for rd in origin.radix]  # each digit and its guard bit
     else:
-        step, radix = _fold_bits, [top + 1 for top in tops]
-        fields = radix
-        if math.prod(radix) > _FOLD_FRAME_BITS:
+        step, origin.bits = _fold_bits, 1
+        origin.radix = fields = tuple(top + 1 for top in tops)
+        if math.prod(fields) > _FOLD_FRAME_BITS:
             return None
-    strides = tuple(math.prod(fields[j + 1:]) for j in range(len(fields)))
-    return step, (strides, tuple(radix))
+    origin.strides = tuple(math.prod(fields[j + 1:]) for j in range(len(fields)))
+    return step, origin
+
+
+def _partners(brick: PointTable, strides, code: int) -> Iterator[tuple[int, tuple]]:
+    """``(code - code(q), q)`` for every point ``q`` of ``brick``, ``q``
+    descending: the code of the partial point that ``q`` carries to
+    ``code`` in a fold's frame (exact, see ``PointTable.decode``)."""
+    return (
+        (code - sum(map(mul, q, strides)), q) for q in sorted(brick.cells, reverse=True)
+    )
+
+
+def _fold_step(left: PointTable, brick: PointTable) -> PointTable:
+    """An empty partial ``left + brick`` in ``left``'s frame."""
+    out = PointTable(left.r, parents=(left, brick))
+    out.strides, out.radix = left.strides, left.radix
+    return out
 
 
 def _fold_bits(
-    left: PointTable,
-    brick: PointTable,
-    frame: tuple[tuple[int, ...], tuple[int, ...]],
-    lo: tuple[int, ...],
-    hi: tuple[int, ...],
+    left: PointTable, brick: PointTable, lo: tuple[int, ...], hi: tuple[int, ...]
 ) -> PointTable:
     """Zero-valued fold step ``left + brick`` in ``[lo, hi]``, as a bitset.
 
-    ``left`` is the previous bitset partial or the first, filtered table.
-    The smaller side gives the shifts: ``min(|left|, |brick|)`` shift-ORs
-    of the other side's bitset, then one AND with the window's mask.
+    A one-point window ANDs ``left`` with the bitset of the brick's
+    partner codes (``_partners``).  Otherwise the smaller side gives the
+    shifts: ``min(|left|, |brick|)`` shift-ORs of the other side's bitset,
+    then one AND with the window's mask.
     """
-    strides = frame[0]
-    out = PointTable(left.r, parents=(left, brick))
-    out.strides, out.radix = frame
+    strides = left.strides
+    out = _fold_step(left, brick)
+    if lo == hi:
+        code = sum(map(mul, lo, strides))
+        hits = _bitset([c for c, _ in _partners(brick, strides, code) if c >= 0])
+        out.bits = 1 << code if hits & left.bits else 0
+        return out
     out.bits = 0
     mask = _box_mask(strides, lo, hi)
     if not mask:
         return out
-
-    def codes(table: PointTable) -> list[int]:
-        if table.bits is not None:
-            return _set_bits(table.bits)
-        return [sum(map(mul, pt, strides)) for pt in table.cells]
-
-    small, large = (brick, left) if len(brick) <= len(left) else (left, brick)
-    base = large.bits if large.bits is not None else _bitset(codes(large))
+    brick_codes = [sum(map(mul, q, strides)) for q in brick.cells]
+    if len(brick_codes) <= len(left):
+        base, shifts = left.bits, brick_codes
+    else:
+        base, shifts = _bitset(brick_codes), _set_bits(left.bits)
     acc = 0
-    for shift in codes(small):
+    for shift in shifts:
         acc |= base << shift
     out.bits = acc & mask
     return out
 
 
 def _fold_packed(
-    left: PointTable,
-    brick: PointTable,
-    frame: tuple[tuple[int, ...], tuple[int, ...]],
-    lo: tuple[int, ...],
-    hi: tuple[int, ...],
+    left: PointTable, brick: PointTable, lo: tuple[int, ...], hi: tuple[int, ...]
 ) -> PointTable:
     """Valued fold step ``left + brick`` in ``[lo, hi]``, as code -> value.
 
-    ``left`` is the previous packed partial or the first, filtered table.
-    ``_index_sum`` runs on the fold's frame with each sum's code as its
-    key, so the partial is never clipped, decoded or turned into tuples.
+    A one-point window looks up the brick's partner codes (``_partners``)
+    in ``left`` and keeps the largest sum.  Otherwise ``_index_sum`` runs
+    on the fold's frame with each sum's code as its key, so the partial is
+    never clipped, decoded or turned into tuples.
     """
-    strides = frame[0]
-    out = PointTable(left.r, parents=(left, brick))
-    out.strides, out.radix = frame
+    strides, codes = left.strides, left.codes
+    out = _fold_step(left, brick)
     out.codes = {}
-    if any(map(gt, lo, hi)):
-        return out
-    a = left.codes.items() if left.codes is not None else (
-        (sum(map(mul, p, strides)), cell[0]) for p, cell in left.cells.items()
-    )
-    b = ((sum(map(mul, q, strides)), cell[0]) for q, cell in brick.cells.items())
-    _index_sum(
-        [(code, code, value, None) for code, value in a],
-        [(code, code, value, None) for code, value in b],
-        [stride.bit_length() - 1 for stride in strides], lo, hi, out.codes,
-    )
+    if lo == hi:
+        code = sum(map(mul, lo, strides))
+        sums = [
+            codes[c] + brick.cells[q][0]
+            for c, q in _partners(brick, strides, code) if c in codes
+        ]
+        if sums:
+            out.codes[code] = max(sums)
+    elif not any(map(gt, lo, hi)):
+        b = ((sum(map(mul, q, strides)), cell[0]) for q, cell in brick.cells.items())
+        _index_sum(
+            [(code, code, value, None) for code, value in codes.items()],
+            [(code, code, value, None) for code, value in b],
+            [stride.bit_length() - 1 for stride in strides], lo, hi, out.codes,
+        )
     return out
 
 
@@ -906,51 +901,39 @@ def fold_tables(
     The point -> value map does not depend on the order: the Minkowski
     sum and max-plus are associative and commutative, and every partial
     sum of a decomposition that ends in ``[lo, hi]`` lies inside its
-    window in any order.  Only tie witnesses and dict order follow the
-    order; ``PointTable.decode`` returns witnesses in brick order.
+    window in any order.  Only tie witnesses follow the order;
+    ``PointTable.decode`` returns witnesses in brick order.
 
-    Steps: the first filters the table to its window and the last is a
-    ``convolve`` on the partial's points, so the result's cells, dict
-    order and witnesses are those of the ``convolve`` chain.  In a fold
-    of at least 3 tables with nonnegative points (``_fold_frame``), each
-    partial in between stays in one fold-wide frame, with no cell per
-    point; its ``len`` is its point count, so scores and order do not
-    change, and ``decode`` recovers the pair a cell would have kept.
-    Which step runs:
+    Steps run one of two paths, both with the same partial point sets:
 
-    - some value is nonzero (optimize mode): ``_fold_packed``, a dict
-      from packed code to value, probed by ``_index_sum`` like the index
-      path of ``sumset``.  Timed per fold, in-process (min of 7 calls, best
-      of 3 runs on a shared 2-vCPU host): the 72 imbalance-opt folds of 10
-      r=4 tables, seeds 1-3, take 138.1 ms as a ``convolve`` chain and
-      80.8 ms packed; the folds of a dense r=2 and r=3 optimize ladder
-      (3 to 6 tables of up to 861 cells) take 4.5 to 47.0 ms against 4.6
-      to 51.3 ms;
-    - every value is 0 (feasibility mode): ``_fold_bits``, one bitset
-      ``int``, when the frame has at most ``_FOLD_FRAME_BITS`` codes;
-    - otherwise, and for 2 tables: ``convolve``.
+    - frame (``_fold_frame``): every valued fold, and every zero-valued
+      fold whose frame has at most ``_FOLD_FRAME_BITS`` codes.  The
+      partial starts as the origin in one fold-wide frame, one ``int``
+      per point, and every step is ``_fold_packed`` (a dict from code to
+      value, probed by ``_index_sum`` like the index path of ``sumset``)
+      or ``_fold_bits`` (one bitset ``int``).  No step builds a cell;
+      the result lists its points in ``cells`` as ``(value,)``, sorted,
+      and ``decode`` recovers each pair as the ``convolve`` chain would
+      have kept it;
+    - cell chain: a zero-valued fold above the cap.  The first step
+      filters its table to its window and every later one is a
+      ``convolve``, whose cells store their pairs.
 
-    Bitset cap: a step costs ``min(|P|, |t|)`` shifts over the whole frame,
-    while ``convolve`` works per point, so a large frame of few points is
-    slower as a bitset; frames above ``_FOLD_FRAME_BITS = 2**20`` bits
-    keep cells.  Timed per fold, both paths in-process (min of 5 calls,
-    one run on a shared 2-vCPU host), over the 51 zero-valued folds of
-    at least 3 tables in the benchmark workloads, seeds 1-3:
-
-    - core-wide, 18 folds of 24 r=1 tables, frames of 51 to 151 bits:
-      83.2 ms as a ``convolve`` chain, 15.9 ms with bitsets;
-    - apps-feas closest string, 18 folds of 12 or 13 r=5 tables, frames
-      of 3,125 to 371,293 bits: 68.0 ms against 16.3 ms;
-    - apps-feas scheduling, 12 folds of 3 tables, frames of 4,284 to
-      218,127 bits: 16.1 ms against 9.5 ms;
-    - the 3 scheduling ``cmax`` folds into a one-point window, 1,299,480
-      bits: 42.7 ms against 55.9 ms, so they stay above the cap.
+    Bitset cap: a step costs ``min(|P|, |t|)`` shifts over the whole
+    frame, while ``convolve`` works per point, so a large frame of few
+    points is slower as a bitset.  The benchmark workloads meet one fold
+    above the cap per seed, the scheduling ``cmax`` fold of 3 r=4 tables
+    of 399, 693 and 659 points into one point, in a frame of 1,299,480
+    bits.  Timed in-process (min of 7 calls, seeds 1-3, on a shared 2-vCPU
+    host), it takes 7.8 to 8.9 ms as the cell chain, 10.6 to 11.0 ms as an
+    uncapped bitset (its last step the one-point lookup) and 42.4 to 44.6
+    ms packed with all values 0.
     """
     if not tables:
         raise ValueError("fold_tables needs at least one table")
     r = tables[0].r
     reaches = [t.reach() for t in tables]
-    step, frame = _fold_frame(tables, reaches, hi) or (None, None)
+    step, partial = _fold_frame(tables, reaches, hi) or (None, None)
     rest_lo = [sum(axis) for axis in zip(*(t_lo for t_lo, _ in reaches))]
     rest_hi = [sum(axis) for axis in zip(*(t_hi for _, t_hi in reaches))]
     # (size, reach) -> positions, highest first, so pop() takes the lowest.
@@ -958,7 +941,6 @@ def fold_tables(
     for idx in range(len(tables) - 1, -1, -1):
         groups.setdefault((len(tables[idx]), reaches[idx]), []).append(idx)
 
-    partial = None
     size, box_lo, box_hi = 1, (0,) * r, (0,) * r
     order: list[int] = []
     peak = 0
@@ -995,10 +977,10 @@ def fold_tables(
         box_hi = tuple(map(min, w_hi, map(add, box_hi, t_hi)))
         rest_lo = list(map(sub, rest_lo, t_lo))
         rest_hi = list(map(sub, rest_hi, t_hi))
-        if partial is None:
+        if step is not None:
+            partial = step(partial, tables[idx], w_lo, w_hi)
+        elif partial is None:
             partial = tables[idx].filtered(w_lo, w_hi)
-        elif step is not None and groups:
-            partial = step(partial, tables[idx], frame, w_lo, w_hi)
         else:
             partial = convolve(partial, tables[idx], lo=w_lo, hi=w_hi)
         order.append(idx)
@@ -1006,6 +988,8 @@ def fold_tables(
         peak = max(peak, size)
         if not size:
             break
+    if step is not None:
+        partial._list_cells()
     logger.debug("fold order %s, peak partial %d cells", order, peak)
     return partial
 

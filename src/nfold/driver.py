@@ -19,9 +19,11 @@ window collapses to exactly ``b_up`` — feasibility is then simply "is
 the top set nonempty" — and the first level with an empty window ends
 the solve as infeasible before its base tables are built.
 
-The combine is ``dp.sumset`` at scale 2 (the in-level fold runs it at
-scale 1), which picks its own path.  On value ties a point keeps the
-first witness in sorted ``(p, q)`` order, whichever path runs.
+The combine is ``dp.sumset`` at scale 2, which picks its own path; the
+in-level fold (``dp.fold_tables``) mostly runs in a frame of its own
+and calls ``sumset``, at scale 1, only for a zero-valued fold above its
+bitset cap.  On value ties a point keeps the first witness in sorted
+``(p, q)`` order, whichever path runs.
 
 Every level set is a ``dp.PointTable``: level 1 is the folded small
 table itself, and level ``i`` is a scale-2 pair table whose parents are
@@ -29,8 +31,9 @@ level ``i-1`` and the small table of level ``i``.  With the fold's own
 pair tables below them, the levels form one witness graph from the
 bricks to the top, and ``reconstruct`` is one ``PointTable.decode`` of
 ``b_up``: the left parent of a scale-2 pair counts twice, which yields
-``x = sum_i 2^(levels-i) * x~(i)``, and every pair is checked against
-its point on the way down.  Objective values double along the same
+``x = sum_i 2^(levels-i) * x~(i)``; on the way down every stored pair
+is checked against its point, and every pair a fold table recovers must
+exist.  Objective values double along the same
 recursion (values are additive and ``c`` is required to be nonnegative,
 so doubled prefixes stay optimal substructures).  The decoded solution
 is re-verified; a failure raises ``InternalError``, also under

@@ -286,13 +286,12 @@ def test_fold_pins_shared_rows_before_the_partial_grows(caplog, monkeypatch):
             return out
         return step
 
-    # Every fold step but the first: packed partials, then the last convolve.
-    monkeypatch.setattr(dp, "convolve", counting(dp.convolve))
+    # Every fold step is a packed step, from the origin.
     monkeypatch.setattr(dp, "_fold_packed", counting(dp._fold_packed))
     with caplog.at_level(logging.DEBUG, logger="nfold.dp"):
         out = solve(inst, mode="optimize")
     assert ceiling * mass - out.solution.objective == 16
-    assert len(sizes) == inst.n - 1
+    assert len(sizes) == inst.n
     assert max(sizes) <= 1530 // 10
 
     line = re.compile(r"fold order \[([\d, ]+)\], peak partial (\d+) cells")
@@ -335,13 +334,14 @@ def wide_instance(rng: random.Random, bricks: int = 24, target: int = 100):
 
 
 def test_fold_order_and_cells_are_pinned(caplog, monkeypatch):
-    """Every ``fold_tables`` call of two solves: its order line and cells.
+    """Every ``fold_tables`` call of two solves: its order and its points.
 
     The twelve cover-order programs of one seeded imbalance graph (optimize
     mode) and one 24-brick r = 1 feasibility instance.  Each call is pinned
-    by its ``fold order`` debug line and a digest of its ordered cells
-    (points, values and witnesses, in dict order); any change to the
-    scoring of fold steps or to the sumset kernel's tie order shows here.
+    by a digest of its ``fold order`` debug line and its sorted ``(point,
+    value, decode(point))`` list, which does not depend on how the result
+    stores its points; any change to the scoring of fold steps or to the
+    tie order of a witness shows here.
     """
     calls = []
     real = nfold.driver.fold_tables
@@ -350,8 +350,9 @@ def test_fold_order_and_cells_are_pinned(caplog, monkeypatch):
         before = len(caplog.records)
         out = real(tables, lo, hi)
         (line,) = [rec.getMessage() for rec in caplog.records[before:]]
-        cells = repr(list(out.cells.items())).encode()
-        calls.append((line, hashlib.sha256(cells).hexdigest()[:16]))
+        cells = sorted((pt, cell[0], out.decode(pt)) for pt, cell in out.cells.items())
+        digest = hashlib.sha256(repr((line, cells)).encode()).hexdigest()[:16]
+        calls.append((line, digest))
         return out
 
     monkeypatch.setattr(nfold.driver, "fold_tables", recording)
@@ -364,32 +365,32 @@ def test_fold_order_and_cells_are_pinned(caplog, monkeypatch):
     hood_line = "fold order [0, 1, 6, 2, 3, 7, 4, 8, 5, 9], peak partial 75 cells"
     assert [line for line, _ in imbalance_calls] == [hood_line] * 12
     assert [digest for _, digest in imbalance_calls] == [
-        "bc0a7c31260d253b", "bc0a7c31260d253b", "41ff29634a64b7a9",
-        "41ff29634a64b7a9", "bc0a7c31260d253b", "bc0a7c31260d253b",
-        "bc0a7c31260d253b", "bc0a7c31260d253b", "bc0a7c31260d253b",
-        "41ff29634a64b7a9", "41ff29634a64b7a9", "bc0a7c31260d253b",
+        "aa6f22a6fe431fbc", "aa6f22a6fe431fbc", "88d4cb770ea5bcef",
+        "88d4cb770ea5bcef", "aa6f22a6fe431fbc", "aa6f22a6fe431fbc",
+        "aa6f22a6fe431fbc", "aa6f22a6fe431fbc", "aa6f22a6fe431fbc",
+        "88d4cb770ea5bcef", "88d4cb770ea5bcef", "aa6f22a6fe431fbc",
     ]
     wide_order = f"fold order {list(range(24))}, peak partial"
     assert calls == [
-        (f"{wide_order} 49 cells", "e869f326cfdab96b"),
-        (f"{wide_order} 97 cells", "75565dee325977a2"),
-        (f"{wide_order} 97 cells", "75565dee325977a2"),
-        (f"{wide_order} 145 cells", "097ce144c9db55cc"),
-        (f"{wide_order} 145 cells", "097ce144c9db55cc"),
-        (f"{wide_order} 95 cells", "bfd9b04f4face0d1"),
+        (f"{wide_order} 49 cells", "4c89a1e1a93c8e9e"),
+        (f"{wide_order} 97 cells", "7d3ba620799fabfe"),
+        (f"{wide_order} 97 cells", "7d3ba620799fabfe"),
+        (f"{wide_order} 145 cells", "8dde5272fb31a281"),
+        (f"{wide_order} 145 cells", "8dde5272fb31a281"),
+        (f"{wide_order} 95 cells", "a6fa6ec810579d59"),
     ]
 
 
 @st.composite
 def zero_fold_cases(draw):
-    """3 to 8 zero-valued brick tables and a window around a reachable sum.
+    """1 to 8 zero-valued brick tables and a window around a reachable sum.
 
     Half of the windows are the one point itself; the others reach up to
     3 past it on each side of each axis.
     """
     r = draw(st.integers(1, 3))
     tables = []
-    for k in range(draw(st.integers(3, 8))):
+    for k in range(draw(st.integers(1, 8))):
         t = draw(st.integers(1, 3))
         block = tuple(
             tuple(draw(st.integers(0, 2)) for _ in range(t)) for _ in range(r)
@@ -406,15 +407,23 @@ def zero_fold_cases(draw):
 
 def fold_steps(folded: PointTable, tables) -> list[tuple[int, PointTable]]:
     """``(position in tables, partial after the step)`` for each step of a
-    fold, read off its witness graph (the first partial is a filtered copy
-    of its table)."""
+    fold, read off its witness graph.  A fold in a frame starts from the
+    origin, which is no step; the cell chain's first partial is a filtered
+    copy of its table."""
     steps = []
     while folded.parents is not None:
         left, brick = folded.parents
         steps.append((next(k for k, t in enumerate(tables) if t is brick), folded))
         folded = left
-    steps.append((folded.block, folded))
+    if folded.strides:
+        assert folded.points() == [(0,) * folded.r] and folded.value((0,) * folded.r) == 0
+    else:
+        steps.append((folded.block, folded))
     return steps[::-1]
+
+
+def value_map(table: PointTable) -> dict:
+    return {pt: cell[0] for pt, cell in table.cells.items()}
 
 
 def convolve_chain(tables, order, lo, hi) -> list[PointTable]:
@@ -442,9 +451,8 @@ def convolve_chain(tables, order, lo, hi) -> list[PointTable]:
 @settings(max_examples=150, deadline=None)
 @given(case=zero_fold_cases())
 def test_zero_valued_fold_matches_the_convolve_chain(cap, case):
-    """Bitset partials or not, a zero-valued fold has the chain's partials,
-    keeps the chain's cells in the chain's order, and decodes every point
-    to the same counts."""
+    """Bitset steps or not, a zero-valued fold has the chain's partials,
+    lists the chain's points, and decodes every point to the same counts."""
     tables, lo, hi = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dp, "_FOLD_FRAME_BITS", cap)
@@ -452,17 +460,17 @@ def test_zero_valued_fold_matches_the_convolve_chain(cap, case):
     steps = fold_steps(folded, tables)
     chain = convolve_chain(tables, [k for k, _ in steps], lo, hi)
     assert [p.points() for _, p in steps] == [p.points() for p in chain]
-    assert list(folded.cells.items()) == list(chain[-1].cells.items())
+    assert value_map(folded) == value_map(chain[-1])
     for pt in folded.cells:
         assert folded.decode(pt) == chain[-1].decode(pt)
-    # Every step but the first and the last keeps a bitset partial.
+    # Under the cap every step is a bitset step.
     in_bits = sum(p.bits is not None for _, p in steps)
-    assert in_bits == (min(len(chain), len(tables) - 1) - 1 if cap else 0)
+    assert in_bits == (len(chain) if cap else 0)
 
 
 @st.composite
 def valued_fold_cases(draw):
-    """3 to 9 brick tables with costs in 0..3 (ties are common), at least
+    """1 to 9 brick tables with costs in 0..3 (ties are common), at least
     one nonzero value, and a window around a reachable sum.
 
     A third of the windows are the one point itself; the others reach up
@@ -470,7 +478,7 @@ def valued_fold_cases(draw):
     """
     r = draw(st.integers(1, 4))
     tables = []
-    for k in range(draw(st.integers(3, 9))):
+    for k in range(draw(st.integers(1, 9))):
         t = draw(st.integers(1, 3))
         block = tuple(
             tuple(draw(st.integers(0, 2)) for _ in range(t)) for _ in range(r)
@@ -489,23 +497,14 @@ def valued_fold_cases(draw):
     return tables, lo, hi
 
 
-def convolve_step(left, brick, frame, lo, hi):
-    """A ``_fold_packed`` stand-in that keeps cells: the packed path off."""
-    return convolve(left, brick, lo=lo, hi=hi)
-
-
-@pytest.mark.parametrize("packed", [True, False], ids=["packed", "convolve"])
 @settings(max_examples=150, deadline=None)
 @given(case=valued_fold_cases())
-def test_valued_fold_matches_the_convolve_chain(packed, case):
-    """Packed partials or not, a valued fold has the chain's partials with
-    their values, keeps the chain's cells in the chain's order, and
-    decodes every point to the same counts."""
+def test_valued_fold_matches_the_convolve_chain(case):
+    """A valued fold, all packed steps, has the chain's partials with
+    their values, lists the chain's points with their values, and decodes
+    every point to the same counts."""
     tables, lo, hi = case
-    with pytest.MonkeyPatch.context() as patch:
-        if not packed:
-            patch.setattr(dp, "_fold_packed", convolve_step)
-        folded = fold_tables(tables, lo, hi)
+    folded = fold_tables(tables, lo, hi)
     steps = fold_steps(folded, tables)
     chain = convolve_chain(tables, [k for k, _ in steps], lo, hi)
     assert [[(pt, p.value(pt)) for pt in p.points()] for _, p in steps] == [
@@ -514,20 +513,18 @@ def test_valued_fold_matches_the_convolve_chain(packed, case):
     for _, p in steps:
         assert all(pt in p for pt in p.points())
         assert (-1,) * len(lo) not in p and tuple(h + 1 for h in hi) not in p
-    assert list(folded.cells.items()) == list(chain[-1].cells.items())
+    assert value_map(folded) == value_map(chain[-1])
     for pt in folded.cells:
         assert folded.decode(pt) == chain[-1].decode(pt)
-    # Every step but the first and the last keeps a packed partial.
-    in_codes = sum(p.codes is not None for _, p in steps)
-    assert in_codes == (min(len(chain), len(tables) - 1) - 1 if packed else 0)
+    assert all(p.codes is not None for _, p in steps)
 
 
 def test_optimize_mode_folds_never_take_the_bitset_path(monkeypatch):
     """Tables with values never become bitsets: the twelve cover-order
-    programs of one imbalance graph fold without a bitset partial, their
-    steps going through packed partials and ``convolve``."""
-    steps_in_bits = []
-    monkeypatch.setattr(dp, "_fold_bits", lambda *args: steps_in_bits.append(args))
+    programs of one imbalance graph fold without a bitset step or a
+    ``convolve``, every step a packed one."""
+    other_steps = []
+    monkeypatch.setattr(dp, "_fold_bits", lambda *args: other_steps.append(args))
     steps = []
 
     def counted(real):
@@ -536,10 +533,10 @@ def test_optimize_mode_folds_never_take_the_bitset_path(monkeypatch):
             return real(*args, **kwargs)
         return step
 
-    monkeypatch.setattr(dp, "convolve", counted(dp.convolve))
+    monkeypatch.setattr(dp, "convolve", lambda *args, **kwargs: other_steps.append(args))
     monkeypatch.setattr(dp, "_fold_packed", counted(dp._fold_packed))
     assert solve_imbalance(design_graph(random.Random(1))).value == 16
-    assert steps_in_bits == [] and len(steps) > 12
+    assert other_steps == [] and len(steps) > 12
 
 
 def small_instance() -> NFoldInstance:

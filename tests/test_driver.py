@@ -11,7 +11,7 @@ import re
 import subprocess
 import sys
 import textwrap
-from operator import le, mul
+from operator import le
 from pathlib import Path
 
 import pytest
@@ -339,145 +339,167 @@ def corrupt_pair(table, point) -> None:
 
 
 def four_brick() -> NFoldInstance:
-    """Four bricks, so the level-1 fold keeps two bitset partials."""
+    """Four bricks, so the level-1 fold is four bitset steps from the origin."""
     return NFoldInstance(
         n=4, r=1, t=(2, 2, 2, 2), blocks=(((1, 2),), ((0, 1),)) * 2,
         b_up=(100,), b_low=(30, 30, 30, 30),
     )
 
 
-def test_corrupt_pair_raises_in_decode():
-    """``decode`` checks ``scale*p + q == point`` at every pair: in an
-    in-level fold table (scale 1) and in a level table (scale 2); and a
-    bitset partial must hold the point and a pair for it."""
-    out, trace = solve_with_trace(four_brick())
-    assert out.status == STATUS_FEASIBLE and len(trace.levels) >= 2
-    fold, top = trace.levels[0], trace.levels[-1]
-    assert fold.parents and (fold.scale, top.scale) == (1, 2)
-    partial = fold.parents[0]
-    assert partial.bits is not None and partial.parents[0].bits is not None
-    b_up = trace.reduced.instance.b_up
-
-    point = fold.points()[-1]
-    p = fold.cells[point][1]
-    bit = 1 << sum(map(mul, p, partial.strides))
-    partial.bits ^= bit
-    with pytest.raises(InternalError, match=rf"corrupt witness: \({p[0]},\) missing"):
-        fold.decode(point)
-    partial.bits ^= bit
-    assert fold.decode(point)
-    partial.parents[0].bits = 0
-    with pytest.raises(InternalError, match=rf"corrupt witness: no pair for \({p[0]},\)"):
-        fold.decode(point)
-
-    point = fold.points()[0]
-    corrupt_pair(fold, point)
-    with pytest.raises(InternalError, match=r"corrupt witness: 1\*"):
-        fold.decode(point)
-
-    corrupt_pair(top, b_up)
-    with pytest.raises(InternalError, match=r"corrupt witness: 2\*"):
-        driver.reconstruct(top, b_up)
-    with pytest.raises(InternalError, match="missing"):
-        driver.reconstruct(top, tuple(v + 1 for v in b_up))
-
-
-def test_bitset_partial_checks_survive_python_optimize_flag():
-    script = textwrap.dedent(
-        f"""
-        from operator import mul
-        from nfold.core import InternalError, NFoldInstance
-        from nfold.driver import solve_with_trace
-
-        fold = solve_with_trace({four_brick()!r})[1].levels[0]
-        partial = fold.parents[0]
-        point = fold.points()[-1]
-        bit = 1 << sum(map(mul, fold.cells[point][1], partial.strides))
-
-        def attempt(label):
-            try:
-                fold.decode(point)
-            except InternalError as exc:
-                print(label, "internal error:", exc)
-            else:
-                print(label, "decoded")
-
-        print("debug", __debug__)
-        partial.bits ^= bit
-        attempt("cleared bit")
-        partial.bits ^= bit
-        partial.parents[0].bits = 0
-        attempt("no pair")
-        """
-    )
-    lines = run_optimized(script)
-    assert len(lines) == 3, lines
-    assert lines[0] == "debug False"
-    assert re.fullmatch(
-        r"cleared bit internal error: corrupt witness: \(\d+,\) missing", lines[1]
-    )
-    assert re.fullmatch(
-        r"no pair internal error: corrupt witness: no pair for \(\d+,\)", lines[2]
-    )
-
-
 def four_valued_bricks() -> NFoldInstance:
-    """``four_brick`` with costs: its level-1 fold keeps two packed partials."""
+    """``four_brick`` with costs: its level-1 fold takes four packed steps."""
     return dataclasses.replace(four_brick(), c=(0, 1, 1, 0) * 2)
 
 
-CORRUPT_PACKED = """
+CORRUPT_FRAME = """
 from nfold.core import InternalError
 from nfold.driver import solve_with_trace
 
 
-def corrupt_packed_attempts(inst):
-    \"\"\"Decode the level-1 fold's last point after raising, then after
-    dropping, the value of its pair's point in the last packed partial.\"\"\"
-    fold = solve_with_trace(inst, "optimize")[1].levels[0]
-    partial = fold.parents[0]
-    assert partial.codes is not None and partial.parents[0].codes is not None
-    point = fold.points()[-1]
-    code = partial._code(fold.cells[point][1])
+def decoded(label, table, point):
+    try:
+        table.decode(point)
+    except InternalError as exc:
+        return f"{label} internal error: {exc}"
+    return f"{label} decoded"
+
+
+def level_one_fold(inst, mode):
+    \"\"\"The level-1 fold, its last partial before the result, its origin
+    and its last point.\"\"\"
+    fold = solve_with_trace(inst, mode)[1].levels[0]
+    origin = fold
+    while origin.parents is not None:
+        origin = origin.parents[0]
+    return fold, fold.parents[0], origin, fold.points()[-1]
+
+
+def corrupt_bits_attempts(inst):
+    \"\"\"Decode after clearing the fold's bit of its point, the partial
+    below it, and the origin's bit; each is undone after.\"\"\"
+    fold, partial, origin, point = level_one_fold(inst, "feasibility")
+    bit = 1 << fold._code(point)
     lines = []
-    for label in ("raised value", "dropped code"):
-        value = partial.codes[code]
-        if label == "raised value":
-            partial.codes[code] += 1
-        else:
-            del partial.codes[code]
-        try:
-            fold.decode(point)
-        except InternalError as exc:
-            lines.append(f"{label} internal error: {exc}")
-        else:
-            lines.append(f"{label} decoded")
-        partial.codes[code] = value
-    fold.decode(point)
+    fold.bits ^= bit
+    lines.append(decoded("cleared bit", fold, point))
+    fold.bits ^= bit
+    partial.bits, bits = 0, partial.bits
+    lines.append(decoded("no pair", fold, point))
+    partial.bits = bits
+    origin.bits = 0
+    lines.append(decoded("cleared origin", origin, (0,) * len(point)))
+    lines.append(decoded("above it", fold, point))
+    origin.bits = 1
+    lines.append(decoded("restored", fold, point))
+    return lines
+
+
+def corrupt_packed_attempts(inst):
+    \"\"\"Decode after raising, then dropping, the fold's value of its
+    point, and after dropping the origin's code; each is undone after.\"\"\"
+    fold, _, origin, point = level_one_fold(inst, "optimize")
+    code = fold._code(point)
+    value = fold.codes[code]
+    lines = []
+    fold.codes[code] += 1
+    lines.append(decoded("raised value", fold, point))
+    del fold.codes[code]
+    lines.append(decoded("dropped code", fold, point))
+    fold.codes[code] = value
+    origin.codes = {}
+    lines.append(decoded("dropped origin", origin, (0,) * len(point)))
+    lines.append(decoded("above it", fold, point))
+    origin.codes = {0: 0}
+    lines.append(decoded("restored", fold, point))
     return lines
 """
 
 
+def check_corrupt_bits_lines(lines: list[str]) -> None:
+    assert len(lines) == 5, lines
+    assert re.fullmatch(
+        r"cleared bit internal error: corrupt witness: \(\d+,\) missing", lines[0]
+    )
+    assert re.fullmatch(
+        r"no pair internal error: corrupt witness: no pair for \(\d+,\)", lines[1]
+    )
+    assert lines[2] == "cleared origin internal error: corrupt witness: (0,) missing"
+    assert re.fullmatch(
+        r"above it internal error: corrupt witness: no pair for \(\d+,\)", lines[3]
+    )
+    assert lines[4] == "restored decoded"
+
+
 def check_corrupt_packed_lines(lines: list[str]) -> None:
-    assert len(lines) == 2, lines
+    assert len(lines) == 5, lines
     assert re.fullmatch(
         r"raised value internal error: corrupt witness: no pair for \(\d+,\)", lines[0]
     )
     assert re.fullmatch(
         r"dropped code internal error: corrupt witness: \(\d+,\) missing", lines[1]
     )
+    assert lines[2] == "dropped origin internal error: corrupt witness: (0,) missing"
+    assert re.fullmatch(
+        r"above it internal error: corrupt witness: no pair for \(\d+,\)", lines[3]
+    )
+    assert lines[4] == "restored decoded"
+
+
+def test_corrupt_pair_raises_in_decode():
+    """``decode`` checks ``scale*p + q == point`` at every stored pair: in a
+    ``convolve`` table (scale 1) and in a level table (scale 2); and a
+    bitset fold table must hold the point and a pair for it, down to the
+    origin."""
+    pair = dp.convolve(
+        dp.block_base_table(((1, 2),), 2, block_index=0),
+        dp.block_base_table(((0, 1),), 1, block_index=1),
+    )
+    point = pair.points()[0]
+    assert pair.decode(point)
+    corrupt_pair(pair, point)
+    with pytest.raises(InternalError, match=r"corrupt witness: 1\*"):
+        pair.decode(point)
+
+    out, trace = solve_with_trace(four_brick())
+    assert out.status == STATUS_FEASIBLE and len(trace.levels) >= 2
+    top = trace.levels[-1]
+    assert top.scale == 2
+    b_up = trace.reduced.instance.b_up
+    corrupt_pair(top, b_up)
+    with pytest.raises(InternalError, match=r"corrupt witness: 2\*"):
+        driver.reconstruct(top, b_up)
+    with pytest.raises(InternalError, match="missing"):
+        driver.reconstruct(top, tuple(v + 1 for v in b_up))
+
+    scope: dict = {}
+    exec(CORRUPT_FRAME, scope)
+    check_corrupt_bits_lines(scope["corrupt_bits_attempts"](four_brick()))
+
+
+def test_bitset_partial_checks_survive_python_optimize_flag():
+    script = CORRUPT_FRAME + textwrap.dedent(
+        f"""
+        from nfold.core import NFoldInstance
+        print("debug", __debug__)
+        print(*corrupt_bits_attempts({four_brick()!r}), sep="\\n")
+        """
+    )
+    lines = run_optimized(script)
+    assert lines[0] == "debug False"
+    check_corrupt_bits_lines(lines[1:])
 
 
 def test_corrupt_packed_partial_raises_in_decode():
-    """A packed partial's value must come from a pair of its parents, and
-    the point must be stored: either corruption raises ``InternalError``."""
+    """A packed fold table's value must come from a pair of its parents,
+    and the point must be stored, down to the origin: each corruption
+    raises ``InternalError``."""
     scope: dict = {}
-    exec(CORRUPT_PACKED, scope)
+    exec(CORRUPT_FRAME, scope)
     check_corrupt_packed_lines(scope["corrupt_packed_attempts"](four_valued_bricks()))
 
 
 def test_packed_partial_checks_survive_python_optimize_flag():
-    script = CORRUPT_PACKED + textwrap.dedent(
+    script = CORRUPT_FRAME + textwrap.dedent(
         f"""
         from nfold.core import NFoldInstance
         print("debug", __debug__)
