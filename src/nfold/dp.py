@@ -15,49 +15,48 @@ reverse-lexicographically largest count vector, stored as a shared
 ``(prefix, column, take)`` node; points are decoded for the kept cells
 only, and count vectors only by ``PointTable.decode``.
 
-``sumset`` is the one windowed Minkowski-sum kernel, ``scale*p + q`` in
-``[lo, hi]``, run at scale 2 by the cross-level ``driver._combine_levels``
-and at scale 1 by ``convolve``, which the in-level fold calls only above
-its bitset cap; its docstring says which of its two paths runs.  Its
-index path, which serves every table with values, also runs on packed
-codes: a field per axis under a guard bit, so ``code(scale*p + q)`` is
-one add and the window test on every middle axis is two subtractions and
-an AND.  ``fold_tables`` sums the brick tables one at a time, keeping
-only points that can still land inside the target window given the
-summed reach of the bricks not yet folded; that window depends on which
-bricks remain, not on the order.  The order is greedy, as in bucket
-elimination: each step takes the brick with the smallest bound on its
-output plus its probe work, computed from table sizes and reaches alone,
-ties going to the lowest brick position.  Bricks that pin a shared row
-thus go before bricks that spread over several, and partial sums stay
-small.  Because the Minkowski sum and max-plus are associative and
-commutative, and every partial sum of a surviving decomposition stays
-inside its window, the point -> value map is the same in every order;
-only tie witnesses follow it.  A fold runs one of two paths.  In a
-frame, which every valued fold and every zero-valued fold under a cap
-takes, the partial starts as the origin and stays one fold-wide code per
-point: zero-valued tables (feasibility mode) as one big-int bitset whose
-steps are a few shift-ORs and one AND, tables with values (optimize
-mode) as one dict from packed code to value, whose steps run the index
-path's probe on codes.  A zero-valued fold whose frame exceeds the cap
-takes the cell chain instead: a filtered first table, then one
-``convolve`` per step.
+Every sum runs in a *frame*: a point is one ``int`` code, digit ``j`` of
+its offset from the frame's low corner times ``strides[j]``, axis 0 most
+significant, so codes sort like points and ``code(p + q)`` is one add.
+Zero-valued tables (feasibility mode) keep their codes as the set bits
+of one big-int bitset, whose sum step (``_fold_bits``) is a few
+shift-ORs and one AND; tables with values (optimize mode) keep a dict
+from packed code to value, a field per axis under a guard bit, whose
+step (``_fold_packed``) probes a prefix-grouped index of the right table
+(``_index_sum``).  These two steps are the one sum kernel, with two
+callers:
 
-Tables carry witnesses: a base cell remembers its column-count chain, a
-``sumset`` cell (of ``convolve`` or the combine) remembers the points
-``p`` and ``q`` it was summed from, and its table the ``scale`` of the
-sum.  A fold table in a frame stores no pairs; ``decode`` recovers the
-one a ``convolve`` cell would keep.  The fold's pair tables (scale 1)
-and the solver's level tables (scale 2) thus form one witness graph from
-the bricks to the top level, and ``PointTable.decode`` expands any point
-of it, in one walk, into per-brick count vectors, listed in brick order
-whatever order the fold took.
+- ``fold_tables`` sums the brick tables one at a time in one fold-wide
+  frame, from the origin, keeping only points that can still land
+  inside the target window given the summed reach of the bricks not yet
+  folded; that window depends on which bricks remain, not on the order.
+  The order is greedy, as in bucket elimination: each step takes the
+  brick with the smallest bound on its output plus its probe work,
+  computed from table sizes and reaches alone, ties going to the lowest
+  brick position.  Bricks that pin a shared row thus go before bricks
+  that spread over several, and partial sums stay small.  Because the
+  Minkowski sum and max-plus are associative and commutative, and every
+  partial sum of a surviving decomposition stays inside its window, the
+  point -> value map is the same in every order; only tie witnesses
+  follow it.
+- ``sumset``, every ``scale*p + q`` in a window, sets up a frame per
+  call around the two tables, codes ``scale*p`` as its left table
+  and runs one step.  The cross-level ``driver._combine_levels`` runs it
+  at scale 2, and ``convolve`` at scale 1 for a zero-valued fold whose
+  frame exceeds the fold's bitset cap.
+
+No table stores a pair.  A base cell remembers its column-count chain; a
+sum table remembers its two parents, and ``PointTable.decode`` recovers
+the pair of a point on demand: the first maximiser in sorted ``(p, q)``
+order.  The tables of the folds and of the solver's levels thus form one
+witness graph from the bricks to the top level, and ``decode`` expands
+any point of it, in one walk, into per-brick count vectors, listed in
+brick order whatever order the fold took.
 
 In optimize mode each cell also carries the best objective value seen
 for that point; feasibility mode is the same machinery with all-zero
-values.  Pairs are visited in sorted order and only a strictly larger
-value replaces a cell, so ties keep the first witness and reruns are
-bit-stable, dict order included.
+values.  The witness a point decodes to depends only on the tables, so
+reruns are bit-stable.
 """
 
 from __future__ import annotations
@@ -66,8 +65,8 @@ import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import add, gt, le, lshift, lt, mul, sub
-from typing import Iterator, Sequence
+from operator import add, gt, itemgetter, le, lshift, mul, sub
+from typing import Sequence
 
 from .core import MODE_FEASIBILITY, MODE_OPTIMIZE, InternalError, NFoldInstance
 from .plan import IterationPlan
@@ -92,32 +91,39 @@ class BlockWitness:
 class PointTable:
     """Reachable point set with witnesses and per-cell values.
 
-    ``cells`` maps an r-tuple point to ``(value, payload)``.  A table with
-    ``parents`` is a pair table at ``scale`` (1 for ``convolve``, 2 for
-    the cross-level combine): its payload is ``(p, q)``, points of the
-    left and right parent with ``scale*p + q`` equal to the cell's point.
-    A table with neither ``parents`` nor a frame is a base table over
-    ``columns`` columns: its payload is the ``(prefix, column, take)``
-    witness chain of ``block_base_table``, or None for no copies.  Tables
-    and their parents form one witness graph, from the bricks up to a
-    solve's top level, and ``decode`` expands a point of it into count
-    vectors.
+    ``cells`` maps an r-tuple point to ``(value, payload)``, listed in
+    ascending point order (``decode`` relies on it).  Two payload kinds
+    are left:
 
-    A table of a fold in a frame (see ``fold_tables``) has ``strides``
-    and codes its points in the fold's frame, one ``int`` per point with
-    digit ``j`` in ``[0, radix_j)`` times ``strides[j]`` (axis 0 most
-    significant, so codes sort like points).  A zero-valued fold keeps the
-    codes as the set bits of ``bits`` (every value 0); a valued fold keeps
-    ``codes``, a dict from code to value.  The fold starts at the origin,
-    a frame table without parents; every later one is a scale-1 pair
-    table that stores no pairs, and ``decode`` recovers them on demand.
-    Only the fold's result also lists its points in ``cells``, sorted,
-    each as ``(value,)``.
+    - a base table, over ``columns`` columns of brick ``block``: the
+      ``(prefix, column, take)`` witness chain of ``block_base_table``,
+      or None for no copies;
+    - a frame table: none, each cell is ``(value,)``.  Only the result of
+      a fold or of ``sumset`` lists its points in ``cells``.
+
+    A frame table has ``strides`` and codes each point in its frame: one
+    ``int``, digit ``j`` of ``point - low`` in ``[0, radix_j)`` times
+    ``strides[j]``.  A zero-valued table keeps the codes as the set bits
+    of ``bits`` (every value 0); a valued one keeps ``codes``, a dict
+    from code to value.  Its ``parents`` say where its points come from:
+
+    - none: the origin of a fold, the one point 0 valued 0;
+    - one, at ``scale``: the left table of ``sumset``, each point
+      ``scale*p`` for a point ``p`` of the parent, valued
+      ``scale*value(p)``;
+    - two: a sum ``left + right`` made by one step.  It stores no pairs:
+      ``added`` lists the ``(code, q)`` of the points ``q`` of ``right``
+      that the step added, ascending, and ``decode`` recovers each pair
+      on demand.
+
+    Tables and their parents form one witness graph, from the bricks up
+    to a solve's top level, and ``decode`` expands a point of it into
+    count vectors.
     """
 
     __slots__ = (
         "r", "cells", "block", "columns", "parents", "scale", "bits", "codes",
-        "strides", "radix", "_reach",
+        "strides", "radix", "low", "added", "_reach",
     )
 
     def __init__(
@@ -126,19 +132,20 @@ class PointTable:
         *,
         block: int | None = None,
         columns: int = 0,
-        parents: tuple["PointTable", "PointTable"] | None = None,
-        scale: int = 1,
+        parents: tuple["PointTable", ...] | None = None,
     ) -> None:
         self.r = r
         self.block = block
         self.columns = columns
         self.parents = parents
-        self.scale = scale
+        self.scale = 1
         self.cells: dict[tuple[int, ...], tuple] = {}
         self.bits: int | None = None
         self.codes: dict[int, int] | None = None
         self.strides: tuple[int, ...] = ()
         self.radix: tuple[int, ...] = ()
+        self.low: tuple[int, ...] = ()
+        self.added: list[tuple[int, tuple[int, ...]]] = []
         self._reach: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     def __len__(self) -> int:
@@ -146,20 +153,28 @@ class PointTable:
             return self.bits.bit_count()
         return len(self.cells if self.codes is None else self.codes)
 
+    def _codes(self) -> list[int]:
+        """A frame table's codes, ascending."""
+        return _set_bits(self.bits) if self.codes is None else sorted(self.codes)
+
     def points(self) -> list[tuple[int, ...]]:
         """Points in sorted (deterministic) order."""
         if not self.strides:
             return sorted(self.cells)
-        codes = _set_bits(self.bits) if self.codes is None else sorted(self.codes)
-        return list(map(self._point, codes))
+        return list(zip(*self._axes(self._codes())))
 
-    def _point(self, code: int) -> tuple[int, ...]:
-        """The point of a code in this table's frame."""
-        pt = []
-        for stride in self.strides:
-            digit, code = divmod(code, stride)
-            pt.append(digit)
-        return tuple(pt)
+    def _axes(self, codes: list[int]) -> list[list[int]]:
+        """Per axis, the coordinates of the points of ``codes`` in this
+        table's frame, in their order.
+
+        Digit ``j`` is ``code // strides[j] % radix[j]``: the fields below
+        it sum to less than its stride, and a packed field's guard bit,
+        always 0 in a stored code, is a multiple of its radix.
+        """
+        return [
+            [code // stride % radix + low for code in codes]
+            for stride, radix, low in zip(self.strides, self.radix, self.low)
+        ]
 
     def _value_at(self, code: int) -> int | None:
         """A frame table's value at ``code``; None when no point has it."""
@@ -169,9 +184,12 @@ class PointTable:
 
     def _code(self, pt: tuple[int, ...]) -> int:
         """``pt``'s code in this table's frame; -1 when a digit is outside."""
-        if min(pt) < 0 or not all(map(lt, pt, self.radix)):
-            return -1
-        return sum(map(mul, pt, self.strides))
+        code = 0
+        for x, low, radix, stride in zip(pt, self.low, self.radix, self.strides):
+            if not 0 <= x - low < radix:
+                return -1
+            code += (x - low) * stride
+        return code
 
     def __contains__(self, pt: tuple[int, ...]) -> bool:
         if not self.strides:
@@ -179,22 +197,27 @@ class PointTable:
         return self._value_at(self._code(pt)) is not None
 
     def _pair(self, point: tuple[int, ...], code: int, target: int) -> tuple:
-        """A frame table's ``(p, q, code(p), value(p))`` for ``point``,
-        coded ``code`` and valued ``target``: see ``decode``."""
+        """A sum table's ``(p, q, code(p), value(p))`` for ``point``, coded
+        ``code`` and valued ``target``: see ``decode``."""
         left, right = self.parents
-        value_at, brick = left._value_at, right.cells
-        for p_code, q in _partners(right, self.strides, code):
-            value = value_at(p_code)
-            if value is not None and value + brick[q][0] == target:
-                return tuple(map(sub, point, q)), q, p_code, value
+        value_at, cells = left._value_at, right.cells
+        for q_code, q in reversed(self.added):
+            value = value_at(code - q_code)
+            if value is not None and value + cells[q][0] == target:
+                return tuple(map(sub, point, q)), q, code - q_code, value
         raise InternalError(f"corrupt witness: no pair for {point}")
 
     def _list_cells(self) -> None:
-        """Fill a frame table's ``cells``: its points, sorted, as ``(value,)``."""
+        """Fill a frame table's ``cells``, its points, sorted, as
+        ``(value,)``, and its reach."""
+        codes = self._codes()
+        axes = self._axes(codes)
         if self.codes is None:
-            self.cells = dict.fromkeys(self.points(), (0,))
+            self.cells = dict.fromkeys(zip(*axes), (0,))
         else:
-            self.cells = {self._point(c): (self.codes[c],) for c in sorted(self.codes)}
+            self.cells = dict(zip(zip(*axes), [(self.codes[c],) for c in codes]))
+        if codes:
+            self._reach = tuple(map(min, axes)), tuple(map(max, axes))
 
     def value(self, pt: tuple[int, ...]) -> int:
         if not self.strides:
@@ -208,9 +231,8 @@ class PointTable:
         return self._reach
 
     def filtered(self, lo: tuple[int, ...], hi: tuple[int, ...]) -> "PointTable":
-        """Copy containing only the points inside [lo, hi] per axis."""
-        out = PointTable(self.r, block=self.block, columns=self.columns,
-                         parents=self.parents, scale=self.scale)
+        """A base table's copy with only the points inside [lo, hi] per axis."""
+        out = PointTable(self.r, block=self.block, columns=self.columns)
         for pt, cell in self.cells.items():
             if all(l <= v <= h for v, l, h in zip(pt, lo, hi)):
                 out.cells[pt] = cell
@@ -220,26 +242,23 @@ class PointTable:
         """Expand a point into per-brick column counts, sorted by brick.
 
         One walk of the witness graph down to the base tables, carrying a
-        weight that starts at 1: the left parent of a scale-``s`` pair
-        gets ``weight*s`` and the right parent ``weight``, and a base
-        table adds ``weight*take`` into its brick's counts.  Every pair
-        must satisfy ``scale*p + q == point``; a missing point or a failed
-        check raises ``InternalError``: a corrupt witness is a bug, never
-        an input problem.
+        weight that starts at 1: both parents of a sum keep the weight,
+        the left table of a scale-``s`` ``sumset`` passes ``weight*s`` to
+        its parent, and a base table adds ``weight*take`` into its
+        brick's counts.  A missing point, or a point with no pair, raises
+        ``InternalError``: a corrupt witness is a bug, never an input
+        problem.
 
-        A frame table (a bitset or a code -> value dict) stores no pairs.
-        Its pair for ``point`` is the smallest ``p`` of the left parent with
-        ``q = point - p`` in the right one, the brick, and ``value(p) +
-        value(q) == value(point)``: the first maximiser in sorted ``(p,
-        q)`` order, which is the pair a ``convolve`` cell keeps, so a fold
-        in a frame decodes to the counts of the ``convolve`` chain.  The
-        search takes the brick's ``q`` in descending order, each one code
-        subtraction and one lookup (``_partners``).  That lookup is exact:
-        a partial point, ``point`` and ``q`` differ by less than the radix
-        on every axis, so ``code(point) - code(q) == code(p)`` only for
-        ``p == point - q``.  A point with no such pair raises
-        ``InternalError`` too; the fold's origin, which has no parents,
-        only has to hold its point.
+        A sum table stores no pairs.  Its pair for ``point`` is the
+        smallest ``p`` of the left parent with ``q = point - p`` in the
+        right one and ``value(p) + value(q) == value(point)``: the first
+        maximiser in sorted ``(p, q)`` order.  For a ``sumset`` that is
+        the smallest ``p`` of its own left operand, whose points are
+        ``scale*p``.  The search (``_pair``) takes the step's ``added``
+        points ``q`` in descending order, each one code subtraction and
+        one lookup.  That lookup is exact: a point of the left table plus
+        an added ``q`` never carries a digit in the frame, so
+        ``code(point) - code(q) == code(p)`` only for ``p == point - q``.
         """
         counts: dict[int, list[int]] = {}
         stack: list[tuple[PointTable, tuple[int, ...], int]] = [(self, pt, 1)]
@@ -250,9 +269,14 @@ class PointTable:
                 target = table._value_at(code)
                 if target is None:
                     raise InternalError(f"corrupt witness: {point} missing")
-                # Down the fold's frame tables to the origin; each pair
-                # found is in the left parent, at the code it was found.
+                # Down the chain of sums; each pair found is in the left
+                # parent, at the code it was found.
                 while table.parents is not None:
+                    if len(table.parents) == 1:  # scale*p, p in the parent
+                        scale = table.scale
+                        p = tuple(x // scale for x in point)
+                        stack.append((table.parents[0], p, weight * scale))
+                        break
                     point, q, code, target = table._pair(point, code, target)
                     table, right = table.parents
                     stack.append((right, q, weight))
@@ -260,20 +284,11 @@ class PointTable:
             cell = table.cells.get(point)
             if cell is None:
                 raise InternalError(f"corrupt witness: {point} missing")
-            if table.parents is None:
-                acc = counts.setdefault(table.block, [0] * table.columns)
-                node = cell[1]
-                while node is not None:
-                    node, j, take = node
-                    acc[j] += weight * take
-                continue
-            _, p, q = cell
-            scale = table.scale
-            if any(scale * x + y != v for x, y, v in zip(p, q, point)):
-                raise InternalError(f"corrupt witness: {scale}*{p} + {q} != {point}")
-            left, right = table.parents
-            stack.append((right, q, weight))
-            stack.append((left, p, weight * scale))
+            acc = counts.setdefault(table.block, [0] * table.columns)
+            node = cell[1]
+            while node is not None:
+                node, j, take = node
+                acc[j] += weight * take
         return [BlockWitness(block=k, counts=tuple(counts[k])) for k in sorted(counts)]
 
 
@@ -390,61 +405,73 @@ def block_base_table(
 
 
 def sumset(
-    a_cells: dict[tuple[int, ...], tuple],
-    b_cells: dict[tuple[int, ...], tuple],
+    a: PointTable,
+    b: PointTable,
     scale: int,
     lo: tuple[int, ...],
     hi: tuple[int, ...],
-) -> dict[tuple[int, ...], tuple]:
-    """Map every ``scale*p + q`` in ``[lo, hi]`` to ``(value, p, q)``.
+) -> PointTable:
+    """Every ``scale*p + q`` in ``[lo, hi]``, ``p`` in ``a`` and ``q`` in ``b``.
 
-    ``p`` runs over ``a_cells`` and ``q`` over ``b_cells``; the value is
-    ``scale*value(p) + value(q)`` (a cell's value is its first entry).
-    Pairs go in sorted ``(p, q)`` order and only a strictly larger value
-    replaces a cell, so ties keep the first witness and keys come out in
-    first-reached order.  Points may have any sign.
+    A point's value is the largest ``scale*value(p) + value(q)`` over its
+    pairs (a cell's value is its first entry), and ``decode`` recovers
+    the first maximiser in sorted ``(p, q)`` order.  Points may have any
+    sign.  The result is a frame table that lists its points, sorted, as
+    ``(value,)``; an empty result is a bare ``PointTable``.
 
-    A one-point window needs no index: each ``p`` has one partner,
-    ``lo - scale*p``, looked up in ``b_cells`` (the 72 such calls of the
-    imbalance-opt benchmark workload, seeds 1-3, take 1.0 ms this way and
-    6.5 ms through the index path).  Otherwise ``_clip_pair`` drops the
-    points that cannot land in the window, and the kind of values picks
-    one of two paths, which give that same dict:
-
-    - bitset: when every value in both tables is 0, as in feasibility
-      mode, ``_sumset_bits`` walks ``p`` over one big-int bitset of ``b``;
-      it declines when the bitset would exceed ``_BITS_PER_POINT`` bits
-      per point of ``b``, and the index path runs instead;
-    - index: otherwise ``_probe_index`` packs every point into one
-      ``int`` (a field per axis under a guard bit) and, for each ``p``,
-      bisects the codes of ``b`` grouped by prefix.
+    A frame setup around one step of the fold's kernel.  ``_clip_pair``
+    drops the points that cannot land in the window (a one-point window,
+    whose pairs are lookups, keeps every point); the frame's low corner
+    is ``scale*a_lo + b_lo`` and its digit ``j`` runs up to
+    ``scale*spread(a)_j + spread(b)_j`` over the kept points' reaches,
+    so no digit sum carries.  The left table holds ``scale*p`` for every
+    kept ``p``, with ``a`` as its one parent at ``scale``, and one
+    ``_fold_bits`` or ``_fold_packed`` step adds the kept ``b`` to it, a
+    one-point window by lookup.  Zero-valued tables take a mixed-radix
+    bitset while it has at most ``_BITS_PER_POINT`` bits per kept point
+    of ``b``; anything else takes guard-bit packed codes.
     """
-    if not a_cells or not b_cells or any(l > h for l, h in zip(lo, hi)):
-        return {}
-    if lo == hi:
-        best = None
-        for p, cell in a_cells.items():
-            q = tuple(l - scale * x for x, l in zip(p, lo))
-            if q in b_cells:
-                value = scale * cell[0] + b_cells[q][0]
-                # The largest value wins; among equals, the smallest p.
-                if best is None or (-value, p) < (-best[0], best[1]):
-                    best = (value, p, q)
-        return {} if best is None else {tuple(lo): best}
-    clipped = _clip_pair(a_cells, b_cells, scale, lo, hi)
-    if clipped is None:
-        return {}
-    if not any(cell[0] for cell in a_cells.values()) and not any(
-        cell[0] for cell in b_cells.values()
-    ):
-        cells = _sumset_bits(*clipped, scale, lo, hi)
-        if cells is not None:
-            return cells
-    return _probe_index(a_cells, b_cells, *clipped, scale, lo, hi)
+    if not a.cells or not b.cells or any(map(gt, lo, hi)):
+        return PointTable(a.r)
+    if lo == hi:  # pairs are lookups; a frame over the whole reaches is exact
+        clipped = a.cells, a.reach(), b.cells, b.reach()
+    else:
+        clipped = _clip_pair(a, b, scale, lo, hi)
+        if clipped is None:
+            return PointTable(a.r)
+    a_pts, (a_lo, a_hi), b_pts, (b_lo, b_hi) = clipped
+    tops = [
+        scale * (ah - al) + bh - bl for al, ah, bl, bh in zip(a_lo, a_hi, b_lo, b_hi)
+    ]
+    left = _frame(tops, 0 if _has_values((a, b)) else _BITS_PER_POINT * len(b_pts))
+    left.low, left.parents, left.scale = tuple(scale * x for x in a_lo), (a,), scale
+    strides = left.strides
+    scaled, base = [scale * s for s in strides], sum(map(mul, left.low, strides))
+    p_codes = [sum(map(mul, p, scaled)) - base for p in a_pts]
+    if left.codes is None:
+        step, left.bits = _fold_bits, _bitset(p_codes)
+    else:
+        step = _fold_packed
+        left.codes = {c: scale * a.cells[p][0] for c, p in zip(p_codes, a_pts)}
+    corner = tuple(map(add, left.low, b_lo))
+    out = step(
+        left, b, _coded(b_pts, strides, sum(map(mul, b_lo, strides))),
+        tuple(max(l - c, 0) for l, c in zip(lo, corner)),
+        tuple(min(h - c, top) for h, c, top in zip(hi, corner, tops)),
+    )
+    out.low = corner
+    out._list_cells()
+    return out
 
 
-# Largest bitset, in bits per clipped right-table point, that the bitset
-# path builds; see ``_sumset_bits``.
+# Largest bitset, in bits per kept point of the right table, that
+# ``sumset`` builds for zero-valued tables; larger ones take packed codes.
+# A bitset step shifts whole bitsets, the packed step probes per point.
+# The 27 zero-valued calls of the core-wide, core-deep and apps-feas
+# benchmark workloads, seeds 1-3, one-point windows aside, have 2 to
+# 1,159 bits per point and take 27 ms as bitsets against 158 ms packed
+# (min of 20, shared 2-vCPU host); 4096 is the crossover measured for an
+# earlier per-point bitset walk, which none of them comes near.
 _BITS_PER_POINT = 4096
 
 
@@ -506,11 +533,11 @@ def _clip(cells, reach, lo, hi):
     """
     if all(map(le, lo, reach[0])) and all(map(le, reach[1], hi)):
         return list(cells), reach
-    pts = [p for p in cells if all(l <= x <= h for x, l, h in zip(p, lo, hi))]
+    pts = [p for p in cells if all(map(le, lo, p)) and all(map(le, p, hi))]
     return pts, (_reach_of(pts) if pts else reach)
 
 
-def _clip_pair(a_cells, b_cells, scale, lo, hi):
+def _clip_pair(a: PointTable, b: PointTable, scale, lo, hi):
     """``(a_pts, a_reach, b_pts, b_reach)``: the points that can land in the window.
 
     ``a`` keeps the ``p`` with ``scale*p + q`` in ``[lo, hi]`` for some
@@ -519,9 +546,9 @@ def _clip_pair(a_cells, b_cells, scale, lo, hi):
     the per-axis (min, max) of the kept points.  Returns None when either
     side is left empty.
     """
-    a_reach, (b_lo, b_hi) = _reach_of(a_cells), _reach_of(b_cells)
+    a_reach, (b_lo, b_hi) = a.reach(), b.reach()
     a_pts, a_reach = _clip(
-        a_cells, a_reach,
+        a.cells, a_reach,
         [-((bh - l) // scale) for l, bh in zip(lo, b_hi)],
         [(h - bl) // scale for h, bl in zip(hi, b_lo)],
     )
@@ -529,7 +556,7 @@ def _clip_pair(a_cells, b_cells, scale, lo, hi):
         return None
     a_lo, a_hi = a_reach
     b_pts, b_reach = _clip(
-        b_cells, (b_lo, b_hi),
+        b.cells, (b_lo, b_hi),
         [l - scale * ah for l, ah in zip(lo, a_hi)],
         [h - scale * al for h, al in zip(hi, a_lo)],
     )
@@ -538,144 +565,15 @@ def _clip_pair(a_cells, b_cells, scale, lo, hi):
     return a_pts, a_reach, b_pts, b_reach
 
 
-def _sumset_bits(a_pts, a_reach, b_pts, b_reach, scale, lo, hi):
-    """Zero-valued ``sumset`` as shifted ORs of one big-int bitset.
-
-    ``a_pts`` and ``b_pts`` are the clipped tables of ``_clip_pair``, with
-    their reaches.  ``bits`` has one bit per point of ``b``.  A point is
-    coded in mixed radix, axis 0 most significant, relative to its
-    table's minimum, with ``radix_j = scale*spread(a)_j + spread(b)_j +
-    1``: digit sums never carry, so ``code(scale*p + q) = scale*code(p) +
-    code(q)`` and bit order is lexicographic point order.  ``free`` starts
-    as the window mask and holds the window codes no pair has reached yet.
-    For ``p`` in sorted order, ``hit = (free >> scale*code(p)) & bits``
-    holds exactly the ``q`` whose sum is first reached by ``p``; its bits,
-    read in ascending order, are those ``q`` in sorted order.  That is the
-    insertion order and tie witness of the index path, whose all-zero
-    values never replace a cell.  The walk stops once ``free`` is empty.
-
-    Cap: each ``p`` costs a shift, an AND and an XOR over the code space,
-    ``nbits`` bits, while the range index spends at most one interpreted
-    probe per point of ``b``.  The bitset thus pays only while ``nbits``
-    per point of ``b`` stays small, and this returns None, before
-    allocating anything, when ``nbits > _BITS_PER_POINT * |b|`` with
-    ``b`` clipped.  4096 is the measured crossover, timed over 682
-    zero-valued calls of the core-wide, core-deep and apps-feas benchmark
-    workloads, seeds 1-3 (those whose window box held more points than
-    ``b``), by bits per point of ``b``:
-
-    - 8 to 2048: bitset 0.14 s, index 0.88 s;
-    - 2048 to 4096: bitset 5.6 ms, index 6.0 ms;
-    - 4096 to 8192: bitset 8.1 ms, index 6.9 ms;
-    - 8192 to 16384: bitset 18.5 ms, index 14.6 ms;
-    - below 8, tiny one-axis calls: bitset 23 ms, index 18 ms in all;
-      since the clip skip, the 208 such calls left once the box probe was
-      gone take 14.2 ms against the index's 32.6 ms.
-    """
-    (a_lo, a_hi), (b_lo, b_hi) = a_reach, b_reach
-    radix = [
-        scale * (ah - al) + bh - bl + 1
-        for al, ah, bl, bh in zip(a_lo, a_hi, b_lo, b_hi)
-    ]
-    nbits = math.prod(radix)
-    if nbits > _BITS_PER_POINT * len(b_pts):
-        return None
-    strides = [math.prod(radix[j + 1:]) for j in range(len(radix))]
-    bases = [scale * al + bl for al, bl in zip(a_lo, b_lo)]
-    free = _box_mask(
-        strides,
-        [max(l - base, 0) for l, base in zip(lo, bases)],
-        [min(h - base, rd - 1) for h, base, rd in zip(hi, bases, radix)],
-    )
-    if not free:
-        return {}
-
-    b_base = sum(map(mul, b_lo, strides))
-    by_code = {sum(map(mul, q, strides)) - b_base: q for q in b_pts}
-    bits = _bitset(by_code)
-
-    a_base = sum(map(mul, a_lo, strides))
-    out: dict[tuple[int, ...], tuple] = {}
-    for p in sorted(a_pts):
-        shift = scale * (sum(map(mul, p, strides)) - a_base)
-        hit = (free >> shift) & bits
-        if not hit:
-            continue
-        free ^= hit << shift
-        for code in _set_bits(hit):
-            q = by_code[code]
-            out[tuple(scale * x + y for x, y in zip(p, q))] = (0, p, q)
-        if not free:
-            break
-    return out
-
-
-def _probe_index(a_cells, b_cells, a_pts, a_reach, b_pts, b_reach, scale, lo, hi):
-    """Pairwise ``sumset`` over packed codes of the clipped tables.
-
-    A code has one field per axis under one zero guard bit, axis 0 most
-    significant; field ``i`` of ``code(p)`` holds ``scale*(p_i - a_lo_i)``
-    and of ``code(q)`` holds ``q_i - b_lo_i``.  Its width fits
-    ``scale*spread(a)_i + spread(b)_i``, so a field of ``code(p) +
-    code(q)`` never carries and that sum is the code of ``scale*p + q``;
-    codes sort like points.  The window becomes ``[w_lo_i, w_hi_i]`` per
-    field, and ``_index_sum`` visits the pairs inside it, ``p`` in sorted
-    order.
-
-    Cells accumulate under mixed-radix keys over the window, which are
-    dense in ``[0, volume)``: the sum codes themselves leave most of each
-    field unused, and as dict keys they collide on their low bits (a dense
-    r=2 fold of 861 x 855 points ran 5-10% slower on them).  Tuples are
-    built for the kept cells only.
-    """
-    (a_lo, a_hi), (b_lo, b_hi) = a_reach, b_reach
-    r = len(lo)
-    shifts, bases, w_lo, w_hi = [0] * r, [0] * r, [0] * r, [0] * r
-    shift = 0
-    for i in range(r - 1, -1, -1):
-        width = (scale * (a_hi[i] - a_lo[i]) + b_hi[i] - b_lo[i]).bit_length()
-        shifts[i] = shift
-        bases[i] = scale * a_lo[i] + b_lo[i]
-        w_lo[i] = max(lo[i] - bases[i], 0)
-        w_hi[i] = min(hi[i] - bases[i], (1 << width) - 1)
-        shift += width + 1
-    dims = [h - l + 1 for l, h in zip(w_lo, w_hi)]
-    strides = [math.prod(dims[i + 1:]) for i in range(r)]
-    key_base = sum(map(mul, map(add, bases, w_lo), strides))
-
-    b_base = sum(map(lshift, b_lo, shifts))
-    b_items = [
-        (sum(map(lshift, q, shifts)) - b_base, sum(map(mul, q, strides)),
-         b_cells[q][0], q)
-        for q in b_pts
-    ]
-    a_base = sum(map(lshift, a_lo, shifts))
-    a_items = sorted(
-        (scale * (sum(map(lshift, p, shifts)) - a_base),
-         scale * sum(map(mul, p, strides)) - key_base, scale * a_cells[p][0], p)
-        for p in a_pts
-    )
-    values: dict[int, int] = {}
-    pairs: dict[int, tuple] = {}
-    _index_sum(a_items, b_items, shifts, w_lo, w_hi, values, pairs)
-    return {
-        tuple(scale * x + y for x, y in zip(p, q)): (values[key], p, q)
-        for key, (p, q) in pairs.items()
-    }
-
-
-def _index_sum(a_items, b_items, shifts, w_lo, w_hi, values, pairs=None) -> None:
+def _index_sum(a_items, b_items, shifts, w_lo, w_hi, values) -> None:
     """Max-plus sums of every pair of packed codes inside a window.
 
-    Items are ``(code, key, value, point)``.  Codes share one frame: field
-    ``i`` starts at bit ``shifts[i]`` (the last at 0) under one zero guard
-    bit, and no field of ``code(p) + code(q)`` carries.  A pair lands when
-    every field of that sum lies in ``[w_lo_i, w_hi_i]``; its cell is
-    ``key(p) + key(q)`` (keys are linear, the last field with weight 1),
-    whose entry in ``values`` keeps the largest ``value(p) + value(q)``.
-    ``a_items`` are visited in the given order and a cell is replaced only
-    by a strictly larger value, so ``pairs``, when given, maps each cell
-    to its first maximising ``(p, q)``, in first-reached order.
+    Items are ``(code, value)``.  Codes share one frame: field ``i``
+    starts at bit ``shifts[i]`` (the last at 0) under one zero guard bit,
+    and no field of ``code(p) + code(q)`` carries, so that sum is the code
+    of the sum point.  A pair lands when every field of it lies in
+    ``[w_lo_i, w_hi_i]``, and ``values`` keeps, under the sum's code, the
+    largest ``value(p) + value(q)``.
 
     ``b`` is grouped by prefix code (the last field zeroed), with the last
     fields sorted inside each group.  For each ``p`` one bisect finds the
@@ -686,7 +584,7 @@ def _index_sum(a_items, b_items, shifts, w_lo, w_hi, values, pairs=None) -> None
     an all-ones last field, so no borrow reaches them).  A guard bit set
     before the subtraction absorbs its own field's borrow and survives
     exactly when that field is in bounds.  A bisect on the last field then
-    yields the ``q`` in sorted order.
+    yields the ``q`` that land.
     """
     r = len(shifts)
     last_mask = (1 << shifts[-2] - 1) - 1 if r > 1 else -1
@@ -699,18 +597,17 @@ def _index_sum(a_items, b_items, shifts, w_lo, w_hi, values, pairs=None) -> None
 
     prefixes: list[int] = []
     index = []
-    for code, key, value, q in sorted(b_items):
+    for code, value in sorted(b_items):
         prefix = code & ~last_mask
         if not prefixes or prefixes[-1] != prefix:
             prefixes.append(prefix)
-            lasts, b_values, qs = [], [], []
-            index.append((prefix, key - (code & last_mask), lasts, b_values, qs))
+            lasts, b_values = [], []
+            index.append((prefix, lasts, b_values))
         lasts.append(code & last_mask)
         b_values.append(value)
-        qs.append(q)
 
     get = values.get
-    for pc, p_key, p_val, p in a_items:
+    for pc, p_val in a_items:
         groups = index
         if r > 1:
             head = pc >> top << top
@@ -719,10 +616,10 @@ def _index_sum(a_items, b_items, shifts, w_lo, w_hi, values, pairs=None) -> None
         k_lo, k_hi = pc + mid_lo, mid_hi - pc
         p_last = pc & last_mask
         q_lo, q_hi = w_lo[-1] - p_last, w_hi[-1] - p_last
-        for prefix, q_key, lasts, b_values, qs in groups:
+        for prefix, lasts, b_values in groups:
             if guards and (k_lo + prefix) & (k_hi - prefix) & guards != guards:
                 continue
-            offset = p_key + q_key
+            offset = pc + prefix
             i0 = bisect_left(lasts, q_lo)
             for i in range(i0, bisect_right(lasts, q_hi, i0)):
                 key = offset + lasts[i]
@@ -730,8 +627,6 @@ def _index_sum(a_items, b_items, shifts, w_lo, w_hi, values, pairs=None) -> None
                 prev = get(key)
                 if prev is None or value > prev:
                     values[key] = value
-                    if pairs is not None:
-                        pairs[key] = (p, qs[i])
 
 
 def convolve(
@@ -741,20 +636,16 @@ def convolve(
     lo: tuple[int, ...] | None = None,
     hi: tuple[int, ...] | None = None,
 ) -> PointTable:
-    """Minkowski sum ``a + b`` of two cell tables inside ``[lo, hi]``:
-    ``sumset`` at scale 1.
+    """Minkowski sum ``a + b`` of two listed tables inside ``[lo, hi]``:
+    ``sumset`` at scale 1, whose result decodes through ``a`` and ``b``.
 
-    Values add; ties keep the first witness in sorted (left, right) order.
-    ``sumset`` picks the path.  A missing window side defaults to
-    ``reach(a) + reach(b)``.
+    Values add; a missing window side defaults to ``reach(a) + reach(b)``.
     """
     if lo is None or hi is None:
         (a_lo, a_hi), (b_lo, b_hi) = a.reach(), b.reach()
         lo = lo if lo is not None else tuple(map(add, a_lo, b_lo))
         hi = hi if hi is not None else tuple(map(add, a_hi, b_hi))
-    out = PointTable(a.r, parents=(a, b))
-    out.cells = sumset(a.cells, b.cells, 1, lo, hi)
-    return out
+    return sumset(a, b, 1, lo, hi)
 
 
 # Largest frame, in bits, in which ``fold_tables`` folds zero-valued
@@ -763,77 +654,102 @@ def convolve(
 _FOLD_FRAME_BITS = 1 << 20
 
 
+def _frame(tops, bitset_bits: int) -> PointTable:
+    """An empty frame table, low corner 0, whose digit ``j`` holds
+    ``[0, tops_j]``; axis 0 is most significant, so codes sort like points.
+
+    When the mixed-radix code space, ``radix_j = tops_j + 1``, has at
+    most ``bitset_bits`` codes, the table is a bitset (``bits = 0``).
+    Otherwise it holds packed codes (``codes = {}``): digit ``j`` has
+    ``w_j`` bits, ``radix_j = 2**w_j > tops_j``, under one zero guard bit.
+    """
+    table = PointTable(len(tops))
+    table.low = (0,) * len(tops)
+    radix = [top + 1 for top in tops]
+    if math.prod(radix) <= bitset_bits:
+        table.bits, fields = 0, radix
+    else:
+        radix = [1 << top.bit_length() for top in tops]
+        table.codes, fields = {}, [2 * rd for rd in radix]  # digit and guard bit
+    table.radix = tuple(radix)
+    table.strides = tuple(math.prod(fields[j + 1:]) for j in range(len(fields)))
+    return table
+
+
 def _fold_frame(tables, reaches, hi):
     """``(step, origin)`` of a fold in a frame, or None for a zero-valued
     fold whose frame exceeds ``_FOLD_FRAME_BITS`` bits.
 
-    ``origin`` is the fold's first partial: the origin alone, coded in the
-    frame.  A partial point lies in ``[0, hi]`` and a brick point in ``[0,
-    reach_hi]``, so with ``top_j = max(hi_j, 0) + max_t reach_hi_j`` digit
-    sums never carry.  Axis 0 is most significant, so codes sort like
-    points.  Valued tables take ``_fold_packed``: digit ``j`` has ``w_j``
-    bits (``radix_j = 2**w_j > top_j``) under one zero guard bit.
-    Zero-valued ones take ``_fold_bits``, in mixed radix ``radix_j = top_j
-    + 1``.
+    ``origin`` is the fold's first partial: the origin alone, coded in a
+    ``_frame``.  A partial point lies in ``[0, hi]`` and a brick point in
+    ``[0, reach_hi]``, so with ``top_j = max(hi_j, 0) + max_t reach_hi_j``
+    digit sums never carry.  Valued tables take packed codes and
+    ``_fold_packed``, zero-valued ones a bitset and ``_fold_bits``.
     """
     tops = map(max, zip(*(t_hi for _, t_hi in reaches)))
     tops = [max(h, 0) + top for h, top in zip(hi, tops)]
-    origin = PointTable(len(hi))
-    if any(cell[0] for t in tables for cell in t.cells.values()):
-        step, origin.codes = _fold_packed, {0: 0}
-        origin.radix = tuple(1 << top.bit_length() for top in tops)
-        fields = [2 * rd for rd in origin.radix]  # each digit and its guard bit
-    else:
-        step, origin.bits = _fold_bits, 1
-        origin.radix = fields = tuple(top + 1 for top in tops)
-        if math.prod(fields) > _FOLD_FRAME_BITS:
-            return None
-    origin.strides = tuple(math.prod(fields[j + 1:]) for j in range(len(fields)))
-    return step, origin
+    valued = _has_values(tables)
+    origin = _frame(tops, 0 if valued else _FOLD_FRAME_BITS)
+    if origin.codes is None:
+        origin.bits = 1
+        return _fold_bits, origin
+    if not valued:
+        return None
+    origin.codes[0] = 0
+    return _fold_packed, origin
 
 
-def _partners(brick: PointTable, strides, code: int) -> Iterator[tuple[int, tuple]]:
-    """``(code - code(q), q)`` for every point ``q`` of ``brick``, ``q``
-    descending: the code of the partial point that ``q`` carries to
-    ``code`` in a fold's frame (exact, see ``PointTable.decode``)."""
-    return (
-        (code - sum(map(mul, q, strides)), q) for q in sorted(brick.cells, reverse=True)
-    )
+def _has_values(tables) -> bool:
+    """Whether any cell of ``tables`` has a nonzero value."""
+    return any(any(map(itemgetter(0), t.cells.values())) for t in tables)
 
 
-def _fold_step(left: PointTable, brick: PointTable) -> PointTable:
-    """An empty partial ``left + brick`` in ``left``'s frame."""
-    out = PointTable(left.r, parents=(left, brick))
-    out.strides, out.radix = left.strides, left.radix
+def _coded(pts, strides, base: int = 0) -> list[tuple[int, tuple[int, ...]]]:
+    """``(sum(p*strides) - base, p)`` for each point ``p`` of ``pts``."""
+    return [(sum(map(mul, p, strides)) - base, p) for p in pts]
+
+
+def _fold_step(left: PointTable, right: PointTable, added) -> PointTable:
+    """An empty sum ``left + right`` in ``left``'s frame, adding ``added``."""
+    out = PointTable(left.r, parents=(left, right))
+    out.strides, out.radix, out.low = left.strides, left.radix, left.low
+    out.added = added
     return out
 
 
 def _fold_bits(
-    left: PointTable, brick: PointTable, lo: tuple[int, ...], hi: tuple[int, ...]
+    left: PointTable,
+    right: PointTable,
+    added: list[tuple[int, tuple[int, ...]]],
+    lo: tuple[int, ...],
+    hi: tuple[int, ...],
 ) -> PointTable:
-    """Zero-valued fold step ``left + brick`` in ``[lo, hi]``, as a bitset.
+    """Zero-valued step ``left + right`` in ``[lo, hi]``, as a bitset.
 
-    A one-point window ANDs ``left`` with the bitset of the brick's
-    partner codes (``_partners``).  Otherwise the smaller side gives the
-    shifts: ``min(|left|, |brick|)`` shift-ORs of the other side's bitset,
-    then one AND with the window's mask.
+    ``added`` lists ``(code, q)`` for the points ``q`` of ``right`` to
+    add, in ``left``'s frame, ascending; ``lo`` and ``hi`` are digits of
+    that frame.  A
+    one-point window ANDs ``left`` with the bitset of the partner codes
+    ``code(lo) - code(q)``.  Otherwise the smaller side gives the shifts:
+    ``min(|left|, |added|)`` shift-ORs of the other side's bitset, then
+    one AND with the window's mask.
     """
     strides = left.strides
-    out = _fold_step(left, brick)
+    out = _fold_step(left, right, added)
     if lo == hi:
         code = sum(map(mul, lo, strides))
-        hits = _bitset([c for c, _ in _partners(brick, strides, code) if c >= 0])
+        hits = _bitset([code - c for c, _ in added if c <= code])
         out.bits = 1 << code if hits & left.bits else 0
         return out
     out.bits = 0
     mask = _box_mask(strides, lo, hi)
     if not mask:
         return out
-    brick_codes = [sum(map(mul, q, strides)) for q in brick.cells]
-    if len(brick_codes) <= len(left):
-        base, shifts = left.bits, brick_codes
+    codes = [c for c, _ in added]
+    if len(codes) <= len(left):
+        base, shifts = left.bits, codes
     else:
-        base, shifts = _bitset(brick_codes), _set_bits(left.bits)
+        base, shifts = _bitset(codes), _set_bits(left.bits)
     acc = 0
     for shift in shifts:
         acc |= base << shift
@@ -842,31 +758,30 @@ def _fold_bits(
 
 
 def _fold_packed(
-    left: PointTable, brick: PointTable, lo: tuple[int, ...], hi: tuple[int, ...]
+    left: PointTable,
+    right: PointTable,
+    added: list[tuple[int, tuple[int, ...]]],
+    lo: tuple[int, ...],
+    hi: tuple[int, ...],
 ) -> PointTable:
-    """Valued fold step ``left + brick`` in ``[lo, hi]``, as code -> value.
+    """Valued step ``left + right`` in ``[lo, hi]``, as code -> value.
 
-    A one-point window looks up the brick's partner codes (``_partners``)
-    in ``left`` and keeps the largest sum.  Otherwise ``_index_sum`` runs
-    on the fold's frame with each sum's code as its key, so the partial is
-    never clipped, decoded or turned into tuples.
+    ``added`` is as for ``_fold_bits``.  A
+    one-point window looks up the partner codes ``code(lo) - code(q)`` in
+    ``left`` and keeps the largest sum.  Otherwise ``_index_sum`` runs on
+    the frame's codes, so no point is decoded or turned into a tuple.
     """
-    strides, codes = left.strides, left.codes
-    out = _fold_step(left, brick)
+    strides, codes, cells = left.strides, left.codes, right.cells
+    out = _fold_step(left, right, added)
     out.codes = {}
     if lo == hi:
         code = sum(map(mul, lo, strides))
-        sums = [
-            codes[c] + brick.cells[q][0]
-            for c, q in _partners(brick, strides, code) if c in codes
-        ]
+        sums = [codes[code - c] + cells[q][0] for c, q in added if code - c in codes]
         if sums:
             out.codes[code] = max(sums)
     elif not any(map(gt, lo, hi)):
-        b = ((sum(map(mul, q, strides)), cell[0]) for q, cell in brick.cells.items())
         _index_sum(
-            [(code, code, value, None) for code, value in codes.items()],
-            [(code, code, value, None) for code, value in b],
+            list(codes.items()), [(c, cells[q][0]) for c, q in added],
             [stride.bit_length() - 1 for stride in strides], lo, hi, out.codes,
         )
     return out
@@ -904,30 +819,31 @@ def fold_tables(
     window in any order.  Only tie witnesses follow the order;
     ``PointTable.decode`` returns witnesses in brick order.
 
-    Steps run one of two paths, both with the same partial point sets:
+    Steps run one of two paths, both with the same partial point sets
+    and the same witnesses:
 
     - frame (``_fold_frame``): every valued fold, and every zero-valued
       fold whose frame has at most ``_FOLD_FRAME_BITS`` codes.  The
       partial starts as the origin in one fold-wide frame, one ``int``
       per point, and every step is ``_fold_packed`` (a dict from code to
-      value, probed by ``_index_sum`` like the index path of ``sumset``)
-      or ``_fold_bits`` (one bitset ``int``).  No step builds a cell;
-      the result lists its points in ``cells`` as ``(value,)``, sorted,
-      and ``decode`` recovers each pair as the ``convolve`` chain would
-      have kept it;
-    - cell chain: a zero-valued fold above the cap.  The first step
-      filters its table to its window and every later one is a
-      ``convolve``, whose cells store their pairs.
+      value, probed by ``_index_sum``) or ``_fold_bits`` (one bitset
+      ``int``).  No step builds a cell; the result lists its points in
+      ``cells`` as ``(value,)``, sorted;
+    - ``convolve`` chain: a zero-valued fold above the cap.  The first
+      step filters its table to its window and every later one is a
+      ``convolve``, which runs the same steps in a frame of its own,
+      fitted to the two tables.
 
     Bitset cap: a step costs ``min(|P|, |t|)`` shifts over the whole
-    frame, while ``convolve`` works per point, so a large frame of few
-    points is slower as a bitset.  The benchmark workloads meet one fold
-    above the cap per seed, the scheduling ``cmax`` fold of 3 r=4 tables
-    of 399, 693 and 659 points into one point, in a frame of 1,299,480
-    bits.  Timed in-process (min of 7 calls, seeds 1-3, on a shared 2-vCPU
-    host), it takes 7.8 to 8.9 ms as the cell chain, 10.6 to 11.0 ms as an
-    uncapped bitset (its last step the one-point lookup) and 42.4 to 44.6
-    ms packed with all values 0.
+    frame, while a ``convolve`` frame spans only the clipped tables, so a
+    large fold frame of few points is slower as a bitset.  The benchmark
+    workloads meet one fold above the cap per seed, the scheduling
+    ``cmax`` fold of 3 r=4 tables of 399, 693 and 659 points into one
+    point, in a frame of 1,299,480 bits.  Timed in-process (min of 7
+    calls, seeds 1-3, on a shared 2-vCPU host), it takes 9.6 to 9.8 ms as
+    the ``convolve`` chain, whose frames hold 802,893 and 849,303 bits,
+    and 12.4 to 22.9 ms as an uncapped bitset (its last step the one-point
+    lookup).
     """
     if not tables:
         raise ValueError("fold_tables needs at least one table")
@@ -978,7 +894,8 @@ def fold_tables(
         rest_lo = list(map(sub, rest_lo, t_lo))
         rest_hi = list(map(sub, rest_hi, t_hi))
         if step is not None:
-            partial = step(partial, tables[idx], w_lo, w_hi)
+            added = _coded(tables[idx].cells, partial.strides)
+            partial = step(partial, tables[idx], added, w_lo, w_hi)
         elif partial is None:
             partial = tables[idx].filtered(w_lo, w_hi)
         else:

@@ -19,21 +19,23 @@ window collapses to exactly ``b_up`` — feasibility is then simply "is
 the top set nonempty" — and the first level with an empty window ends
 the solve as infeasible before its base tables are built.
 
-The combine is ``dp.sumset`` at scale 2, which picks its own path; the
-in-level fold (``dp.fold_tables``) mostly runs in a frame of its own
-and calls ``sumset``, at scale 1, only for a zero-valued fold above its
-bitset cap.  On value ties a point keeps the first witness in sorted
-``(p, q)`` order, whichever path runs.
+The combine is ``dp.sumset`` at scale 2, which sets up a frame per call
+and runs one step of the fold's kernel; the in-level fold
+(``dp.fold_tables``) mostly runs in a frame of its own and calls
+``sumset``, at scale 1, only for a zero-valued fold above its bitset
+cap.  On value ties a point decodes to the first witness in sorted
+``(p, q)`` order, whichever path ran.
 
 Every level set is a ``dp.PointTable``: level 1 is the folded small
-table itself, and level ``i`` is a scale-2 pair table whose parents are
-level ``i-1`` and the small table of level ``i``.  With the fold's own
-pair tables below them, the levels form one witness graph from the
-bricks to the top, and ``reconstruct`` is one ``PointTable.decode`` of
-``b_up``: the left parent of a scale-2 pair counts twice, which yields
-``x = sum_i 2^(levels-i) * x~(i)``; on the way down every stored pair
-is checked against its point, and every pair a fold table recovers must
-exist.  Objective values double along the same
+table itself, and level ``i`` is a sum table whose parents are a table
+coding ``2*p`` for the points ``p`` of level ``i-1`` and the small table
+of level ``i``.  No table stores a pair.  With the fold's own tables
+below them, the levels form one witness graph from the bricks to the
+top, and ``reconstruct`` is one ``PointTable.decode`` of ``b_up``: the
+``p`` of a level's pair counts twice, which yields ``x = sum_i
+2^(levels-i) * x~(i)``; on the way down every pair is recovered from the
+parents' points and values, and a point without one raises.  Objective
+values double along the same
 recursion (values are additive and ``c`` is required to be nonnegative,
 so doubled prefixes stay optimal substructures).  The decoded solution
 is re-verified; a failure raises ``InternalError``, also under
@@ -74,8 +76,8 @@ class SolveTrace:
     """Everything the solver saw, for invariant checks in tests.
 
     ``levels[i - 1]`` is the level-``i`` table: the small table itself at
-    level 1, a scale-2 pair table above it; the top one is the root of
-    the witness graph that ``reconstruct`` decodes.
+    level 1, a scale-2 ``sumset`` table above it; the top one is the root
+    of the witness graph that ``reconstruct`` decodes.
     """
 
     reduced: ReducedInstance
@@ -91,18 +93,18 @@ def _combine_levels(
 ) -> PointTable:
     """Every ``2*p + q`` in ``[lo, hi]``: ``dp.sumset`` at scale 2.
 
-    Values are ``2*value(p) + value(q)``; ties keep the first witness in
-    sorted ``(p, q)`` order.  ``dp.sumset`` picks the path.
+    Values are ``2*value(p) + value(q)``, the largest over a point's
+    pairs; ``decode`` recovers the first maximiser in sorted ``(p, q)``
+    order, ``p`` in ``prev`` counting twice.  ``dp.sumset`` picks the
+    frame.
     """
-    out = PointTable(prev.r, parents=(prev, small), scale=2)
-    out.cells = sumset(prev.cells, small.cells, 2, lo, hi)
-    return out
+    return sumset(prev, small, 2, lo, hi)
 
 
 def reconstruct(top: PointTable, b_up: Sequence[int]) -> list[tuple[int, ...]]:
     """Decode ``b_up`` in the top level table: one counts tuple per brick.
 
-    ``PointTable.decode`` walks the witness graph once and checks every
+    ``PointTable.decode`` walks the witness graph once and recovers every
     pair; a corrupt witness raises ``InternalError``.
     """
     return [w.counts for w in top.decode(tuple(b_up))]

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -563,13 +564,14 @@ def decide_guess(inst: SchedulingInstance, guess: Fraction,
     return None
 
 
-def _candidate_values(inst: SchedulingInstance) -> list[Fraction]:
-    """All fractions load/speed that an optimal objective can take."""
-    values = {Fraction(0)}
-    for speed in inst.s:
-        for load in range(inst.mass + 1):
-            values.add(Fraction(load, speed))
-    return sorted(values)
+def _candidate_values(inst: SchedulingInstance) -> tuple[list[int], int]:
+    """All values load/speed that an optimal objective can take, as sorted
+    numerators over their common denominator ``lcm(s)``, and that
+    denominator.  A search builds a ``Fraction`` only for a guess it
+    decides."""
+    denom = math.lcm(*inst.s)
+    steps = [denom // speed for speed in inst.s]
+    return sorted({load * step for step in steps for load in range(inst.mass + 1)}), denom
 
 
 def solve_cmax(inst: SchedulingInstance) -> Schedule:
@@ -579,19 +581,20 @@ def solve_cmax(inst: SchedulingInstance) -> Schedule:
     witnesses every T' >= T), so binary search over the candidate values
     finds the least feasible one.
     """
-    candidates = _candidate_values(inst)
+    candidates, denom = _candidate_values(inst)
     lo, hi = 0, len(candidates) - 1
     best: Optional[Schedule] = None
     while lo < hi:
         mid = (lo + hi) // 2
-        sched = decide_guess(inst, candidates[mid], OBJECTIVE_CMAX)
+        sched = decide_guess(inst, Fraction(candidates[mid], denom), OBJECTIVE_CMAX)
         if sched is not None:
             best = sched
             hi = mid
         else:
             lo = mid + 1
-    if best is None or best.objective != candidates[lo]:
-        best = decide_guess(inst, candidates[lo], OBJECTIVE_CMAX)
+    least = Fraction(candidates[lo], denom)
+    if best is None or best.objective != least:
+        best = decide_guess(inst, least, OBJECTIVE_CMAX)
     if best is None:
         raise ScheduleError("no feasible makespan among candidate values")
     log.info("cmax optimum %s over %d candidates", best.objective,
@@ -623,9 +626,11 @@ def solve_cmin(inst: SchedulingInstance) -> Schedule:
         return Schedule(machines=tuple(machines), objective=Fraction(0))
     total_speed = sum(speed * count for speed, count in zip(inst.s, inst.m))
     bound = Fraction(inst.mass, total_speed)
-    candidates = [v for v in _candidate_values(inst) if v <= bound]
-    for guess in reversed(candidates):
-        sched = decide_guess(inst, guess, OBJECTIVE_CMIN)
+    candidates, denom = _candidate_values(inst)
+    # num / denom <= mass / total_speed, on integers
+    top = bisect_right(candidates, inst.mass * denom // total_speed)
+    for num in reversed(candidates[:top]):
+        sched = decide_guess(inst, Fraction(num, denom), OBJECTIVE_CMIN)
         if sched is not None:
             log.info("cmin optimum %s after scanning from %s", sched.objective,
                      bound)

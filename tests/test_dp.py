@@ -405,16 +405,22 @@ def zero_fold_cases(draw):
     return tables, lo, hi
 
 
+def is_convolve(table: PointTable) -> bool:
+    """Whether a sum table was made by ``sumset``, whose left parent codes
+    its left operand (one parent) rather than being a fold partial."""
+    return len(table.parents[0].parents or ()) == 1
+
+
 def fold_steps(folded: PointTable, tables) -> list[tuple[int, PointTable]]:
     """``(position in tables, partial after the step)`` for each step of a
     fold, read off its witness graph.  A fold in a frame starts from the
     origin, which is no step; the cell chain's first partial is a filtered
-    copy of its table."""
+    copy of its table, and each later step a ``convolve``."""
     steps = []
     while folded.parents is not None:
         left, brick = folded.parents
         steps.append((next(k for k, t in enumerate(tables) if t is brick), folded))
-        folded = left
+        folded = left.parents[0] if is_convolve(folded) else left
     if folded.strides:
         assert folded.points() == [(0,) * folded.r] and folded.value((0,) * folded.r) == 0
     else:
@@ -463,9 +469,15 @@ def test_zero_valued_fold_matches_the_convolve_chain(cap, case):
     assert value_map(folded) == value_map(chain[-1])
     for pt in folded.cells:
         assert folded.decode(pt) == chain[-1].decode(pt)
-    # Under the cap every step is a bitset step.
-    in_bits = sum(p.bits is not None for _, p in steps)
-    assert in_bits == (len(chain) if cap else 0)
+    # Under the cap every step is a bitset step in the fold's frame; above
+    # it the first partial is filtered and every later one a convolve.
+    kinds = [
+        "filtered" if p.parents is None else "convolve" if is_convolve(p)
+        else "bits" if p.bits is not None else "packed"
+        for _, p in steps
+    ]
+    want = ["bits"] * len(chain) if cap else ["filtered"] + ["convolve"] * (len(chain) - 1)
+    assert kinds == want
 
 
 @st.composite
@@ -620,6 +632,41 @@ def reference_sumset(a_cells, b_cells, scale, lo, hi):
     return out
 
 
+def witness_table(cells: dict, block: int) -> PointTable:
+    """A base table of ``cells``' points and values, listed in ascending
+    point order, whose ``i``-th point decodes to one unit of column ``i``:
+    ``decode`` of a sum over it names the point its pair used."""
+    table = PointTable(len(next(iter(cells))), block=block, columns=len(cells))
+    table.cells = {pt: (cells[pt][0], (None, i, 1)) for i, pt in enumerate(sorted(cells))}
+    return table
+
+
+def sum_pairs(out: PointTable, a: PointTable, b: PointTable, scale: int) -> dict:
+    """``{point: (value, p, q)}`` of a ``sumset`` of two ``witness_table``s,
+    each pair read off ``out.decode``; ``out`` must list its points in
+    ascending order, and no cell may hold more than its value."""
+    assert list(out.cells) == sorted(out.cells)
+    a_pts, b_pts = list(a.cells), list(b.cells)
+    got = {}
+    for pt, (value,) in out.cells.items():
+        counts = {w.block: w.counts for w in out.decode(pt)}
+        assert sum(counts[a.block]) == scale and sum(counts[b.block]) == 1
+        p = a_pts[counts[a.block].index(scale)]
+        got[pt] = (value, p, b_pts[counts[b.block].index(1)])
+    return got
+
+
+def check_sumset(a_cells, b_cells, scale, lo, hi, run=None) -> PointTable:
+    """Run ``dp.sumset`` (or ``run(a, b)``) on witness tables of the cells
+    and check its point -> value map and every recovered pair against
+    ``reference_sumset``; returns the result."""
+    a, b = witness_table(a_cells, 0), witness_table(b_cells, 1)
+    out = dp.sumset(a, b, scale, lo, hi) if run is None else run(a, b)
+    want = reference_sumset(a_cells, b_cells, scale, lo, hi)
+    assert sum_pairs(out, a, b, scale) == want, (scale, lo, hi)
+    return out
+
+
 def random_cells(
     rng: random.Random, r: int, size: int, span: int, low: int = 0
 ) -> dict:
@@ -663,16 +710,10 @@ def test_sumset_kernel_matches_double_loop_in_both_callers():
         low = -span if trial % 3 == 0 else 0
         a_cells = random_cells(rng, r, rng.randint(1, 30), span, low)
         b_cells = random_cells(rng, r, rng.randint(1, 60), span, low)
-        a = PointTable(r)
-        a.cells = a_cells
-        b = PointTable(r)
-        b.cells = b_cells
 
-        want = reference_sumset(
-            a_cells, b_cells, 1, (-10 * span,) * r, (10 * span,) * r
+        check_sumset(
+            a_cells, b_cells, 1, (-10 * span,) * r, (10 * span,) * r, run=convolve
         )
-        assert list(convolve(a, b).cells.items()) == list(want.items())
-
         for scale in (1, 2):
             for lo, hi in kernel_windows(rng, a_cells, b_cells, scale):
                 volume = 1
@@ -681,12 +722,11 @@ def test_sumset_kernel_matches_double_loop_in_both_callers():
                 if volume:
                     small = volume <= len(b_cells)
                     windows["volume <= |b|" if small else "volume > |b|"] += 1
-                want = reference_sumset(a_cells, b_cells, scale, lo, hi)
                 if scale == 1:
-                    got = convolve(a, b, lo=lo, hi=hi).cells
+                    run = functools.partial(convolve, lo=lo, hi=hi)
                 else:
-                    got = _combine_levels(a, b, lo, hi).cells
-                assert list(got.items()) == list(want.items()), (trial, scale, lo, hi)
+                    run = functools.partial(_combine_levels, lo=lo, hi=hi)
+                check_sumset(a_cells, b_cells, scale, lo, hi, run=run)
     assert min(windows.values()) > 50, windows
 
 
@@ -741,7 +781,7 @@ def test_sumset_index_matches_double_loop_on_packed_code_cases(monkeypatch):
     """r up to 5 at scales 1 and 2, valued cells with ties, dense and
     sparse prefix groups, windows narrow on a middle axis only, and
     coordinates past +-2**31 whose code fields span several int digits."""
-    hits = count_sumset_paths(monkeypatch)
+    hits = count_sumset_steps(monkeypatch)
     rng = random.Random(2026)
     seen = {"r=5": 0, "pinned middle": 0, "wide fields": 0, "dense": 0}
     for trial in range(160):
@@ -754,9 +794,7 @@ def test_sumset_index_matches_double_loop_on_packed_code_cases(monkeypatch):
         b_cells = grouped_cells(rng, r, rng.randint(1, 50), span, offset, dense)
         for scale in (1, 2):
             for lo, hi in pair_windows(rng, a_cells, b_cells, scale):
-                want = reference_sumset(a_cells, b_cells, scale, lo, hi)
-                got = dp.sumset(a_cells, b_cells, scale, lo, hi)
-                assert list(got.items()) == list(want.items()), (trial, scale, lo, hi)
+                got = check_sumset(a_cells, b_cells, scale, lo, hi)
                 seen["r=5"] += r == 5
                 seen["pinned middle"] += r > 2 and any(
                     l == h for l, h in zip(lo[1:-1], hi[1:-1])
@@ -764,40 +802,38 @@ def test_sumset_index_matches_double_loop_on_packed_code_cases(monkeypatch):
                 seen["wide fields"] += wide and bool(got)
                 seen["dense"] += dense and r > 1 and len(got) > len(b_cells)
     assert min(seen.values()) > 40, seen
-    assert hits["index"] > 400 and hits["bits"] == 0, hits
+    assert hits["packed"] > 400 and hits["bits"] == 0, hits
 
 
 def zero_cells(rng: random.Random, r: int, size: int, span: int) -> dict:
     return {pt: (0, ()) for pt in random_cells(rng, r, size, span)}
 
 
-def count_sumset_paths(monkeypatch) -> dict[str, int]:
-    """Count the index and bitset paths ``dp.sumset`` takes."""
-    hits = {"index": 0, "bits": 0}
+def count_sumset_steps(monkeypatch) -> dict[str, int]:
+    """Count the bitset and packed steps that ``dp.sumset`` runs."""
+    hits = {"packed": 0, "bits": 0}
 
     def counted(name, fn):
         def wrapper(*args):
-            out = fn(*args)
-            if name != "bits" or out is not None:
-                hits[name] += 1
-            return out
+            hits[name] += 1
+            return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(dp, "_probe_index", counted("index", dp._probe_index))
-    monkeypatch.setattr(dp, "_sumset_bits", counted("bits", dp._sumset_bits))
+    monkeypatch.setattr(dp, "_fold_packed", counted("packed", dp._fold_packed))
+    monkeypatch.setattr(dp, "_fold_bits", counted("bits", dp._fold_bits))
     return hits
 
 
 def test_zero_valued_sumset_matches_double_loop_on_every_path(monkeypatch):
-    hits = count_sumset_paths(monkeypatch)
-    # The bitset path clips each table, or takes it whole when its reach
-    # already lies inside the clip bounds; count both branches per side.
+    hits = count_sumset_steps(monkeypatch)
+    # The clip takes a table whole when its reach already lies inside the
+    # clip bounds; count both branches per side.
     clips = {(side, branch): 0 for side in "ab" for branch in ("skip", "clip")}
     clip = dp._clip
 
     def counted_clip(cells, reach, lo, hi):
         pts, out = clip(cells, reach, lo, hi)
-        side = "a" if cells is a_cells else "b"
+        side = "a" if cells.keys() == a_cells.keys() else "b"
         clips[side, "skip" if out is reach and pts else "clip"] += 1
         return pts, out
 
@@ -816,15 +852,13 @@ def test_zero_valued_sumset_matches_double_loop_on_every_path(monkeypatch):
             out_lo[axis], out_hi[axis] = wide_hi[axis] - 2, wide_hi[axis] + 2
             windows.append((tuple(out_lo), tuple(out_hi)))
             for lo, hi in windows:
-                want = reference_sumset(a_cells, b_cells, scale, lo, hi)
-                got = dp.sumset(a_cells, b_cells, scale, lo, hi)
-                assert list(got.items()) == list(want.items()), (trial, scale, lo, hi)
+                check_sumset(a_cells, b_cells, scale, lo, hi)
     assert min(hits.values()) > 20, hits
     assert min(clips.values()) > 20, clips
 
 
 def test_one_nonzero_value_never_takes_the_bitset_path(monkeypatch):
-    hits = count_sumset_paths(monkeypatch)
+    hits = count_sumset_steps(monkeypatch)
     rng = random.Random(31)
     for trial in range(40):
         r = 1 + trial % 3
@@ -832,30 +866,26 @@ def test_one_nonzero_value_never_takes_the_bitset_path(monkeypatch):
         b_cells = zero_cells(rng, r, rng.randint(2, 30), 4)
         side = a_cells if trial % 2 else b_cells
         side[rng.choice(sorted(side))] = (1, ())
-        lo, hi = (0,) * r, (12,) * r
-        want = reference_sumset(a_cells, b_cells, 1, lo, hi)
-        got = dp.sumset(a_cells, b_cells, 1, lo, hi)
-        assert list(got.items()) == list(want.items())
-        assert any(cell[0] for cell in got.values())
-    assert hits["bits"] == 0 and hits["index"] == 40, hits
+        got = check_sumset(a_cells, b_cells, 1, (0,) * r, (12,) * r)
+        assert any(cell[0] for cell in got.cells.values())
+    assert hits["bits"] == 0 and hits["packed"] == 40, hits
 
 
 def test_widely_spread_zero_tables_fall_back_without_a_huge_bitset(monkeypatch):
-    hits = count_sumset_paths(monkeypatch)
+    hits = count_sumset_steps(monkeypatch)
     rng = random.Random(5)
-    a_cells = zero_cells(rng, 3, 30, 10**6)
-    b_cells = zero_cells(rng, 3, 30, 10**6)
+    a = witness_table(zero_cells(rng, 3, 30, 10**6), 0)
+    b = witness_table(zero_cells(rng, 3, 30, 10**6), 1)
     lo, hi = (0,) * 3, (3 * 10**6,) * 3
     tracemalloc.start()
     try:
-        got = dp.sumset(a_cells, b_cells, 2, lo, hi)
+        got = dp.sumset(a, b, 2, lo, hi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert hits == {"index": 1, "bits": 0}
+    assert hits == {"packed": 1, "bits": 0}
     assert peak < 1 << 20, peak  # the code space is ~10^19 bits
-    want = reference_sumset(a_cells, b_cells, 2, lo, hi)
-    assert list(got.items()) == list(want.items())
+    assert sum_pairs(got, a, b, 2) == reference_sumset(a.cells, b.cells, 2, lo, hi)
 
 
 # ---------------------------------------------------------------------------

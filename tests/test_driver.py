@@ -326,18 +326,6 @@ def test_witness_check_survives_python_optimize_flag():
     ]
 
 
-def corrupt_pair(table, point) -> None:
-    """Swap one parent point of ``point``'s pair for another point of the
-    same parent, so the pair no longer sums to ``point``."""
-    value, p, q = table.cells[point]
-    left, right = table.parents
-    other_q = [pt for pt in right.cells if pt != q]
-    if other_q:
-        table.cells[point] = (value, p, other_q[0])
-    else:
-        table.cells[point] = (value, next(pt for pt in left.cells if pt != p), q)
-
-
 def four_brick() -> NFoldInstance:
     """Four bricks, so the level-1 fold is four bitset steps from the origin."""
     return NFoldInstance(
@@ -352,6 +340,7 @@ def four_valued_bricks() -> NFoldInstance:
 
 
 CORRUPT_FRAME = """
+from nfold import dp
 from nfold.core import InternalError
 from nfold.driver import solve_with_trace
 
@@ -412,6 +401,51 @@ def corrupt_packed_attempts(inst):
     origin.codes = {0: 0}
     lines.append(decoded("restored", fold, point))
     return lines
+
+
+def sum_pair(table, point):
+    \"\"\"``(p, q, left)`` for ``point`` of a ``sumset`` table: the pair
+    ``decode`` recovers and the left table that codes ``scale*p``.\"\"\"
+    left, _ = table.parents
+    code = table._code(point)
+    scaled, q, _, _ = table._pair(point, code, table._value_at(code))
+    return tuple(x // left.scale for x in scaled), q, left
+
+
+def corrupt_sum_attempts(inst):
+    \"\"\"Decode pairless sum tables after each corruption, undone after:
+    a valued ``convolve`` table (scale 1) after raising its value of its
+    last point and after dropping that point's ``p`` from its left
+    operand; the top level table of ``inst`` (scale 2, a bitset) after
+    emptying its left table and after dropping ``b_up``'s ``p`` from the
+    level below.\"\"\"
+    a = dp.block_base_table(((1, 2),), 2, block_index=0, costs=(0, 1))
+    b = dp.block_base_table(((0, 1),), 1, block_index=1, costs=(1, 0))
+    pair = dp.convolve(a, b)
+    point = pair.points()[-1]
+    p, _, _ = sum_pair(pair, point)
+    lines = []
+    pair.codes[pair._code(point)] += 1
+    lines.append(decoded("raised value", pair, point))
+    pair.codes[pair._code(point)] -= 1
+    cell = a.cells.pop(p)
+    lines.append(decoded("dropped operand point", pair, point))
+    a.cells[p] = cell
+    lines.append(decoded("restored", pair, point))
+
+    trace = solve_with_trace(inst)[1]
+    top, b_up = trace.levels[-1], tuple(trace.reduced.instance.b_up)
+    p, _, left = sum_pair(top, b_up)
+    below = left.parents[0]
+    left.bits, bits = 0, left.bits
+    lines.append(decoded("emptied left table", top, b_up))
+    left.bits = bits
+    bit = 1 << below._code(p)
+    below.bits ^= bit
+    lines.append(decoded("dropped level point", top, b_up))
+    below.bits ^= bit
+    lines.append(decoded("restored", top, b_up))
+    return lines
 """
 
 
@@ -445,35 +479,56 @@ def check_corrupt_packed_lines(lines: list[str]) -> None:
     assert lines[4] == "restored decoded"
 
 
+def check_corrupt_sum_lines(lines: list[str]) -> None:
+    assert len(lines) == 6, lines
+    assert lines[:3] == [
+        "raised value internal error: corrupt witness: no pair for (5,)",
+        "dropped operand point internal error: corrupt witness: (4,) missing",
+        "restored decoded",
+    ]
+    assert re.fullmatch(
+        r"emptied left table internal error: corrupt witness: no pair for \(\d+,\)",
+        lines[3],
+    )
+    assert re.fullmatch(
+        r"dropped level point internal error: corrupt witness: \(\d+,\) missing",
+        lines[4],
+    )
+    assert lines[5] == "restored decoded"
+
+
 def test_corrupt_pair_raises_in_decode():
-    """``decode`` checks ``scale*p + q == point`` at every stored pair: in a
-    ``convolve`` table (scale 1) and in a level table (scale 2); and a
+    """No sum table stores a pair, so ``decode`` must find one for every
+    point: a ``convolve`` table (scale 1) and a level table (scale 2)
+    raise once a value is raised or a parent point is dropped; and a
     bitset fold table must hold the point and a pair for it, down to the
     origin."""
-    pair = dp.convolve(
-        dp.block_base_table(((1, 2),), 2, block_index=0),
-        dp.block_base_table(((0, 1),), 1, block_index=1),
-    )
-    point = pair.points()[0]
-    assert pair.decode(point)
-    corrupt_pair(pair, point)
-    with pytest.raises(InternalError, match=r"corrupt witness: 1\*"):
-        pair.decode(point)
-
     out, trace = solve_with_trace(four_brick())
     assert out.status == STATUS_FEASIBLE and len(trace.levels) >= 2
     top = trace.levels[-1]
-    assert top.scale == 2
+    assert top.parents[0].scale == 2
     b_up = trace.reduced.instance.b_up
-    corrupt_pair(top, b_up)
-    with pytest.raises(InternalError, match=r"corrupt witness: 2\*"):
-        driver.reconstruct(top, b_up)
+    assert driver.reconstruct(top, b_up)
     with pytest.raises(InternalError, match="missing"):
         driver.reconstruct(top, tuple(v + 1 for v in b_up))
 
     scope: dict = {}
     exec(CORRUPT_FRAME, scope)
+    check_corrupt_sum_lines(scope["corrupt_sum_attempts"](four_brick()))
     check_corrupt_bits_lines(scope["corrupt_bits_attempts"](four_brick()))
+
+
+def test_sum_checks_survive_python_optimize_flag():
+    script = CORRUPT_FRAME + textwrap.dedent(
+        f"""
+        from nfold.core import NFoldInstance
+        print("debug", __debug__)
+        print(*corrupt_sum_attempts({four_brick()!r}), sep="\\n")
+        """
+    )
+    lines = run_optimized(script)
+    assert lines[0] == "debug False"
+    check_corrupt_sum_lines(lines[1:])
 
 
 def test_bitset_partial_checks_survive_python_optimize_flag():
@@ -616,6 +671,8 @@ def test_reach_windows_hold_the_witness_inside_the_d_box_at_the_floor(
     ``+-D`` box: per axis its bounds are at least as tight.
     """
     pin_floor(monkeypatch)
+    scope: dict = {}
+    exec(CORRUPT_FRAME, scope)
     rng = random.Random(seed)
     deep = witnessed = 0
     for _ in range(trials):
@@ -639,9 +696,10 @@ def test_reach_windows_hold_the_witness_inside_the_d_box_at_the_floor(
         target = b_up
         for level, table in reversed(list(enumerate(trace.levels, 1))):
             lo, hi, small_lo, small_hi = built.windows[level - 1]
-            # Level 1 is the small table itself; above it, (value, p, q).
+            # Level 1 is the small table itself; above it, a sum whose
+            # pair decode recovers.
             parent, small_pt = (
-                (None, target) if level == 1 else table.cells[target][1:])
+                (None, target) if level == 1 else scope["sum_pair"](table, target)[:2])
             assert inside(target, lo, hi) and inside(small_pt, small_lo, small_hi)
             target = parent
     assert deep >= trials // 5 and witnessed >= deep // 3

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
+import nfold.scheduling as scheduling
 from nfold.scheduling import (
     OBJECTIVE_CMAX,
     OBJECTIVE_CMIN,
@@ -263,3 +265,64 @@ def test_quick_sweep_against_reference():
             inst.p, inst.n, inst.s, inst.m, OBJECTIVE_CMAX)
         assert got_min.objective == schedule_reference(
             inst.p, inst.n, inst.s, inst.m, OBJECTIVE_CMIN)
+
+
+def fraction_candidates(inst: SchedulingInstance) -> list[Fraction]:
+    """Every ``Fraction(load, speed)``, sorted: the candidate list as
+    ``Fraction`` objects, to check the integer numerators against."""
+    values = {Fraction(0)}
+    for speed in inst.s:
+        for load in range(inst.mass + 1):
+            values.add(Fraction(load, speed))
+    return sorted(values)
+
+
+def test_candidate_guesses_equal_the_fraction_list(monkeypatch):
+    """The numerators over ``lcm(s)`` list the same values as the
+    ``Fraction`` list, and both searches decide the same guesses, in the
+    same order, as over that list: a binary search for ``cmax`` and a
+    downward scan from ``mass / total speed`` for ``cmin``, here under a
+    stand-in verdict with a random threshold."""
+    rng = random.Random(41)
+    for trial in range(60):
+        p, n, s, m = random_scheduling_instance(rng)
+        if trial % 2:
+            s = rng.sample(range(1, 8), len(s))
+        inst = SchedulingInstance.build(p=p, n=n, s=s, m=m)
+        numerators, denom = scheduling._candidate_values(inst)
+        values = fraction_candidates(inst)
+        assert [Fraction(v, denom) for v in numerators] == values
+
+        threshold = rng.choice(values)
+        lo, hi, best, want_cmax = 0, len(values) - 1, None, []
+        while lo < hi:
+            mid = (lo + hi) // 2
+            want_cmax.append(values[mid])
+            if values[mid] >= threshold:
+                best, hi = values[mid], mid
+            else:
+                lo = mid + 1
+        if best != values[lo]:
+            want_cmax.append(values[lo])
+        bound = Fraction(inst.mass, sum(map(operator.mul, inst.s, inst.m)))
+        want_cmin = []
+        if inst.num_jobs >= inst.num_machines:
+            for value in reversed([v for v in values if v <= bound]):
+                want_cmin.append(value)
+                if value <= threshold:
+                    break
+
+        for solver, objective, feasible, want in (
+            (solve_cmax, OBJECTIVE_CMAX, threshold.__le__, want_cmax),
+            (solve_cmin, OBJECTIVE_CMIN, threshold.__ge__, want_cmin),
+        ):
+            guesses = []
+
+            def verdict(inst, guess, obj, feasible=feasible, objective=objective):
+                assert type(guess) is Fraction and obj == objective
+                guesses.append(guess)
+                return Schedule(machines=(), objective=guess) if feasible(guess) else None
+
+            monkeypatch.setattr(scheduling, "decide_guess", verdict)
+            solver(inst)
+            assert guesses == want, (trial, objective)
