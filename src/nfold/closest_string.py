@@ -8,8 +8,9 @@ the same agreement pattern are interchangeable.  For a distance guess
 candidate letter (only letters occurring in the column matter), shared
 rows cap every string's mismatch count at ``d``, and one slack brick per
 string absorbs that string's gap below ``d``.  The smallest feasible
-``d`` is found by binary search; a witness center is decoded from the
-brick solution.
+``d`` is found by binary search between half the largest pairwise
+distance and the smallest radius of an input string; a witness center
+is decoded from the brick solution.
 """
 
 from __future__ import annotations
@@ -161,16 +162,24 @@ def solve_closest(strings: list[str]) -> tuple[int, str]:
     -------
     (int, str)
         The optimal radius and a witness center.  Feasibility is monotone
-        in the radius, so binary search on [0, length] applies.
+        in the radius, so binary search applies.  It searches only a
+        certified bracket: no center beats half the largest pairwise
+        distance (triangle inequality), and each input string is a center
+        of radius its largest distance to the others, a 2-approximation
+        (Li, Ma & Wang, J. ACM 2002).  The center returned always comes
+        from ``decide_distance``.
     """
     if not strings:
         raise ValueError("need at least one string")
     length = len(strings[0])
-    lo, hi = 0, length
+    far = [max(hamming(s, t) for t in strings) for s in strings]
+    lo, hi = (max(far) + 1) // 2, min(far)
+    bracket, decided = (lo, hi), 0
     best: str | None = None
     while lo < hi:
         mid = (lo + hi) // 2
         center = decide_distance(strings, mid)
+        decided += 1
         if center is not None:
             best = center
             hi = mid
@@ -178,8 +187,11 @@ def solve_closest(strings: list[str]) -> tuple[int, str]:
             lo = mid + 1
     if best is None or max(hamming(best, s) for s in strings) != lo:
         best = decide_distance(strings, lo)
+        decided += 1
     if best is None:
-        raise AssertionError("distance = length must always be feasible")
+        raise AssertionError("an input string's own radius must be feasible")
+    log.debug("closest string bracket [%d, %d]: %d guesses decided",
+              *bracket, decided)
     log.info("closest string radius %d for %d strings of length %d",
              lo, len(strings), length)
     return lo, best

@@ -470,8 +470,10 @@ def sumset(
 # The 27 zero-valued calls of the core-wide, core-deep and apps-feas
 # benchmark workloads, seeds 1-3, one-point windows aside, have 2 to
 # 1,159 bits per point and take 27 ms as bitsets against 158 ms packed
-# (min of 20, shared 2-vCPU host); 4096 is the crossover measured for an
-# earlier per-point bitset walk, which none of them comes near.
+# (min of 20, shared 2-vCPU host); the apps-feas calls among them come
+# from the scheduling ``cmax`` guess 91/3, which the bracketed search no
+# longer decides.  4096 is the crossover measured for an earlier
+# per-point bitset walk, which none of them comes near.
 _BITS_PER_POINT = 4096
 
 
@@ -836,10 +838,11 @@ def fold_tables(
 
     Bitset cap: a step costs ``min(|P|, |t|)`` shifts over the whole
     frame, while a ``convolve`` frame spans only the clipped tables, so a
-    large fold frame of few points is slower as a bitset.  The benchmark
-    workloads meet one fold above the cap per seed, the scheduling
-    ``cmax`` fold of 3 r=4 tables of 399, 693 and 659 points into one
-    point, in a frame of 1,299,480 bits.  Timed in-process (min of 7
+    large fold frame of few points is slower as a bitset.  Measured on
+    the scheduling ``cmax`` fold of the benchmark instance at the guess
+    91/3, the first guess of the unbracketed search (the bracketed one
+    no longer decides it): 3 r=4 tables of 399, 693 and 659 points into
+    one point, in a frame of 1,299,480 bits.  Timed in-process (min of 7
     calls, seeds 1-3, on a shared 2-vCPU host), it takes 9.6 to 9.8 ms as
     the ``convolve`` chain, whose frames hold 802,893 and 849,303 bits,
     and 12.4 to 22.9 ms as an uncapped bitset (its last step the one-point

@@ -14,8 +14,11 @@ turned into a per-speed-class integer load target and decided exactly by
 compiling the assignment problem into a block-structured integer program
 (one brick per speed class whose columns are machine *configurations*)
 solved by :func:`nfold.driver.solve`.  ``cmax`` binary-searches the
-candidate list; ``cmin`` scans it downward from the averaging bound, which
-is required because infeasible guesses below the optimum can exist.
+candidates between the averaging bound and the makespan of a greedy LPT
+schedule, which is at most twice the optimum, so no guess it decides is
+more than twice the optimum; ``cmin`` scans the list downward from the
+averaging bound, which is required because infeasible guesses below the
+optimum can exist.
 
 A speed class is *big* when its load target exceeds ``p_max**4``, and a
 job size is a *pivot* when it has at least ``p_max**2 * B`` jobs, ``B``
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -574,19 +577,53 @@ def _candidate_values(inst: SchedulingInstance) -> tuple[list[int], int]:
     return sorted({load * step for step in steps for load in range(inst.mass + 1)}), denom
 
 
+def lpt_schedule(inst: SchedulingInstance) -> Schedule:
+    """Greedy LPT schedule: jobs by size, descending, each on the machine
+    where it finishes earliest, ties to the lowest index.  On uniform
+    machines its makespan is at most twice the optimum (Gonzalez, Ibarra &
+    Sahni, SIAM J. Comput. 1977).  Finish times compare as integers over
+    ``lcm(s)``."""
+    denom = math.lcm(*inst.s)
+    speeds = [speed for speed, count in zip(inst.s, inst.m) for _ in range(count)]
+    steps = [denom // speed for speed in speeds]
+    loads = [0] * len(speeds)
+    jobs: list[list[int]] = [[] for _ in speeds]
+    for size, count in sorted(zip(inst.p, inst.n), reverse=True):
+        for _ in range(count):
+            k = min(range(len(speeds)), key=lambda i: (loads[i] + size) * steps[i])
+            loads[k] += size
+            jobs[k].append(size)
+    machines = tuple(MachineAssignment(speed=speed, jobs=tuple(placed))
+                     for speed, placed in zip(speeds, jobs))
+    return Schedule(machines=machines,
+                    objective=max(mach.completion for mach in machines))
+
+
 def solve_cmax(inst: SchedulingInstance) -> Schedule:
     """Minimise the makespan; returns an optimal schedule.
 
     Feasibility of a makespan guess is monotone (any schedule for T also
-    witnesses every T' >= T), so binary search over the candidate values
-    finds the least feasible one.
+    witnesses every T' >= T), so binary search finds the least feasible
+    candidate.  It searches only a certified bracket: from the first
+    candidate at or above ``max(mass / total speed, p_max / s_max)``,
+    which no schedule beats, up to the makespan of ``lpt_schedule``,
+    which is feasible and at most twice the optimum.  The greedy schedule
+    is a bound only; the answer always comes from ``decide_guess``.
     """
     candidates, denom = _candidate_values(inst)
-    lo, hi = 0, len(candidates) - 1
+    total_speed = sum(speed * count for speed, count in zip(inst.s, inst.m))
+    floor = max(-(-inst.mass * denom // total_speed),
+                inst.p_max * (denom // max(inst.s)))
+    greedy = lpt_schedule(inst)
+    verify_schedule(inst, greedy, OBJECTIVE_CMAX)
+    top = max(mach.load * (denom // mach.speed) for mach in greedy.machines)
+    lo, hi = bisect_left(candidates, floor), bisect_left(candidates, top)
+    bracket, decided = (candidates[lo], top), 0
     best: Optional[Schedule] = None
     while lo < hi:
         mid = (lo + hi) // 2
         sched = decide_guess(inst, Fraction(candidates[mid], denom), OBJECTIVE_CMAX)
+        decided += 1
         if sched is not None:
             best = sched
             hi = mid
@@ -595,8 +632,11 @@ def solve_cmax(inst: SchedulingInstance) -> Schedule:
     least = Fraction(candidates[lo], denom)
     if best is None or best.objective != least:
         best = decide_guess(inst, least, OBJECTIVE_CMAX)
+        decided += 1
     if best is None:
         raise ScheduleError("no feasible makespan among candidate values")
+    log.debug("cmax bracket [%s, %s]: %d guesses decided",
+              *(Fraction(num, denom) for num in bracket), decided)
     log.info("cmax optimum %s over %d candidates", best.objective,
              len(candidates))
     return best
@@ -629,9 +669,10 @@ def solve_cmin(inst: SchedulingInstance) -> Schedule:
     candidates, denom = _candidate_values(inst)
     # num / denom <= mass / total_speed, on integers
     top = bisect_right(candidates, inst.mass * denom // total_speed)
-    for num in reversed(candidates[:top]):
+    for decided, num in enumerate(reversed(candidates[:top]), 1):
         sched = decide_guess(inst, Fraction(num, denom), OBJECTIVE_CMIN)
         if sched is not None:
+            log.debug("cmin scan from %s: %d guesses decided", bound, decided)
             log.info("cmin optimum %s after scanning from %s", sched.objective,
                      bound)
             return sched

@@ -177,8 +177,11 @@ def test_schedule_cmin_fractional_value(tmp_path, capsys):
 
 
 def test_schedule_fast_class_without_pivot(tmp_path, capsys):
-    # above guess 16/150 speed 150's target passes 2**4, and 2 jobs of
-    # size 2 leave no pivot, so those guesses are decided dense
+    # p_max / s_max and the greedy LPT makespan are both 1/75, so the
+    # search decides that one guess.  Above guess 16/150 speed 150's
+    # target passes 2**4 and 2 jobs of size 2 leave no pivot, so such
+    # guesses are decided dense; test_makespan_guesses_are_monotone
+    # decides them on this park
     path = write_json(tmp_path, "jobs.json",
                       {"p": [2], "n": [2], "s": [1, 7, 150], "m": [1, 1, 2]})
     assert main(["schedule", "--in", path]) == 0

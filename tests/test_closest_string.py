@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import logging
 import random
 
 import pytest
 
+import nfold.closest_string as closest_string
 from nfold.closest_string import (
     ColumnType,
     build_ilp,
@@ -15,7 +17,11 @@ from nfold.closest_string import (
     solve_closest,
 )
 
-from helpers import closest_string_full_enumeration, closest_string_reference
+from helpers import (
+    closest_string_full_enumeration,
+    closest_string_reference,
+    random_strings,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +159,15 @@ def test_opposite_strings():
     assert max(hamming(center, s) for s in strings) == 2
 
 
+def test_search_logs_its_bracket(caplog):
+    # half of 4 up to 4: radius 3, then 2, is feasible
+    with caplog.at_level(logging.DEBUG, logger="nfold.closest_string"):
+        assert solve_closest(["aaaa", "bbbb"])[0] == 2
+    assert [rec.getMessage() for rec in caplog.records
+            if rec.levelno == logging.DEBUG] == [
+        "closest string bracket [2, 4]: 2 guesses decided"]
+
+
 def test_solve_closest_rejects_empty_input():
     with pytest.raises(ValueError):
         solve_closest([])
@@ -180,5 +195,28 @@ def test_random_instances_match_reference():
         strings = ["".join(rng.choice(alphabet) for _ in range(length))
                    for _ in range(k)]
         radius, center = solve_closest(strings)
+        assert radius == closest_string_reference(strings)
+        assert max(hamming(center, s) for s in strings) == radius
+
+
+def test_solve_closest_decides_only_inside_the_bracket(monkeypatch):
+    """Every decided radius lies between half the largest pairwise
+    distance and the smallest radius of an input string, and the center
+    returned is one that ``decide_distance`` built."""
+    decide = closest_string.decide_distance
+    rng = random.Random(3109)
+    for _ in range(60):
+        strings = random_strings(rng)
+        far = [max(hamming(s, t) for t in strings) for s in strings]
+        built = []
+
+        def wrapped(strings, d, lo=-(-max(far) // 2), hi=min(far)):
+            assert lo <= d <= hi, (strings, d)
+            built.append(decide(strings, d))
+            return built[-1]
+
+        monkeypatch.setattr(closest_string, "decide_distance", wrapped)
+        radius, center = solve_closest(strings)
+        assert center in built
         assert radius == closest_string_reference(strings)
         assert max(hamming(center, s) for s in strings) == radius

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import operator
 import random
 import re
@@ -277,12 +278,24 @@ def fraction_candidates(inst: SchedulingInstance) -> list[Fraction]:
     return sorted(values)
 
 
+def makespan_bracket(inst: SchedulingInstance) -> tuple[Fraction, Fraction]:
+    """``solve_cmax``'s search bracket, from ``Fraction`` arithmetic: the
+    larger of the averaging bound and ``p_max / s_max``, and the makespan
+    of the greedy LPT schedule."""
+    bound = Fraction(inst.mass, sum(map(operator.mul, inst.s, inst.m)))
+    floor = max(bound, Fraction(inst.p_max, max(inst.s)))
+    return floor, scheduling.lpt_schedule(inst).objective
+
+
 def test_candidate_guesses_equal_the_fraction_list(monkeypatch):
     """The numerators over ``lcm(s)`` list the same values as the
     ``Fraction`` list, and both searches decide the same guesses, in the
-    same order, as over that list: a binary search for ``cmax`` and a
-    downward scan from ``mass / total speed`` for ``cmin``, here under a
-    stand-in verdict with a random threshold."""
+    same order, as over that list: a binary search over the values in
+    ``makespan_bracket`` for ``cmax`` and a downward scan from
+    ``mass / total speed`` for ``cmin``, here under a stand-in verdict
+    with a random threshold.  The ``cmax`` threshold is drawn from the
+    bracket, since one outside it would contradict the averaging bound
+    or the greedy witness."""
     rng = random.Random(41)
     for trial in range(60):
         p, n, s, m = random_scheduling_instance(rng)
@@ -294,16 +307,19 @@ def test_candidate_guesses_equal_the_fraction_list(monkeypatch):
         assert [Fraction(v, denom) for v in numerators] == values
 
         threshold = rng.choice(values)
-        lo, hi, best, want_cmax = 0, len(values) - 1, None, []
+        floor, top = makespan_bracket(inst)
+        bracket = [v for v in values if floor <= v <= top]
+        cmax_threshold = rng.choice(bracket)
+        lo, hi, best, want_cmax = 0, len(bracket) - 1, None, []
         while lo < hi:
             mid = (lo + hi) // 2
-            want_cmax.append(values[mid])
-            if values[mid] >= threshold:
-                best, hi = values[mid], mid
+            want_cmax.append(bracket[mid])
+            if bracket[mid] >= cmax_threshold:
+                best, hi = bracket[mid], mid
             else:
                 lo = mid + 1
-        if best != values[lo]:
-            want_cmax.append(values[lo])
+        if best != bracket[lo]:
+            want_cmax.append(bracket[lo])
         bound = Fraction(inst.mass, sum(map(operator.mul, inst.s, inst.m)))
         want_cmin = []
         if inst.num_jobs >= inst.num_machines:
@@ -313,7 +329,7 @@ def test_candidate_guesses_equal_the_fraction_list(monkeypatch):
                     break
 
         for solver, objective, feasible, want in (
-            (solve_cmax, OBJECTIVE_CMAX, threshold.__le__, want_cmax),
+            (solve_cmax, OBJECTIVE_CMAX, cmax_threshold.__le__, want_cmax),
             (solve_cmin, OBJECTIVE_CMIN, threshold.__ge__, want_cmin),
         ):
             guesses = []
@@ -326,3 +342,63 @@ def test_candidate_guesses_equal_the_fraction_list(monkeypatch):
             monkeypatch.setattr(scheduling, "decide_guess", verdict)
             solver(inst)
             assert guesses == want, (trial, objective)
+
+
+def bracket_draws() -> list[SchedulingInstance]:
+    rng = random.Random(83)
+    draws = [random_scheduling_instance(rng) for _ in range(30)]
+    draws += [random_fast_scheduling_instance(rng) for _ in range(30)]
+    return [SchedulingInstance.build(p=p, n=n, s=s, m=m) for p, n, s, m in draws]
+
+
+def test_lpt_schedule_is_within_twice_the_optimum():
+    for inst in bracket_draws():
+        greedy = scheduling.lpt_schedule(inst)
+        verify_schedule(inst, greedy, OBJECTIVE_CMAX)
+        best = schedule_reference(inst.p, inst.n, inst.s, inst.m, OBJECTIVE_CMAX)
+        assert best <= greedy.objective <= 2 * best, inst
+
+
+def test_lpt_schedule_breaks_ties_to_the_lowest_machine():
+    # two jobs of size 2 on speeds 1 and 2: the first finishes earliest on
+    # the fast machine 1; the second would finish at 2 on either machine
+    # and takes machine 0
+    inst = SchedulingInstance.build(p=[2], n=[2], s=[1, 2], m=[1, 1])
+    greedy = scheduling.lpt_schedule(inst)
+    assert [mach.jobs for mach in greedy.machines] == [(2,), (2,)]
+    assert greedy.objective == 2
+
+
+def test_solve_cmax_decides_only_inside_the_bracket(monkeypatch):
+    """Every guess lies in the bracket, and the schedule returned is one
+    that ``decide_guess`` built, never the greedy bound."""
+    decide = scheduling.decide_guess
+    for inst in bracket_draws():
+        floor, top = makespan_bracket(inst)
+        built = []
+
+        def wrapped(inst, guess, objective):
+            assert floor <= guess <= top, (inst, guess)
+            built.append(decide(inst, guess, objective))
+            return built[-1]
+
+        monkeypatch.setattr(scheduling, "decide_guess", wrapped)
+        got = solve_cmax(inst)
+        assert any(got is sched for sched in built)
+        assert got.objective == schedule_reference(
+            inst.p, inst.n, inst.s, inst.m, OBJECTIVE_CMAX), inst
+
+
+def test_benchmark_instance_searches_its_bracket(caplog):
+    # the averaging bound 112/9 rounds up to the candidate 25/2 and LPT
+    # reaches 13, so two guesses find the optimum 38/3
+    inst = SchedulingInstance.build(p=[3, 5, 7], n=[10, 8, 6], s=[1, 2, 3],
+                                    m=[2, 2, 1])
+    with caplog.at_level(logging.DEBUG, logger="nfold.scheduling"):
+        assert solve_cmax(inst).objective == Fraction(38, 3)
+        assert solve_cmin(inst).objective == 12
+    assert [rec.getMessage() for rec in caplog.records
+            if rec.levelno == logging.DEBUG] == [
+        "cmax bracket [25/2, 13]: 2 guesses decided",
+        "cmin scan from 112/9: 2 guesses decided",
+    ]
