@@ -27,9 +27,11 @@ step (``_fold_packed``) probes a prefix-grouped index of the right table
 callers:
 
 - ``fold_tables`` sums the brick tables one at a time in one fold-wide
-  frame, from the origin, keeping only points that can still land
-  inside the target window given the summed reach of the bricks not yet
-  folded; that window depends on which bricks remain, not on the order.
+  frame, from the origin or, for a solver level above the first, from
+  ``2*prev``, the level below scaled by 2, keeping only points that can
+  still land inside the target window given the summed reach of the
+  bricks not yet folded; that window depends on which bricks remain,
+  not on the order.
   The order is greedy, as in bucket elimination: each step takes the
   brick with the smallest bound on its output plus its probe work,
   computed from table sizes and reaches alone, ties going to the lowest
@@ -41,9 +43,9 @@ callers:
   follow it.
 - ``sumset``, every ``scale*p + q`` in a window, sets up a frame per
   call around the two tables, codes ``scale*p`` as its left table
-  and runs one step.  The cross-level ``driver._combine_levels`` runs it
-  at scale 2, and ``convolve`` at scale 1 for a zero-valued fold whose
-  frame exceeds the fold's bitset cap.
+  and runs one step.  A zero-valued fold whose frame exceeds its bitset
+  cap runs it: at scale 2 for its first step from ``2*prev``, and as
+  ``convolve``, at scale 1, for every other step.
 
 No table stores a pair.  A base cell remembers its column-count chain; a
 sum table remembers its two parents, and ``PointTable.decode`` recovers
@@ -108,9 +110,9 @@ class PointTable:
     from code to value.  Its ``parents`` say where its points come from:
 
     - none: the origin of a fold, the one point 0 valued 0;
-    - one, at ``scale``: the left table of ``sumset``, each point
-      ``scale*p`` for a point ``p`` of the parent, valued
-      ``scale*value(p)``;
+    - one, at ``scale``: the left table of ``sumset`` or the start of a
+      fold from ``2*prev`` (scale 2), each point ``scale*p`` for a point
+      ``p`` of the parent, valued ``scale*value(p)``;
     - two: a sum ``left + right`` made by one step.  It stores no pairs:
       ``added`` lists the ``(code, q)`` of the points ``q`` of ``right``
       that the step added, ascending, and ``decode`` recovers each pair
@@ -243,8 +245,9 @@ class PointTable:
 
         One walk of the witness graph down to the base tables, carrying a
         weight that starts at 1: both parents of a sum keep the weight,
-        the left table of a scale-``s`` ``sumset`` passes ``weight*s`` to
-        its parent, and a base table adds ``weight*take`` into its
+        a one-parent table at scale ``s`` (``sumset``'s left table or a
+        fold's start from ``2*prev``) passes ``weight*s`` to its parent,
+        and a base table adds ``weight*take`` into its
         brick's counts.  A missing point, or a point with no pair, raises
         ``InternalError``: a corrupt witness is a bug, never an input
         problem.
@@ -444,15 +447,9 @@ def sumset(
         scale * (ah - al) + bh - bl for al, ah, bl, bh in zip(a_lo, a_hi, b_lo, b_hi)
     ]
     left = _frame(tops, 0 if _has_values((a, b)) else _BITS_PER_POINT * len(b_pts))
-    left.low, left.parents, left.scale = tuple(scale * x for x in a_lo), (a,), scale
-    strides = left.strides
-    scaled, base = [scale * s for s in strides], sum(map(mul, left.low, strides))
-    p_codes = [sum(map(mul, p, scaled)) - base for p in a_pts]
-    if left.codes is None:
-        step, left.bits = _fold_bits, _bitset(p_codes)
-    else:
-        step = _fold_packed
-        left.codes = {c: scale * a.cells[p][0] for c, p in zip(p_codes, a_pts)}
+    left.low = tuple(scale * x for x in a_lo)
+    _scaled(left, a, a_pts, scale)
+    step, strides = _fold_bits if left.codes is None else _fold_packed, left.strides
     corner = tuple(map(add, left.low, b_lo))
     out = step(
         left, b, _coded(b_pts, strides, sum(map(mul, b_lo, strides))),
@@ -466,11 +463,14 @@ def sumset(
 
 # Largest bitset, in bits per kept point of the right table, that
 # ``sumset`` builds for zero-valued tables; larger ones take packed codes.
-# A bitset step shifts whole bitsets, the packed step probes per point.
-# The 27 zero-valued calls of the core-wide, core-deep and apps-feas
-# benchmark workloads, seeds 1-3, one-point windows aside, have 2 to
-# 1,159 bits per point and take 27 ms as bitsets against 158 ms packed
-# (min of 20, shared 2-vCPU host); the apps-feas calls among them come
+# A fold from ``2*prev`` allows as many bits per kept point of ``prev``
+# (see ``fold_tables``).  A bitset step shifts whole bitsets, the packed
+# step probes per point.
+# Measured when a separate scale-2 ``sumset`` still combined the levels:
+# the 27 zero-valued calls of the core-wide, core-deep and apps-feas
+# benchmark workloads, seeds 1-3, one-point windows aside, had 2 to
+# 1,159 bits per point and took 27 ms as bitsets against 158 ms packed
+# (min of 20, shared 2-vCPU host); the apps-feas calls among them came
 # from the scheduling ``cmax`` guess 91/3, which the bracketed search no
 # longer decides.  4096 is the crossover measured for an earlier
 # per-point bitset walk, which none of them comes near.
@@ -651,8 +651,16 @@ def convolve(
 
 
 # Largest frame, in bits, in which ``fold_tables`` folds zero-valued
-# tables as bitsets; larger ones take the ``convolve`` chain.  See
-# ``fold_tables``.
+# tables as bitsets from the origin; larger ones take the ``convolve``
+# chain.  See ``fold_tables`` for the cap of a fold from ``2*prev``.
+# Measured on the scheduling ``cmax`` fold of the benchmark instance at
+# the guess 91/3, the first guess of the unbracketed search (the
+# bracketed one no longer decides it): 3 r=4 tables of 399, 693 and 659
+# points into one point, in a frame of 1,299,480 bits.  Timed in-process
+# (min of 7 calls, seeds 1-3, on a shared 2-vCPU host), it takes 9.6 to
+# 9.8 ms as the ``convolve`` chain, whose frames hold 802,893 and 849,303
+# bits, and 12.4 to 22.9 ms as an uncapped bitset (its last step the
+# one-point lookup).
 _FOLD_FRAME_BITS = 1 << 20
 
 
@@ -678,27 +686,33 @@ def _frame(tops, bitset_bits: int) -> PointTable:
     return table
 
 
-def _fold_frame(tables, reaches, hi):
-    """``(step, origin)`` of a fold in a frame, or None for a zero-valued
-    fold whose frame exceeds ``_FOLD_FRAME_BITS`` bits.
+def _fold_frame(tables, reaches, hi, low, prev, pts):
+    """``(step, start)`` of a fold in a frame, or None for a zero-valued
+    fold above its bitset cap.
 
-    ``origin`` is the fold's first partial: the origin alone, coded in a
-    ``_frame``.  A partial point lies in ``[0, hi]`` and a brick point in
-    ``[0, reach_hi]``, so with ``top_j = max(hi_j, 0) + max_t reach_hi_j``
-    digit sums never carry.  Valued tables take packed codes and
-    ``_fold_packed``, zero-valued ones a bitset and ``_fold_bits``.
+    ``start`` is the fold's first partial, in a ``_frame`` with low corner
+    ``low``: the origin alone, or ``2*p`` for the points ``p`` of ``pts``
+    with ``prev`` as its one parent, at scale 2.  A partial point lies in
+    ``[low, hi]`` and a brick point in ``[0, reach_hi]``, so with ``top_j
+    = max(hi_j - low_j, 0) + max_t reach_hi_j`` digit sums never carry.
+    Valued tables take packed codes and ``_fold_packed``, zero-valued
+    ones a bitset and ``_fold_bits``.
     """
     tops = map(max, zip(*(t_hi for _, t_hi in reaches)))
-    tops = [max(h, 0) + top for h, top in zip(hi, tops)]
-    valued = _has_values(tables)
-    origin = _frame(tops, 0 if valued else _FOLD_FRAME_BITS)
-    if origin.codes is None:
-        origin.bits = 1
-        return _fold_bits, origin
-    if not valued:
+    tops = [max(h - l, 0) + top for h, l, top in zip(hi, low, tops)]
+    valued = _has_values(tables if prev is None else [*tables, prev])
+    cap = max(_FOLD_FRAME_BITS, _BITS_PER_POINT * len(pts))
+    start = _frame(tops, 0 if valued else cap)
+    if start.codes is not None and not valued:
         return None
-    origin.codes[0] = 0
-    return _fold_packed, origin
+    start.low = low
+    if prev is not None:
+        _scaled(start, prev, pts, 2)
+    elif start.codes is None:
+        start.bits = 1
+    else:
+        start.codes[0] = 0
+    return (_fold_bits if start.codes is None else _fold_packed), start
 
 
 def _has_values(tables) -> bool:
@@ -709,6 +723,19 @@ def _has_values(tables) -> bool:
 def _coded(pts, strides, base: int = 0) -> list[tuple[int, tuple[int, ...]]]:
     """``(sum(p*strides) - base, p)`` for each point ``p`` of ``pts``."""
     return [(sum(map(mul, p, strides)) - base, p) for p in pts]
+
+
+def _scaled(left: PointTable, a: PointTable, pts, scale: int) -> None:
+    """Fill the empty frame table ``left`` with ``scale*p`` for the points
+    ``p`` of ``a`` in ``pts``, valued ``scale*value(p)``; ``a`` becomes its
+    one parent, at ``scale``."""
+    strides = left.strides
+    coded = _coded(pts, [scale * s for s in strides], sum(map(mul, left.low, strides)))
+    left.parents, left.scale = (a,), scale
+    if left.codes is None:
+        left.bits = _bitset([c for c, _ in coded])
+    else:
+        left.codes = {c: scale * a.cells[p][0] for c, p in coded}
 
 
 def _fold_step(left: PointTable, right: PointTable, added) -> PointTable:
@@ -793,27 +820,30 @@ def fold_tables(
     tables: Sequence[PointTable],
     lo: tuple[int, ...],
     hi: tuple[int, ...],
+    prev: PointTable | None = None,
 ) -> PointTable:
-    """Sum brick tables into the window ``[lo, hi]``, cheapest step first.
+    """Sum brick tables into the window ``[lo, hi]``, cheapest step first,
+    from the origin or from ``2*prev``: every ``2*p + q_1 + ... + q_n``.
 
     Windows: with ``rest`` the summed per-axis reach of the tables not
     yet folded, a partial sum is clipped to ``[max(0, lo - rest_hi),
     hi - rest_lo]``; anything outside can no longer be steered into
     ``[lo, hi]`` (every table point is nonnegative), and the last step
     lands exactly in ``[lo, hi]``.  The window depends on which tables
-    remain, not on the order they were taken in.
+    remain, not on the order they were taken in.  From ``prev``, only
+    the ``p`` with ``2*p`` in the first window are kept.
 
-    Order: the partial starts as the origin and each step takes the
-    remaining table ``t`` with the lowest estimated cost, ties going to
-    the lowest position in ``tables``.  The estimate is the output bound
-    ``min(|P|*|t|, volume of window ∩ (box P + reach t))`` plus the
-    probe bound ``|P| * min(|t|, prod(min(window width, spread t) + 1))``,
-    where ``box P`` is the bound on the partial's reach carried from the
-    previous step (the partial is never rescanned).  The output term
-    pulls forward tables that pin shared rows, so partial sums stay
-    small; the probe term keeps a large table late.  Bricks of equal
-    size and reach are interchangeable for the rule, so they are scored
-    once per step and taken in position order.
+    Order: the partial starts as the origin or as the kept ``2*p``, and
+    each step takes the remaining table ``t`` with the lowest estimated
+    cost, ties going to the lowest position in ``tables``.  The estimate
+    is the output bound ``min(|P|*|t|, volume of window ∩ (box P + reach
+    t))`` plus the probe bound ``|P| * min(|t|, prod(min(window width,
+    spread t) + 1))``, where ``box P`` is the bound on the partial's
+    reach carried from the previous step (the partial is never
+    rescanned).  The output term pulls forward tables that pin shared
+    rows, so partial sums stay small; the probe term keeps a large table
+    late.  Bricks of equal size and reach are interchangeable for the
+    rule, so they are scored once per step and taken in position order.
 
     The point -> value map does not depend on the order: the Minkowski
     sum and max-plus are associative and commutative, and every partial
@@ -825,42 +855,50 @@ def fold_tables(
     and the same witnesses:
 
     - frame (``_fold_frame``): every valued fold, and every zero-valued
-      fold whose frame has at most ``_FOLD_FRAME_BITS`` codes.  The
-      partial starts as the origin in one fold-wide frame, one ``int``
-      per point, and every step is ``_fold_packed`` (a dict from code to
-      value, probed by ``_index_sum``) or ``_fold_bits`` (one bitset
-      ``int``).  No step builds a cell; the result lists its points in
-      ``cells`` as ``(value,)``, sorted;
+      fold under the bitset cap.  The partial starts in one fold-wide
+      frame, one ``int`` per point, and every step is ``_fold_packed``
+      (a dict from code to value, probed by ``_index_sum``) or
+      ``_fold_bits`` (one bitset ``int``).  No step builds a cell; the
+      result lists its points in ``cells`` as ``(value,)``, sorted;
     - ``convolve`` chain: a zero-valued fold above the cap.  The first
-      step filters its table to its window and every later one is a
-      ``convolve``, which runs the same steps in a frame of its own,
-      fitted to the two tables.
+      step filters its table to its window, or from ``prev`` is a
+      ``sumset`` at scale 2, and every later one is a ``convolve``; each
+      runs the same steps in a frame of its own, fitted to its tables.
 
-    Bitset cap: a step costs ``min(|P|, |t|)`` shifts over the whole
-    frame, while a ``convolve`` frame spans only the clipped tables, so a
-    large fold frame of few points is slower as a bitset.  Measured on
-    the scheduling ``cmax`` fold of the benchmark instance at the guess
-    91/3, the first guess of the unbracketed search (the bracketed one
-    no longer decides it): 3 r=4 tables of 399, 693 and 659 points into
-    one point, in a frame of 1,299,480 bits.  Timed in-process (min of 7
-    calls, seeds 1-3, on a shared 2-vCPU host), it takes 9.6 to 9.8 ms as
-    the ``convolve`` chain, whose frames hold 802,893 and 849,303 bits,
-    and 12.4 to 22.9 ms as an uncapped bitset (its last step the one-point
-    lookup).
+    Bitset cap: ``max(_FOLD_FRAME_BITS, _BITS_PER_POINT * |kept p|)``
+    frame bits, so ``_FOLD_FRAME_BITS`` from the origin.  A step costs
+    ``min(|P|, |t|)`` shifts over the whole frame, while a ``convolve``
+    frame spans only the clipped tables, so a large fold frame of few
+    points is slower as a bitset; the points kept from ``prev`` raise
+    the cap as the right table's points raise ``sumset``'s.
     """
     if not tables:
         raise ValueError("fold_tables needs at least one table")
     r = tables[0].r
     reaches = [t.reach() for t in tables]
-    step, partial = _fold_frame(tables, reaches, hi) or (None, None)
     rest_lo = [sum(axis) for axis in zip(*(t_lo for t_lo, _ in reaches))]
     rest_hi = [sum(axis) for axis in zip(*(t_hi for _, t_hi in reaches))]
+    if prev is None:
+        pts, low, size, box_lo, box_hi = (), (0,) * r, 1, (0,) * r, (0,) * r
+    else:
+        pts, (p_lo, p_hi) = _clip(prev.cells, prev.reach(),
+                                  [-((rh - l) // 2) for l, rh in zip(lo, rest_hi)],
+                                  [(h - rl) // 2 for h, rl in zip(hi, rest_lo)])
+        if not pts:
+            return PointTable(r)
+        box_lo, box_hi = tuple(2 * x for x in p_lo), tuple(2 * x for x in p_hi)
+        # No partial point lies below 2*min p, nor, once clipped to its
+        # window, below lo - rest_hi: that is the frame's low corner.
+        low, size = tuple(map(max, map(sub, lo, rest_hi), box_lo)), len(pts)
+    step, partial = _fold_frame(tables, reaches, hi, low, prev, pts) or (None, None)
+    if step is not None:  # from here on, offsets from the frame's low corner
+        lo, hi, box_lo, box_hi = (
+            tuple(map(sub, v, low)) for v in (lo, hi, box_lo, box_hi))
     # (size, reach) -> positions, highest first, so pop() takes the lowest.
     groups: dict[tuple, list[int]] = {}
     for idx in range(len(tables) - 1, -1, -1):
         groups.setdefault((len(tables[idx]), reaches[idx]), []).append(idx)
 
-    size, box_lo, box_hi = 1, (0,) * r, (0,) * r
     order: list[int] = []
     peak = 0
     while groups:
@@ -900,7 +938,8 @@ def fold_tables(
             added = _coded(tables[idx].cells, partial.strides)
             partial = step(partial, tables[idx], added, w_lo, w_hi)
         elif partial is None:
-            partial = tables[idx].filtered(w_lo, w_hi)
+            partial = (tables[idx].filtered(w_lo, w_hi) if prev is None
+                       else sumset(prev, tables[idx], 2, w_lo, w_hi))
         else:
             partial = convolve(partial, tables[idx], lo=w_lo, hi=w_hi)
         order.append(idx)

@@ -2,44 +2,41 @@
 
 The solver walks the level plan bottom-up maintaining one point set per
 level: the set of shared-row vectors reachable by the doubled prefix of
-the plan.  Level 1 is the bottom small set; every later level combines
+the plan.  Level 1 is the fold of its brick tables; every later level is
 
-    N(i) = { 2*p + q  :  p in N(i-1),  q in small-set(i) }
+    N(i) = { 2*p + q_1 + ... + q_n  :  p in N(i-1),  q_k in T_k(i) }
 
-and keeps only points that can still reach ``b_up`` after the remaining
-doublings.  Each level reads its windows from the plan (see ``plan``):
-a retained level-i point lies in ``[lo_i, hi_i]``, the exact range of
-level-i prefixes that the placed units of the levels below can build and
-the levels above can still complete to ``b_up``, and level i's small set
-is folded into ``[small_lo_i, small_hi_i]``, the range ``2*p + q`` needs
-from ``q`` for some ``p`` in the level-(i-1) window.  Every prefix and
-partial sum of a decomposition that reaches ``b_up`` lies inside these
-windows, so only dead-end points are dropped.  At the top level the
-window collapses to exactly ``b_up`` — feasibility is then simply "is
-the top set nonempty" — and the first level with an empty window ends
-the solve as infeasible before its base tables are built.
+for brick ``k``'s base table ``T_k(i)``: the paper's ``N(i) = 2*N(i-1) +
+S(i)`` regrouped as ``((2*N(i-1) + T_1) + T_2) + ...``, one
+``dp.fold_tables`` started from ``2*N(i-1)``, so the small set ``S(i)``
+is never built.  A level keeps only points that can still reach
+``b_up`` after the remaining doublings.  Each level reads its windows
+from the plan (see ``plan``): a retained level-i point lies in ``[lo_i,
+hi_i]``, the exact range of level-i prefixes that the placed units of
+the levels below can build and the levels above can still complete to
+``b_up``, and ``small_hi_i``, the most ``2*p + q`` needs from ``q`` for
+some ``p`` in the level-(i-1) window, caps the level's base tables.
+Every prefix and partial sum of a decomposition that reaches ``b_up``
+lies inside these windows, so only dead-end points are dropped.  At the
+top level the window collapses to exactly ``b_up`` — feasibility is
+then simply "is the top set nonempty" — and the first level with an
+empty window ends the solve as infeasible before its base tables are
+built.  On value ties a point decodes to the first witness in sorted
+``(p, q)`` order, whichever path the fold ran.
 
-The combine is ``dp.sumset`` at scale 2, which sets up a frame per call
-and runs one step of the fold's kernel; the in-level fold
-(``dp.fold_tables``) mostly runs in a frame of its own and calls
-``sumset``, at scale 1, only for a zero-valued fold above its bitset
-cap.  On value ties a point decodes to the first witness in sorted
-``(p, q)`` order, whichever path ran.
-
-Every level set is a ``dp.PointTable``: level 1 is the folded small
-table itself, and level ``i`` is a sum table whose parents are a table
-coding ``2*p`` for the points ``p`` of level ``i-1`` and the small table
-of level ``i``.  No table stores a pair.  With the fold's own tables
-below them, the levels form one witness graph from the bricks to the
-top, and ``reconstruct`` is one ``PointTable.decode`` of ``b_up``: the
-``p`` of a level's pair counts twice, which yields ``x = sum_i
-2^(levels-i) * x~(i)``; on the way down every pair is recovered from the
-parents' points and values, and a point without one raises.  Objective
-values double along the same
-recursion (values are additive and ``c`` is required to be nonnegative,
-so doubled prefixes stay optimal substructures).  The decoded solution
-is re-verified; a failure raises ``InternalError``, also under
-``python -O``.
+Every level set is a ``dp.PointTable``, the fold's result, whose step
+chain leads down to its start: the origin at level 1, above it a table
+coding ``2*p`` for the points ``p`` of level ``i-1``.  No table stores
+a pair.  With the base tables below them, the levels form one witness
+graph from the bricks to the top, and ``reconstruct`` is one
+``PointTable.decode`` of ``b_up``: each level's ``p`` counts twice,
+which yields ``x = sum_i 2^(levels-i) * x~(i)``; on the way down every
+pair is recovered from the parents' points and values, and a point
+without one raises.  Objective values double along the same recursion
+(values are additive and ``c`` is required to be nonnegative, so
+doubled prefixes stay optimal substructures).  The decoded solution is
+re-verified; a failure raises ``InternalError``, also under ``python
+-O``.
 """
 
 from __future__ import annotations
@@ -64,7 +61,7 @@ from .core import (
     validate,
     verify_solution,
 )
-from .dp import PointTable, base_tables_for_level, fold_tables, sumset
+from .dp import PointTable, base_tables_for_level, fold_tables
 from .plan import IterationPlan, build_plan
 from .reduction import ReducedInstance, reduce_instance
 
@@ -75,9 +72,10 @@ logger = logging.getLogger(__name__)
 class SolveTrace:
     """Everything the solver saw, for invariant checks in tests.
 
-    ``levels[i - 1]`` is the level-``i`` table: the small table itself at
-    level 1, a scale-2 ``sumset`` table above it; the top one is the root
-    of the witness graph that ``reconstruct`` decodes.
+    ``levels[i - 1]`` is the level-``i`` table: the fold of its bricks,
+    from the origin at level 1 and from ``2*levels[i - 2]`` above it; the
+    top one is the root of the witness graph that ``reconstruct``
+    decodes.
     """
 
     reduced: ReducedInstance
@@ -87,18 +85,26 @@ class SolveTrace:
 
 def _combine_levels(
     prev: PointTable,
-    small: PointTable,
+    base: list[PointTable],
     lo: tuple[int, ...],
     hi: tuple[int, ...],
 ) -> PointTable:
-    """Every ``2*p + q`` in ``[lo, hi]``: ``dp.sumset`` at scale 2.
+    """Level ``i`` from level ``i-1``: every ``2*p + q_1 + ... + q_n`` in
+    ``[lo, hi]``, ``p`` in ``prev`` and ``q_k`` in ``base[k]``, valued
+    ``2*value(p) + sum value(q_k)`` at best: one fold from ``2*prev``."""
+    return fold_tables(base, lo, hi, prev)
 
-    Values are ``2*value(p) + value(q)``, the largest over a point's
-    pairs; ``decode`` recovers the first maximiser in sorted ``(p, q)``
-    order, ``p`` in ``prev`` counting twice.  ``dp.sumset`` picks the
-    frame.
-    """
-    return sumset(prev, small, 2, lo, hi)
+
+def _peak_partial(table: PointTable) -> int:
+    """Largest partial of the fold that made a level table: its step
+    results down to the fold's start, the origin or ``2*prev``, or to its
+    first partial, a filtered base table, in a ``convolve`` chain."""
+    peak = 0
+    while table.parents is not None and table.scale != 2:
+        if len(table.parents) == 2:
+            peak = max(peak, len(table))
+        table = table.parents[0]
+    return peak if table.block is None else max(peak, len(table))
 
 
 def reconstruct(top: PointTable, b_up: Sequence[int]) -> list[tuple[int, ...]]:
@@ -155,22 +161,20 @@ def solve_with_trace(
             return finish_infeasible(level, cells_total), trace
         base = base_tables_for_level(work, plan, level, mode, hi=small_hi)
         base_cells = sum(len(b) for b in base)
-        cells_total += base_cells
-        small = fold_tables(base, small_lo, small_hi)
-        cells_total += len(small)
-
-        table = small
-        if level > 1:
-            table = _combine_levels(trace.levels[-1], small, lo, hi)
-        logger.debug(
-            "level %d/%d: %d base cells, %d small points, %d retained; "
-            "window %s..%s, small %s..%s",
-            level, depth, base_cells, len(small), len(table),
-            lo, hi, small_lo, small_hi,
-        )
+        if level == 1:
+            table = fold_tables(base, lo, hi)
+        else:
+            table = _combine_levels(trace.levels[-1], base, lo, hi)
+        cells_total += base_cells + len(table)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug(
+                "level %d/%d: %d base cells, peak partial %d, %d retained; "
+                "window %s..%s, small %s..%s",
+                level, depth, base_cells, _peak_partial(table), len(table),
+                lo, hi, small_lo, small_hi,
+            )
         if not table:
             return finish_infeasible(level, cells_total), trace
-        cells_total += len(table)
         trace.levels.append(table)
 
     top = trace.levels[-1]
@@ -218,7 +222,9 @@ def solve(inst: NFoldInstance, mode: str = MODE_FEASIBILITY) -> SolveOutcome:
     -------
     SolveOutcome
         Status plus a verified solution; stats carry the level count,
-        total DP cells, wall time, and the level size K the plan used.
+        total DP cells (``dp_cells``: every base table's cells plus each
+        level table's points), wall time, and the level size K the plan
+        used.
     """
     outcome, _ = solve_with_trace(inst, mode)
     return outcome

@@ -337,7 +337,8 @@ def test_fold_order_and_cells_are_pinned(caplog, monkeypatch):
     """Every ``fold_tables`` call of two solves: its order and its points.
 
     The twelve cover-order programs of one seeded imbalance graph (optimize
-    mode) and one 24-brick r = 1 feasibility instance.  Each call is pinned
+    mode) and one 24-brick r = 1 feasibility instance, whose levels above
+    the first fold their bricks onto ``2*prev``.  Each call is pinned
     by a digest of its ``fold order`` debug line and its sorted ``(point,
     value, decode(point))`` list, which does not depend on how the result
     stores its points; any change to the scoring of fold steps or to the
@@ -346,9 +347,9 @@ def test_fold_order_and_cells_are_pinned(caplog, monkeypatch):
     calls = []
     real = nfold.driver.fold_tables
 
-    def recording(tables, lo, hi):
+    def recording(tables, lo, hi, prev=None):
         before = len(caplog.records)
-        out = real(tables, lo, hi)
+        out = real(tables, lo, hi, prev)
         (line,) = [rec.getMessage() for rec in caplog.records[before:]]
         cells = sorted((pt, cell[0], out.decode(pt)) for pt, cell in out.cells.items())
         digest = hashlib.sha256(repr((line, cells)).encode()).hexdigest()[:16]
@@ -373,11 +374,11 @@ def test_fold_order_and_cells_are_pinned(caplog, monkeypatch):
     wide_order = f"fold order {list(range(24))}, peak partial"
     assert calls == [
         (f"{wide_order} 49 cells", "4c89a1e1a93c8e9e"),
-        (f"{wide_order} 97 cells", "7d3ba620799fabfe"),
-        (f"{wide_order} 97 cells", "7d3ba620799fabfe"),
-        (f"{wide_order} 145 cells", "8dde5272fb31a281"),
-        (f"{wide_order} 145 cells", "8dde5272fb31a281"),
-        (f"{wide_order} 95 cells", "a6fa6ec810579d59"),
+        (f"{wide_order} 144 cells", "cb14c8a522e9c1e9"),
+        (f"{wide_order} 212 cells", "cf3d829826ea5d85"),
+        (f"{wide_order} 234 cells", "b9d7aa4ed4f37162"),
+        (f"{wide_order} 186 cells", "c41aa570b393e60b"),
+        (f"{wide_order} 93 cells", "ce198087246540e0"),
     ]
 
 
@@ -529,6 +530,86 @@ def test_valued_fold_matches_the_convolve_chain(case):
     for pt in folded.cells:
         assert folded.decode(pt) == chain[-1].decode(pt)
     assert all(p.codes is not None for _, p in steps)
+
+
+@st.composite
+def prev_fold_cases(draw):
+    """Brick tables, a table of the level below and a window around one
+    of their sums ``2*p + q_1 + ... + q_n``.
+
+    The tables are all zero-valued or carry costs in 0..1 (ties are
+    common); the level below is one more base table, block ``n``.  A
+    third of the windows are the one point itself; the others reach up
+    to 3 past it on each side of each axis.
+    """
+    r = draw(st.integers(1, 3))
+    valued = draw(st.booleans())
+    tables, columns = [], []
+    for k in range(draw(st.integers(1, 5)) + 1):
+        t = draw(st.integers(1, 3))
+        block = tuple(
+            tuple(draw(st.integers(0, 2)) for _ in range(t)) for _ in range(r)
+        )
+        costs = tuple(draw(st.integers(0, 1)) if valued else 0 for _ in range(t))
+        tables.append(block_base_table(
+            block, draw(st.integers(0, 3)), block_index=k, costs=costs
+        ))
+        columns.append((tuple(zip(*block)), costs))
+    picks = [draw(st.sampled_from(sorted(t.cells))) for t in tables]
+    center = tuple(x + sum(axis) for x, axis in zip(picks[-1], zip(*picks)))
+    if draw(st.integers(0, 2)) == 0:
+        return tables[:-1], tables[-1], columns, center, center
+    lo = tuple(c - draw(st.integers(0, 3)) for c in center)
+    hi = tuple(c + draw(st.integers(0, 3)) for c in center)
+    return tables[:-1], tables[-1], columns, lo, hi
+
+
+@pytest.mark.parametrize("cap", [None, 0], ids=["frame", "chain"])
+@settings(max_examples=150, deadline=None)
+@given(case=prev_fold_cases())
+def test_fold_from_prev_is_the_doubled_level_sum(cap, case):
+    """A fold started from ``2*prev`` holds every ``2*p + q_1 + ... + q_n``
+    in its window, valued ``2*value(p) + sum value(q_k)`` at best, and
+    decodes every point to counts that rebuild it, ``p``'s counted twice.
+    With both bitset caps at 0 a zero-valued fold takes the ``convolve``
+    chain, whose first step is one ``sumset`` of ``prev`` at scale 2."""
+    tables, prev, columns, lo, hi = case
+    scales = []
+    real_sumset = dp.sumset
+
+    def spied(a, b, scale, *window):
+        scales.append(scale)
+        return real_sumset(a, b, scale, *window)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dp, "sumset", spied)
+        if cap is not None:
+            patch.setattr(dp, "_FOLD_FRAME_BITS", cap)
+            patch.setattr(dp, "_BITS_PER_POINT", cap)
+        folded = fold_tables(tables, lo, hi, prev)
+    level = functools.reduce(convolve, tables)
+    want: dict = {}
+    for p, (p_value, *_) in prev.cells.items():
+        for q, (q_value, *_) in level.cells.items():
+            pt = tuple(2 * x + y for x, y in zip(p, q))
+            if all(l <= v <= h for v, l, h in zip(pt, lo, hi)):
+                want[pt] = max(want.get(pt, 0), 2 * p_value + q_value)
+    assert value_map(folded) == want
+    for pt, value in want.items():
+        witnesses = folded.decode(pt)
+        assert [w.block for w in witnesses] == list(range(len(tables) + 1))
+        total, gain = [0] * len(pt), 0
+        for w in witnesses:
+            cols, costs = columns[w.block]
+            for count, col, cost in zip(w.counts, cols, costs):
+                total = [v + count * e for v, e in zip(total, col)]
+                gain += count * cost
+        assert tuple(total) == pt and gain == value
+    valued = any(cell[0] for t in [*tables, prev] for cell in t.cells.values())
+    if cap is None or valued:
+        assert scales == []
+    else:
+        assert scales[:1] == [2] and set(scales[1:]) <= {1} and (scales or not want)
 
 
 def test_optimize_mode_folds_never_take_the_bitset_path(monkeypatch):
@@ -701,6 +782,12 @@ def kernel_windows(rng: random.Random, a_cells, b_cells, scale):
         yield lo, hi
 
 
+def level_step(a, b, lo, hi) -> PointTable:
+    """``driver._combine_levels`` with ``a`` as the level below and ``b``
+    as the one brick table of the level."""
+    return _combine_levels(a, [b], lo, hi)
+
+
 def test_sumset_kernel_matches_double_loop_in_both_callers():
     rng = random.Random(2024)
     windows = {"volume <= |b|": 0, "volume > |b|": 0}
@@ -724,8 +811,14 @@ def test_sumset_kernel_matches_double_loop_in_both_callers():
                     windows["volume <= |b|" if small else "volume > |b|"] += 1
                 if scale == 1:
                     run = functools.partial(convolve, lo=lo, hi=hi)
+                elif low == 0:
+                    # The level step: a fold of the one brick table b
+                    # started from 2*a.
+                    run = functools.partial(level_step, lo=lo, hi=hi)
                 else:
-                    run = functools.partial(_combine_levels, lo=lo, hi=hi)
+                    # The fold takes nonnegative brick tables only; with
+                    # negative points the scale-2 check runs sumset.
+                    run = None
                 check_sumset(a_cells, b_cells, scale, lo, hi, run=run)
     assert min(windows.values()) > 50, windows
 

@@ -235,15 +235,21 @@ def test_stats_shape():
     assert out.stats["dp_cells"] > 0
 
 
-def test_debug_log_reports_cells_per_level(caplog, monkeypatch):
-    pin_support(monkeypatch, 12)
-    inst = NFoldInstance(
-        n=1, r=1, t=(2,), blocks=(((1, 0),),), b_up=(40,), b_low=(100,)
-    )
-    with caplog.at_level(logging.DEBUG, logger="nfold.driver"):
+def logged_levels(caplog, inst):
+    """Solve ``inst`` at debug level: the outcome, each driver line's
+    ``(base cells, peak partial, retained)`` and each fold line's peak."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="nfold.driver"), \
+            caplog.at_level(logging.DEBUG, logger="nfold.dp"):
         out = solve(inst)
+    folds = [
+        int(re.fullmatch(r"fold order \[[\d, ]+\], peak partial (\d+) cells",
+                         rec.getMessage())[1])
+        for rec in caplog.records
+        if rec.name == "nfold.dp"
+    ]
     line = re.compile(
-        r"level \d+/4: (\d+) base cells, (\d+) small points, (\d+) retained;"
+        r"level \d+/\d+: (\d+) base cells, peak partial (\d+), (\d+) retained;"
         r" window \(\d+,\)\.\.\(\d+,\), small \(\d+,\)\.\.\(\d+,\)"
     )
     counts = [
@@ -251,9 +257,32 @@ def test_debug_log_reports_cells_per_level(caplog, monkeypatch):
         for rec in caplog.records
         if rec.name == "nfold.driver"
     ]
+    return out, counts, folds
+
+
+def test_debug_log_reports_cells_per_level(caplog, monkeypatch):
+    """One line per level: base cells, the fold's peak partial (as its own
+    fold line reports it, in a frame or a ``convolve`` chain) and the
+    retained points; base cells and retained points sum to ``dp_cells``."""
+    pin_support(monkeypatch, 12)
+    inst = NFoldInstance(
+        n=1, r=1, t=(2,), blocks=(((1, 0),),), b_up=(40,), b_low=(100,)
+    )
+    out, counts, folds = logged_levels(caplog, inst)
     assert len(counts) == out.stats["iterations"] == 4
-    assert all(base > 0 for base, _, _ in counts)
-    assert sum(map(sum, counts)) == out.stats["dp_cells"]
+    assert all(base > 0 and peak >= kept > 0 for base, peak, kept in counts)
+    assert sum(base + kept for base, _, kept in counts) == out.stats["dp_cells"]
+    assert [peak for _, peak, _ in counts] == folds
+    # Four bricks over several levels, and two bricks whose one-point
+    # window makes the first partial the largest.
+    runs = [logged_levels(caplog, four_brick()), logged_levels(caplog, two_brick())]
+    monkeypatch.setattr(dp, "_FOLD_FRAME_BITS", 0)
+    monkeypatch.setattr(dp, "_BITS_PER_POINT", 0)
+    runs += [logged_levels(caplog, four_brick()), logged_levels(caplog, two_brick())]
+    for out, counts, folds in runs:
+        assert len(counts) == out.stats["iterations"]
+        assert [peak for _, peak, _ in counts] == folds
+        assert any(peak > kept for _, peak, kept in counts)
 
 
 def test_quick_agreement_sweep_against_oracle():
@@ -412,13 +441,26 @@ def sum_pair(table, point):
     return tuple(x // left.scale for x in scaled), q, left
 
 
+def level_pair(table, point):
+    \"\"\"``(p, start)`` for ``point`` of a level table above level 1,
+    folded in a frame: its step chain walked down, one recovered pair at
+    a time, to the start table that codes ``2*p`` for ``p`` in the level
+    below.\"\"\"
+    code = table._code(point)
+    target = table._value_at(code)
+    while table.scale != 2:
+        point, _, code, target = table._pair(point, code, target)
+        table = table.parents[0]
+    return tuple(x // 2 for x in point), table
+
+
 def corrupt_sum_attempts(inst):
     \"\"\"Decode pairless sum tables after each corruption, undone after:
     a valued ``convolve`` table (scale 1) after raising its value of its
     last point and after dropping that point's ``p`` from its left
-    operand; the top level table of ``inst`` (scale 2, a bitset) after
-    emptying its left table and after dropping ``b_up``'s ``p`` from the
-    level below.\"\"\"
+    operand; the top level table of ``inst`` (a bitset fold started from
+    ``2*prev``) after emptying its start table and after dropping
+    ``b_up``'s ``p`` from the level below.\"\"\"
     a = dp.block_base_table(((1, 2),), 2, block_index=0, costs=(0, 1))
     b = dp.block_base_table(((0, 1),), 1, block_index=1, costs=(1, 0))
     pair = dp.convolve(a, b)
@@ -435,7 +477,7 @@ def corrupt_sum_attempts(inst):
 
     trace = solve_with_trace(inst)[1]
     top, b_up = trace.levels[-1], tuple(trace.reduced.instance.b_up)
-    p, _, left = sum_pair(top, b_up)
+    p, left = level_pair(top, b_up)
     below = left.parents[0]
     left.bits, bits = 0, left.bits
     lines.append(decoded("emptied left table", top, b_up))
@@ -499,21 +541,23 @@ def check_corrupt_sum_lines(lines: list[str]) -> None:
 
 def test_corrupt_pair_raises_in_decode():
     """No sum table stores a pair, so ``decode`` must find one for every
-    point: a ``convolve`` table (scale 1) and a level table (scale 2)
-    raise once a value is raised or a parent point is dropped; and a
-    bitset fold table must hold the point and a pair for it, down to the
-    origin."""
+    point: a ``convolve`` table (scale 1) and a level table (a fold from
+    ``2*prev``) raise once a value is raised or a parent point is
+    dropped; and a bitset fold table must hold the point and a pair for
+    it, down to the origin."""
+    scope: dict = {}
+    exec(CORRUPT_FRAME, scope)
     out, trace = solve_with_trace(four_brick())
     assert out.status == STATUS_FEASIBLE and len(trace.levels) >= 2
     top = trace.levels[-1]
-    assert top.parents[0].scale == 2
     b_up = trace.reduced.instance.b_up
+    p, start = scope["level_pair"](top, b_up)
+    assert start.scale == 2 and start.parents == (trace.levels[-2],)
+    assert p in trace.levels[-2]
     assert driver.reconstruct(top, b_up)
     with pytest.raises(InternalError, match="missing"):
         driver.reconstruct(top, tuple(v + 1 for v in b_up))
 
-    scope: dict = {}
-    exec(CORRUPT_FRAME, scope)
     check_corrupt_sum_lines(scope["corrupt_sum_attempts"](four_brick()))
     check_corrupt_bits_lines(scope["corrupt_bits_attempts"](four_brick()))
 
@@ -696,10 +740,11 @@ def test_reach_windows_hold_the_witness_inside_the_d_box_at_the_floor(
         target = b_up
         for level, table in reversed(list(enumerate(trace.levels, 1))):
             lo, hi, small_lo, small_hi = built.windows[level - 1]
-            # Level 1 is the small table itself; above it, a sum whose
-            # pair decode recovers.
-            parent, small_pt = (
-                (None, target) if level == 1 else scope["sum_pair"](table, target)[:2])
+            # Level 1 is its fold from the origin; above it, a fold from
+            # 2*prev whose step chain leads down to the prefix p.
+            parent = None if level == 1 else scope["level_pair"](table, target)[0]
+            small_pt = target if level == 1 else tuple(
+                t - 2 * v for t, v in zip(target, parent))
             assert inside(target, lo, hi) and inside(small_pt, small_lo, small_hi)
             target = parent
     assert deep >= trials // 5 and witnessed >= deep // 3

@@ -69,3 +69,25 @@ def test_tracer_counts_the_convolve_chain_of_a_fold_above_its_cap(monkeypatch):
     for name in ("dp.convolve_pairs", "dp.convolve_cells",
                  "driver.combine_pairs", "driver.combine_cells"):
         assert metrics[name] > 0, name
+
+
+def test_every_workload_pass_reports_every_layer_metric():
+    """One traced pass of each benchmark workload at seed 1: every target
+    is found and no per-layer metric is null, so a traced benchmark run
+    cannot print ``"value": null`` for a target that moved."""
+    import workloads
+
+    for name in workloads.WORKLOADS:
+        items = workloads.build(name, 1)
+        spans = tracer.Tracer()
+        spans.install()
+        try:
+            answers = [item.run() for item in items]
+        finally:
+            spans.uninstall()
+        assert spans.missing == [], name
+        for item, answer in zip(items, answers):
+            assert item.check(answer) is None, (name, item.name)
+        metrics = tracer.pass_metrics(spans.spans, spans.missing)
+        assert set(metrics) <= set(tracer.LAYER_METRICS), name
+        assert [m for m, value in metrics.items() if value is None] == [], name
