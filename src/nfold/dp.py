@@ -22,7 +22,9 @@ Zero-valued tables (feasibility mode) keep their codes as the set bits
 of one big-int bitset, whose sum step (``_fold_bits``) is a few
 shift-ORs and one AND; tables with values (optimize mode) keep a dict
 from packed code to value, a field per axis under a guard bit, whose
-step (``_fold_packed``) probes a prefix-grouped index of the right table
+step (``_fold_packed``) tests every pair of a sparse right table, a
+brick with few points per prefix group, with one guard-bit expression
+(``_pair_sum``), and walks a prefix-grouped index of a dense one
 (``_index_sum``).  These two steps are the one sum kernel, with two
 callers:
 
@@ -202,8 +204,9 @@ class PointTable:
         """A sum table's ``(p, q, code(p), value(p))`` for ``point``, coded
         ``code`` and valued ``target``: see ``decode``."""
         left, right = self.parents
-        value_at, cells = left._value_at, right.cells
-        for q_code, q in reversed(self.added):
+        value_at, cells, added = left._value_at, right.cells, self.added
+        # A left code is never negative: skip every q coded above ``code``.
+        for q_code, q in reversed(added[:bisect_right(added, code, key=itemgetter(0))]):
             value = value_at(code - q_code)
             if value is not None and value + cells[q][0] == target:
                 return tuple(map(sub, point, q)), q, code - q_code, value
@@ -258,9 +261,10 @@ class PointTable:
         maximiser in sorted ``(p, q)`` order.  For a ``sumset`` that is
         the smallest ``p`` of its own left operand, whose points are
         ``scale*p``.  The search (``_pair``) takes the step's ``added``
-        points ``q`` in descending order, each one code subtraction and
-        one lookup.  That lookup is exact: a point of the left table plus
-        an added ``q`` never carries a digit in the frame, so
+        points ``q`` coded at most ``code(point)``, found by one bisect,
+        in descending order, each one code subtraction and one lookup.
+        That lookup is exact: a point of the left table plus an added
+        ``q`` never carries a digit in the frame, so
         ``code(point) - code(q) == code(p)`` only for ``p == point - q``.
         """
         counts: dict[int, list[int]] = {}
@@ -567,8 +571,67 @@ def _clip_pair(a: PointTable, b: PointTable, scale, lo, hi):
     return a_pts, a_reach, b_pts, b_reach
 
 
+# Points per prefix group of the right table (its prefix: every field but
+# the last) up to which ``_fold_packed`` tests each pair alone
+# (``_pair_sum``); denser tables take the grouped walk of ``_index_sum``.
+# Measured on the steps of the imbalance benchmark (seeds 1-3) and of the
+# random planted core optimize probes in ``BENCH_packed_step.json``
+# (in-process, min of 3, shared 2-vCPU host): at 1.0 to 7.0 points per
+# group the pair test took 0.33-1.05x the grouped walk's time (medians
+# 0.36-0.80 per probe and group size); at 22.4, the dense r = 3 step of
+# the n=3 t=5 probe, 1.43x.  On synthetic r = 3 tables whose window
+# drops most pairs it loses from about 2 points per group.
+_PAIR_GROUP_POINTS = 8
+# Right-table size above which ``_pair_sum`` first narrows each ``p``'s
+# partners to those whose axis-0 digit can land, by one bisect pair.
+# Same steps: at up to 15 points (the imbalance, n=10 r=2 t=3 and n=6
+# r=3 t=3 steps) the pair steps ran 0.78-0.92x as long without the
+# bisect; at 5,456 points (the n=3 r=4 probe) 1.31x as long.
+_PAIR_BISECT_POINTS = 32
+
+
+def _pair_sum(a_items, b_items, shifts, radix0, w_lo, w_hi, values) -> None:
+    """``_index_sum`` for a sparse right table: one guard test per pair.
+
+    Arguments are as for ``_index_sum``, with ``a_items`` any iterable and
+    ``radix0`` axis 0's radix, so that axis's guard bit is ``radix0 <<
+    shifts[0]``.  With ``G`` every field's guard bit and ``LO``, ``HI``
+    the window bounds in the fields, a pair lands exactly when ``(kl +
+    code(q)) & (kh - code(q)) & G == G`` for ``kl = code(p) + G - LO`` and
+    ``kh = (G | HI) - code(p)``: each field's sum lies in ``[0, radix)``,
+    so a field of ``sum + G - LO`` reaches its guard bit exactly when
+    ``sum >= lo``, and one of ``(G | HI) - sum`` keeps it exactly when
+    ``sum <= hi``, and no field borrows from or carries into another.
+    Above ``_PAIR_BISECT_POINTS`` points, ``b`` (ascending) is first cut
+    to the ``q`` whose axis-0 digit lands, by one bisect pair per ``p``.
+    """
+    top = shifts[0]
+    guards = sum(1 << s - 1 for s in shifts[:-1]) | radix0 << top
+    g_lo = guards - sum(map(lshift, w_lo, shifts))
+    g_hi = guards | sum(map(lshift, w_hi, shifts))
+    top_lo, top_hi = w_lo[0] << top, w_hi[0] + 1 << top
+    codes = [c for c, _ in b_items] if len(b_items) > _PAIR_BISECT_POINTS else None
+    get = values.get
+    partners = b_items
+    for pc, p_val in a_items:
+        k_lo, k_hi = pc + g_lo, g_hi - pc
+        if codes is not None:
+            head = pc >> top << top
+            i0 = bisect_left(codes, top_lo - head)
+            partners = b_items[i0:bisect_left(codes, top_hi - head, i0)]
+        for qc, q_val in partners:
+            if (k_lo + qc) & (k_hi - qc) & guards == guards:
+                key = pc + qc
+                value = p_val + q_val
+                prev = get(key)
+                if prev is None or value > prev:
+                    values[key] = value
+
+
 def _index_sum(a_items, b_items, shifts, w_lo, w_hi, values) -> None:
-    """Max-plus sums of every pair of packed codes inside a window.
+    """Max-plus sums of every pair of packed codes inside a window, for a
+    right table with more than ``_PAIR_GROUP_POINTS`` points per prefix
+    group; a sparser one takes ``_pair_sum`` (see ``_fold_packed``).
 
     Items are ``(code, value)``.  Codes share one frame: field ``i``
     starts at bit ``shifts[i]`` (the last at 0) under one zero guard bit,
@@ -797,8 +860,12 @@ def _fold_packed(
 
     ``added`` is as for ``_fold_bits``.  A
     one-point window looks up the partner codes ``code(lo) - code(q)`` in
-    ``left`` and keeps the largest sum.  Otherwise ``_index_sum`` runs on
-    the frame's codes, so no point is decoded or turned into a tuple.
+    ``left`` and keeps the largest sum.  Otherwise the step runs on the
+    frame's codes, so no point is decoded or turned into a tuple: a right
+    table with at most ``_PAIR_GROUP_POINTS`` points per prefix group
+    tests each pair (``_pair_sum``), a denser one walks its prefix groups
+    (``_index_sum``).  Max-plus sums do not depend on the order of the
+    pairs, so both give the same code -> value map.
     """
     strides, codes, cells = left.strides, left.codes, right.cells
     out = _fold_step(left, right, added)
@@ -809,10 +876,14 @@ def _fold_packed(
         if sums:
             out.codes[code] = max(sums)
     elif not any(map(gt, lo, hi)):
-        _index_sum(
-            list(codes.items()), [(c, cells[q][0]) for c, q in added],
-            [stride.bit_length() - 1 for stride in strides], lo, hi, out.codes,
-        )
+        shifts = [stride.bit_length() - 1 for stride in strides]
+        b_items = [(c, cells[q][0]) for c, q in added]
+        # Prefix groups: codes with every field but the last alike.
+        prefix = -(1 << shifts[-2] - 1) if len(shifts) > 1 else 0
+        if len(b_items) <= _PAIR_GROUP_POINTS * len({c & prefix for c, _ in b_items}):
+            _pair_sum(codes.items(), b_items, shifts, left.radix[0], lo, hi, out.codes)
+        else:
+            _index_sum(list(codes.items()), b_items, shifts, lo, hi, out.codes)
     return out
 
 
@@ -857,7 +928,8 @@ def fold_tables(
     - frame (``_fold_frame``): every valued fold, and every zero-valued
       fold under the bitset cap.  The partial starts in one fold-wide
       frame, one ``int`` per point, and every step is ``_fold_packed``
-      (a dict from code to value, probed by ``_index_sum``) or
+      (a dict from code to value; one guard test per pair for a sparse
+      brick table, ``_index_sum``'s prefix groups for a dense one) or
       ``_fold_bits`` (one bitset ``int``).  No step builds a cell; the
       result lists its points in ``cells`` as ``(value,)``, sorted;
     - ``convolve`` chain: a zero-valued fold above the cap.  The first

@@ -898,6 +898,94 @@ def test_sumset_index_matches_double_loop_on_packed_code_cases(monkeypatch):
     assert hits["packed"] > 400 and hits["bits"] == 0, hits
 
 
+def brick_cells(
+    rng: random.Random, r: int, groups: int, per_group: int, span: int, offset: int
+) -> dict:
+    """About ``groups`` prefix groups (axes 0..r-2) of ``per_group`` points
+    each, last digits in ``[0, max(span, per_group)]``, values 1..3
+    (ties), shifted by ``offset`` on every axis."""
+    last = max(span, per_group)
+    prefixes = {tuple(rng.randint(0, span) for _ in range(r - 1)) for _ in range(groups)}
+    points = {
+        pre + (x,) for pre in prefixes for x in rng.sample(range(last + 1), per_group)
+    }
+    points = [tuple(x + offset for x in pt) for pt in points]
+    rng.shuffle(points)
+    return {pt: (rng.randint(1, 3), ()) for pt in points}
+
+
+def pinned_windows(rng: random.Random, a_cells, b_cells, scale):
+    """The full reach, the reach with axis 0, a middle axis or the last
+    axis pinned to a reached sum, and a box around that sum."""
+    r = len(next(iter(a_cells)))
+    reach = [
+        (scale * min(p[j] for p in a_cells) + min(q[j] for q in b_cells),
+         scale * max(p[j] for p in a_cells) + max(q[j] for q in b_cells))
+        for j in range(r)
+    ]
+    p, q = rng.choice(list(a_cells)), rng.choice(list(b_cells))
+    hit = [scale * x + y for x, y in zip(p, q)]
+    yield "full", tuple(l for l, _ in reach), tuple(h for _, h in reach)
+    pins = {"axis 0": 0, "middle axis": rng.randint(1, r - 2) if r > 2 else None,
+            "last axis": r - 1}
+    for name, axis in pins.items():
+        if r > 1 and axis is not None:
+            lo, hi = [l for l, _ in reach], [h for _, h in reach]
+            lo[axis] = hi[axis] = hit[axis]
+            yield name, tuple(lo), tuple(hi)
+    width = rng.choice((2, 8))
+    yield "box", tuple(v - rng.randint(0, width) for v in hit), tuple(
+        v + rng.randint(0, width) for v in hit)
+
+
+def test_both_packed_paths_match_double_loop(monkeypatch):
+    """Sparse and dense right tables at r = 1..5, on both sides of the
+    points-per-group and the bisect-size crossovers, in windows that pin
+    axis 0, a middle axis or the last axis, with 2**33-wide fields and
+    negative offsets: every step of either packed path matches the
+    double loop, and each path runs many times in every kind of case."""
+    steps = []
+
+    def counted(name, fn):
+        def wrapper(a_items, b_items, *args):
+            bisect = name == "pairs" and len(b_items) > dp._PAIR_BISECT_POINTS
+            steps.append(f"{name}, bisect" if bisect else name)
+            return fn(a_items, b_items, *args)
+        return wrapper
+
+    monkeypatch.setattr(dp, "_pair_sum", counted("pairs", dp._pair_sum))
+    monkeypatch.setattr(dp, "_index_sum", counted("grouped", dp._index_sum))
+    rng = random.Random(23)
+    paths = ("pairs", "pairs, bisect", "grouped")
+    kinds = ("r=5", "axis 0", "middle axis", "last axis", "wide", "negative")
+    seen = {(path, kind): 0 for path in paths for kind in kinds}
+    for trial in range(240):
+        r = 1 + trial % 5
+        shape = trial // 5 % 3
+        wide = trial // 15 % 2 == 1
+        span = 2**33 if wide else rng.choice((3, 12))
+        offset = rng.choice((-(2**40), 2**35, -5, 0)) if wide else rng.choice((-5, 0))
+        groups, per_group = [
+            (rng.randint(2, 8), rng.randint(1, 3)),  # sparse, at most 24 points
+            (rng.randint(9, 14), rng.randint(3, 6)),  # sparse, 27..84 points
+            (rng.randint(1, 4), rng.randint(9, 14)),  # dense
+        ][shape]
+        a_cells = random_cells(rng, r, rng.randint(1, 20), span if wide else 12)
+        a_cells = {tuple(x + offset for x in p): v for p, v in a_cells.items()}
+        b_cells = brick_cells(rng, r, groups, per_group, span, offset)
+        for scale in (1, 2):
+            for kind, lo, hi in pinned_windows(rng, a_cells, b_cells, scale):
+                del steps[:]
+                check_sumset(a_cells, b_cells, scale, lo, hi)
+                features = {"r=5": r == 5, "wide": wide, "negative": offset < 0}
+                features[kind] = True
+                for path in set(steps):
+                    for name, hit in features.items():
+                        if hit and (path, name) in seen:
+                            seen[path, name] += 1
+    assert min(seen.values()) > 15, seen
+
+
 def zero_cells(rng: random.Random, r: int, size: int, span: int) -> dict:
     return {pt: (0, ()) for pt in random_cells(rng, r, size, span)}
 
@@ -1146,3 +1234,46 @@ def test_scheduling_configuration_brick_matches_pairwise_reference(monkeypatch):
         want = pairwise_base_table(block, placed, None, kwargs["hi"])
         assert decoded_cells(got) == want, placed
     assert len(got) == 693
+
+
+def test_pair_search_tries_only_added_points_at_most_the_code(monkeypatch):
+    """``PointTable._pair`` skips the added ``q`` coded above the point's
+    code, whose partner code would be negative.  On the scheduling ``cmax``
+    guess 91/3, the fold's 693-point step tried 690 candidates under a
+    scan of every added point; the witnesses stay those of that scan."""
+    real_pair, real_value_at = PointTable._pair, PointTable._value_at
+    count = {"on": False, "tries": 0}
+
+    def full_scan(self, point, code, target):
+        left, right = self.parents
+        for q_code, q in reversed(self.added):
+            value = left._value_at(code - q_code)
+            if value is not None and value + right.cells[q][0] == target:
+                return tuple(x - y for x, y in zip(point, q)), q, code - q_code, value
+        raise AssertionError(f"no pair for {point}")
+
+    def value_at(self, code):
+        count["tries"] += count["on"]
+        return real_value_at(self, code)
+
+    def counted(search, steps):
+        def pair(self, point, code, target):
+            count["on"], count["tries"] = True, 0
+            found = search(self, point, code, target)
+            count["on"] = False
+            steps.append((len(self.added), count["tries"], found))
+            return found
+        return pair
+
+    inst = SchedulingInstance.build(p=(3, 5, 7), n=(10, 8, 6), s=(1, 2, 3), m=(2, 2, 1))
+    monkeypatch.setattr(PointTable, "_value_at", value_at)
+    runs = {}
+    for name, search in (("bisect", real_pair), ("full scan", full_scan)):
+        steps = []
+        monkeypatch.setattr(PointTable, "_pair", counted(search, steps))
+        runs[name] = decide_guess(inst, Fraction(91, 3), OBJECTIVE_CMAX), steps
+    (schedule, fast), (want, slow) = runs["bisect"], runs["full scan"]
+    assert schedule is not None and schedule == want
+    assert [found for *_, found in fast] == [found for *_, found in slow]
+    assert [(size, tried) for size, tried, _ in slow] == [(659, 1), (693, 690)]
+    assert [(size, tried) for size, tried, _ in fast] == [(659, 1), (693, 1)]
