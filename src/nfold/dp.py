@@ -14,6 +14,12 @@ cell keeps the largest value and, among its maximisers, the
 reverse-lexicographically largest count vector, stored as a shared
 ``(prefix, column, take)`` node; points are decoded for the kept cells
 only, and count vectors only by ``PointTable.decode``.
+``base_tables_for_level`` builds one table per distinct brick of a
+level, keyed by its matrix, placed count and cost slice; every further
+brick with that key gets a view with its own ``block`` index that shares
+the built table's cells and reach, and a fold codes such shared cells
+into its frame once.  The solver's ``dp_cells`` counts a shared table
+once per brick that uses it.
 
 Every sum runs in a *frame*: a point is one ``int`` code, digit ``j`` of
 its offset from the frame's low corner times ``strides[j]``, axis 0 most
@@ -779,8 +785,10 @@ def _fold_frame(tables, reaches, hi, low, prev, pts):
 
 
 def _has_values(tables) -> bool:
-    """Whether any cell of ``tables`` has a nonzero value."""
-    return any(any(map(itemgetter(0), t.cells.values())) for t in tables)
+    """Whether any cell of ``tables`` has a nonzero value; a ``cells``
+    dict shared by several tables is scanned once."""
+    distinct = {id(t.cells): t.cells for t in tables}
+    return any(any(map(itemgetter(0), cells.values())) for cells in distinct.values())
 
 
 def _coded(pts, strides, base: int = 0) -> list[tuple[int, tuple[int, ...]]]:
@@ -922,6 +930,10 @@ def fold_tables(
     window in any order.  Only tie witnesses follow the order;
     ``PointTable.decode`` returns witnesses in brick order.
 
+    Tables that share one ``cells`` dict (the views of
+    ``base_tables_for_level``) are coded into the frame once per fold, and
+    ``_has_values`` scans such a dict once.
+
     Steps run one of two paths, both with the same partial point sets
     and the same witnesses:
 
@@ -971,6 +983,8 @@ def fold_tables(
     for idx in range(len(tables) - 1, -1, -1):
         groups.setdefault((len(tables[idx]), reaches[idx]), []).append(idx)
 
+    # id(cells) -> its frame codes: shared base tables are coded once.
+    coded: dict[int, list] = {}
     order: list[int] = []
     peak = 0
     while groups:
@@ -1007,7 +1021,10 @@ def fold_tables(
         rest_lo = list(map(sub, rest_lo, t_lo))
         rest_hi = list(map(sub, rest_hi, t_hi))
         if step is not None:
-            added = _coded(tables[idx].cells, partial.strides)
+            cells = tables[idx].cells
+            added = coded.get(id(cells))
+            if added is None:
+                added = coded[id(cells)] = _coded(cells, partial.strides)
             partial = step(partial, tables[idx], added, w_lo, w_hi)
         elif partial is None:
             partial = (tables[idx].filtered(w_lo, w_hi) if prev is None
@@ -1048,19 +1065,30 @@ def base_tables_for_level(
     add.  ``block_base_table`` itself caps at the brick's own reach.
     Cells hold witness chains; ``PointTable.decode`` expands those on the
     path of the solver's top point.
+
+    ``block_base_table`` runs once per distinct key ``(matrix, placed,
+    cost slice)``; ``hi`` is the same for every brick.  A later brick with
+    a key already built gets a view: a table with its own ``block`` and
+    ``columns`` that shares the built table's ``cells`` dict and reach.
+    Witness nodes hold only column indices and ``decode`` adds counts to
+    ``table.block``, so every witness, value and tie is the one the brick's
+    own table would give.  The memo lives for this call only.
     """
     placed = plan.placed_at(level)
     costs = _block_costs(inst, mode)
-    return [
-        block_base_table(
-            inst.blocks[k],
-            placed[k],
-            block_index=k,
-            costs=costs[k],
-            hi=hi,
-        )
-        for k in range(inst.n)
-    ]
+    built: dict[tuple, PointTable] = {}
+    tables = []
+    for k in range(inst.n):
+        key = (inst.blocks[k], placed[k], costs[k])
+        first = built.get(key)
+        if first is None:
+            table = built[key] = block_base_table(
+                inst.blocks[k], placed[k], block_index=k, costs=costs[k], hi=hi)
+        else:
+            table = PointTable(inst.r, block=k, columns=first.columns)
+            table.cells, table._reach = first.cells, first.reach()
+        tables.append(table)
+    return tables
 
 
 def small_subproblem_set(

@@ -168,9 +168,10 @@ def solve_with_trace(
         cells_total += base_cells + len(table)
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
-                "level %d/%d: %d base cells, peak partial %d, %d retained; "
-                "window %s..%s, small %s..%s",
-                level, depth, base_cells, _peak_partial(table), len(table),
+                "level %d/%d: %d base cells (%d tables for %d bricks), "
+                "peak partial %d, %d retained; window %s..%s, small %s..%s",
+                level, depth, base_cells, len({id(b.cells) for b in base}),
+                len(base), _peak_partial(table), len(table),
                 lo, hi, small_lo, small_hi,
             )
         if not table:
@@ -222,9 +223,10 @@ def solve(inst: NFoldInstance, mode: str = MODE_FEASIBILITY) -> SolveOutcome:
     -------
     SolveOutcome
         Status plus a verified solution; stats carry the level count,
-        total DP cells (``dp_cells``: every base table's cells plus each
-        level table's points), wall time, and the level size K the plan
-        used.
+        total DP cells (``dp_cells``: every brick's base table cells plus
+        each level table's points; bricks that share one base table, being
+        equal at their level, count it once each), wall time, and the
+        level size K the plan used.
     """
     outcome, _ = solve_with_trace(inst, mode)
     return outcome

@@ -694,6 +694,103 @@ def test_base_tables_for_level_respect_plan_and_costs():
     assert tables[1].value((1,)) == 1
 
 
+def repeating_instance() -> NFoldInstance:
+    """Seven bricks of two kinds with near misses, and a planted ``b_up``.
+
+    Bricks 0, 2 and 5 repeat brick 0 (matrix, ``b_low`` and cost slice),
+    and brick 6 repeats brick 4.  Brick 1 has brick 0's matrix and cost
+    slice but another ``b_low``; brick 3 its matrix and ``b_low`` but
+    another cost slice, so it shares only in feasibility mode.
+    """
+    a, b = ((1, 0, 2), (0, 1, 1)), ((2, 1), (0, 1))
+    blocks = (a, a, a, a, b, a, b)
+    b_low = (9, 8, 9, 9, 6, 9, 6)
+    c = (0, 1, 2) * 3 + (1, 1, 0) + (1, 0) + (0, 1, 2) + (1, 0)
+    rng = random.Random(5)
+    b_up = [0, 0]
+    for block, units in zip(blocks, b_low):
+        x = [0] * len(block[0])
+        for _ in range(units):
+            x[rng.randrange(len(x))] += 1
+        for j, row in enumerate(block):
+            b_up[j] += sum(e * v for e, v in zip(row, x))
+    return NFoldInstance(n=7, r=2, t=tuple(len(blk[0]) for blk in blocks),
+                         blocks=blocks, b_up=tuple(b_up), b_low=b_low, c=c)
+
+
+def per_brick_tables(inst, plan, level, mode, hi) -> list[PointTable]:
+    """One ``block_base_table`` per brick: the tables before sharing."""
+    placed = plan.placed_at(level)
+    costs = dp._block_costs(inst, mode)
+    return [
+        block_base_table(inst.blocks[k], placed[k], block_index=k,
+                         costs=costs[k], hi=hi)
+        for k in range(inst.n)
+    ]
+
+
+def fold_points(table: PointTable) -> list:
+    """Every ``(point, value, decode(point))`` of a fold result, sorted."""
+    return [(pt, cell[0], table.decode(pt)) for pt, cell in sorted(table.cells.items())]
+
+
+@pytest.mark.parametrize("mode", ["feasibility", "optimize"])
+@pytest.mark.parametrize("floor", [False, True])
+@pytest.mark.parametrize("frame", [True, False])
+def test_repeated_bricks_share_one_base_table(monkeypatch, mode, floor, frame):
+    """Bricks with one ``(matrix, placed, cost slice)`` share one built
+    table: each has its own ``block`` and ``columns``, and the same cells,
+    in the same order, and reach as its own ``block_base_table``.  Near
+    misses (another placed count or cost slice) build their own.  Every
+    level's fold, from the origin or from ``2*prev``, in a frame or as a
+    ``convolve`` chain, has the point -> value map and decodes of a fold
+    over tables built brick by brick."""
+    inst = repeating_instance()
+    plan = build_plan(inst, mode, support=3 if floor else None)
+    assert plan.levels == (2 if floor else 1)
+    if not frame:
+        monkeypatch.setattr(dp, "_FOLD_FRAME_BITS", 0)
+        monkeypatch.setattr(dp, "_BITS_PER_POINT", 0)
+    built = []
+    real = dp.block_base_table
+
+    def counting(block, placed, **kwargs):
+        built.append((block, placed, kwargs["costs"]))
+        return real(block, placed, **kwargs)
+
+    monkeypatch.setattr(dp, "block_base_table", counting)
+    costs = dp._block_costs(inst, mode)
+    shared_prev = alone_prev = None
+    for level, (lo, hi, _, small_hi) in enumerate(plan.windows, 1):
+        placed = plan.placed_at(level)
+        keys = [(inst.blocks[k], placed[k], costs[k]) for k in range(inst.n)]
+        del built[:]
+        shared = base_tables_for_level(inst, plan, level, mode, hi=small_hi)
+        assert built == list(dict.fromkeys(keys))
+        alone = per_brick_tables(inst, plan, level, mode, small_hi)
+        for k, (table, want) in enumerate(zip(shared, alone)):
+            assert (table.block, table.columns) == (k, want.columns)
+            assert list(table.cells.items()) == list(want.cells.items())
+            assert table.reach() == want.reach()
+            first = keys.index(keys[k])
+            assert table.cells is shared[first].cells
+            assert decoded_cells(table) == decoded_cells(want)
+        # Brick 3 differs from brick 0 by its cost slice alone; brick 1 by
+        # its placed count, which both plans tell apart at some level.
+        assert (shared[3].cells is shared[0].cells) == (mode == "feasibility")
+        if level == plan.levels:
+            assert shared[1].cells is not shared[0].cells
+        assert len({id(t.cells) for t in shared}) == len(set(keys)) < inst.n
+        shared_prev = fold_tables(shared, lo, hi, shared_prev)
+        alone_prev = fold_tables(alone, lo, hi, alone_prev)
+        assert fold_points(shared_prev) == fold_points(alone_prev)
+        assert len(shared_prev) > 0
+        # A box fold from the origin, so that many points decode.
+        box = tuple(map(sum, zip(*(t.reach()[1] for t in shared))))
+        assert fold_points(fold_tables(shared, (0, 0), box)) == fold_points(
+            fold_tables(alone, (0, 0), box))
+
+
 # ---------------------------------------------------------------------------
 # the windowed sumset kernel against a plain double loop
 

@@ -11,7 +11,7 @@ import re
 import subprocess
 import sys
 import textwrap
-from operator import le
+from operator import le, mul
 from pathlib import Path
 
 import pytest
@@ -32,13 +32,13 @@ from nfold import dp, driver, plan
 from nfold.driver import solve, solve_with_trace
 from nfold.closest_string import solve_closest
 from nfold.imbalance import solve_imbalance
-from nfold.oracle import oracle_solve
+from nfold.oracle import enumeration_size, oracle_solve
 from nfold.plan import support_floor
 from nfold.reduction import reduce_instance
 from nfold.scheduling import SchedulingInstance, solve_cmax, solve_cmin
 
 import helpers
-from helpers import random_core_instance
+from helpers import ENUMERATION_CAP, random_core_instance
 from test_acceptance import (FEASIBILITY_TRIALS, OPTIMIZE_TRIALS,
                              SEED_FEASIBILITY, SEED_OPTIMIZE)
 from test_dp import design_graph
@@ -237,7 +237,8 @@ def test_stats_shape():
 
 def logged_levels(caplog, inst):
     """Solve ``inst`` at debug level: the outcome, each driver line's
-    ``(base cells, peak partial, retained)`` and each fold line's peak."""
+    ``(base cells, peak partial, retained)``, each fold line's peak and
+    each driver line's ``(tables built, bricks)``."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="nfold.driver"), \
             caplog.at_level(logging.DEBUG, logger="nfold.dp"):
@@ -249,40 +250,48 @@ def logged_levels(caplog, inst):
         if rec.name == "nfold.dp"
     ]
     line = re.compile(
-        r"level \d+/\d+: (\d+) base cells, peak partial (\d+), (\d+) retained;"
+        r"level \d+/\d+: (\d+) base cells \((\d+) tables for (\d+) bricks\),"
+        r" peak partial (\d+), (\d+) retained;"
         r" window \(\d+,\)\.\.\(\d+,\), small \(\d+,\)\.\.\(\d+,\)"
     )
-    counts = [
+    fields = [
         [int(v) for v in line.fullmatch(rec.getMessage()).groups()]
         for rec in caplog.records
         if rec.name == "nfold.driver"
     ]
-    return out, counts, folds
+    counts = [[base, peak, kept] for base, _, _, peak, kept in fields]
+    return out, counts, folds, [(built, n) for _, built, n, _, _ in fields]
 
 
 def test_debug_log_reports_cells_per_level(caplog, monkeypatch):
-    """One line per level: base cells, the fold's peak partial (as its own
-    fold line reports it, in a frame or a ``convolve`` chain) and the
-    retained points; base cells and retained points sum to ``dp_cells``."""
+    """One line per level: base cells, the tables built for the level's
+    bricks, the fold's peak partial (as its own fold line reports it, in
+    a frame or a ``convolve`` chain) and the retained points; base cells,
+    counted per brick, and retained points sum to ``dp_cells``."""
     pin_support(monkeypatch, 12)
     inst = NFoldInstance(
         n=1, r=1, t=(2,), blocks=(((1, 0),),), b_up=(40,), b_low=(100,)
     )
-    out, counts, folds = logged_levels(caplog, inst)
+    out, counts, folds, built = logged_levels(caplog, inst)
     assert len(counts) == out.stats["iterations"] == 4
     assert all(base > 0 and peak >= kept > 0 for base, peak, kept in counts)
     assert sum(base + kept for base, _, kept in counts) == out.stats["dp_cells"]
     assert [peak for _, peak, _ in counts] == folds
-    # Four bricks over several levels, and two bricks whose one-point
-    # window makes the first partial the largest.
+    assert built == [(1, 1)] * 4
+    # Four bricks, two of each kind, over several levels, and two bricks
+    # whose one-point window makes the first partial the largest.
     runs = [logged_levels(caplog, four_brick()), logged_levels(caplog, two_brick())]
     monkeypatch.setattr(dp, "_FOLD_FRAME_BITS", 0)
     monkeypatch.setattr(dp, "_BITS_PER_POINT", 0)
     runs += [logged_levels(caplog, four_brick()), logged_levels(caplog, two_brick())]
-    for out, counts, folds in runs:
+    for (out, counts, folds, built), want in zip(runs, [(2, 4), (2, 2)] * 2):
         assert len(counts) == out.stats["iterations"]
         assert [peak for _, peak, _ in counts] == folds
         assert any(peak > kept for _, peak, kept in counts)
+        assert built == [want] * len(counts)
+    four = runs[0][0]
+    assert sum(base + kept for base, _, kept in runs[0][1]) == four.stats["dp_cells"]
+    assert all(base % 2 == 0 for base, _, _ in runs[0][1])
 
 
 def test_quick_agreement_sweep_against_oracle():
@@ -650,12 +659,73 @@ def test_acceptance_streams_agree_with_brute_force_at_the_floor(
     assert deep >= trials // 5
 
 
+def repeated_core_instance(rng: random.Random, *, with_costs: bool = False,
+                           plant: bool | None = None) -> NFoldInstance:
+    """2 to 4 bricks, each a copy (matrix, ``b_low`` and cost slice) of a
+    brick of one ``random_core_instance``, the last one a copy of an
+    earlier one, so that they share one base table per level.  Each
+    other copy may be a near miss that must not share: a quarter of them
+    take another ``b_low``, a quarter another cost slice.  ``plant`` is
+    as for ``random_core_instance``, and so is the unplanted ``b_up``;
+    the oracle's enumeration stays within ``ENUMERATION_CAP``.
+    """
+    while True:
+        inst = random_core_instance(rng, with_costs=with_costs, plant=False)
+        slices = inst.brick_slices()
+        bricks = []
+        for _ in range(rng.randint(2, 4)):
+            k = rng.randrange(inst.n)
+            units = inst.b_low[k] if rng.random() < 0.75 else rng.randint(0, 6)
+            costs = () if inst.c is None else inst.c[slices[k]]
+            if costs and rng.random() < 0.25:
+                costs = tuple(rng.randint(0, 5) for _ in costs)
+            bricks.append((inst.blocks[k], units, costs))
+        bricks[-1] = bricks[rng.randrange(len(bricks) - 1)]
+        blocks, b_low, costs = zip(*bricks)
+        t = tuple(len(block[0]) for block in blocks)
+        if enumeration_size(b_low, t) <= ENUMERATION_CAP:
+            break
+    if plant if plant is not None else rng.random() < 0.6:
+        b_up = [0] * inst.r
+        for block, units in zip(blocks, b_low):
+            counts = [0] * len(block[0])
+            for _ in range(units):
+                counts[rng.randrange(len(counts))] += 1
+            for j, row in enumerate(block):
+                b_up[j] += sum(map(mul, row, counts))
+    else:
+        b_up = [rng.randint(-6, 6) for _ in range(inst.r)]
+    c = tuple(v for slice_ in costs for v in slice_) if with_costs else None
+    return NFoldInstance(n=len(blocks), r=inst.r, t=t, blocks=blocks,
+                         b_up=tuple(b_up), b_low=b_low, c=c)
+
+
+def test_repeated_core_instances_share_base_tables():
+    """Every drawn instance builds fewer base tables than it has bricks."""
+    levels = []
+
+    def recording(*args, **kwargs):
+        levels.append(dp.base_tables_for_level(*args, **kwargs))
+        return levels[-1]
+
+    rng = random.Random(61)
+    for _ in range(40):
+        inst = repeated_core_instance(rng, with_costs=True, plant=True)
+        del levels[:]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(driver, "base_tables_for_level", recording)
+            assert solve(inst, mode="optimize").status == STATUS_OPTIMAL
+        assert levels
+        assert all(len({id(t.cells) for t in base}) < inst.n for base in levels)
+
+
 @st.composite
 def core_cases(draw):
     mode = draw(st.sampled_from(["feasibility", "optimize"]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     optimize = mode == "optimize"
-    inst = random_core_instance(rng, with_costs=optimize, plant=optimize or None)
+    make = draw(st.sampled_from([random_core_instance, repeated_core_instance]))
+    inst = make(rng, with_costs=optimize, plant=optimize or None)
     work = reduce_instance(inst).instance
     paper = plan.support_bound(work.r, work.delta, mode)
     floor = support_floor(work)
