@@ -14,12 +14,13 @@ cell keeps the largest value and, among its maximisers, the
 reverse-lexicographically largest count vector, stored as a shared
 ``(prefix, column, take)`` node; points are decoded for the kept cells
 only, and count vectors only by ``PointTable.decode``.
-``base_tables_for_level`` builds one table per distinct brick of a
-level, keyed by its matrix, placed count and cost slice; every further
-brick with that key gets a view with its own ``block`` index that shares
-the built table's cells and reach, and a fold codes such shared cells
-into its frame once.  The solver's ``dp_cells`` counts a shared table
-once per brick that uses it.
+``base_tables_for_level`` builds one table per distinct key ``(matrix,
+placed count, cost slice, cap)`` in a memo that the solver keeps for one
+solve, so a level that places the same units under the same cap as a
+level below reuses its tables; every further brick with a built key gets
+a view with its own ``block`` index that shares the built table's cells
+and reach, and a fold codes such shared cells into its frame once.  The
+solver's ``dp_cells`` counts a shared table once per brick that uses it.
 
 Every sum runs in a *frame*: a point is one ``int`` code, digit ``j`` of
 its offset from the frame's low corner times ``strides[j]``, axis 0 most
@@ -43,8 +44,10 @@ callers:
   The order is greedy, as in bucket elimination: each step takes the
   brick with the smallest bound on its output plus its probe work,
   computed from table sizes and reaches alone, ties going to the lowest
-  brick position.  Bricks that pin a shared row thus go before bricks
-  that spread over several, and partial sums stay small.  Because the
+  brick position; once every brick left has one table size and reach,
+  the step is forced and takes the lowest position unscored.  Bricks
+  that pin a shared row thus go before bricks that spread over several,
+  and partial sums stay small.  Because the
   Minkowski sum and max-plus are associative and commutative, and every
   partial sum of a surviving decomposition stays inside its window, the
   point -> value map is the same in every order; only tie witnesses
@@ -462,7 +465,8 @@ def sumset(
     step, strides = _fold_bits if left.codes is None else _fold_packed, left.strides
     corner = tuple(map(add, left.low, b_lo))
     out = step(
-        left, b, _coded(b_pts, strides, sum(map(mul, b_lo, strides))),
+        left, b,
+        *_step_codes(b.cells, b_pts, strides, sum(map(mul, b_lo, strides)), step),
         tuple(max(l - c, 0) for l, c in zip(lo, corner)),
         tuple(min(h - c, top) for h, c, top in zip(hi, corner, tops)),
     )
@@ -506,12 +510,13 @@ def _box_mask(strides, lo, hi) -> int:
 
     Codes are mixed radix with these ``strides`` (the last one 1), and
     ``[lo, hi]`` must lie inside the frame: ``0 <= lo`` and ``hi`` below
-    each axis's radix.  Built axis by axis from the last, by doubling.
+    each axis's radix.  The last axis is one run of set bits; every other
+    axis repeats the mask so far, from the last but one up, by doubling.
     """
-    mask = 1
-    for j in range(len(strides) - 1, -1, -1):
-        if lo[j] > hi[j]:
-            return 0
+    if any(map(gt, lo, hi)):
+        return 0
+    mask = ((1 << hi[-1] - lo[-1] + 1) - 1) << lo[-1]
+    for j in range(len(strides) - 2, -1, -1):
         mask = _repeat(mask, hi[j] - lo[j] + 1, strides[j]) << (lo[j] * strides[j])
     return mask
 
@@ -796,6 +801,17 @@ def _coded(pts, strides, base: int = 0) -> list[tuple[int, tuple[int, ...]]]:
     return [(sum(map(mul, p, strides)) - base, p) for p in pts]
 
 
+def _step_codes(cells, pts, strides, base, step) -> tuple[list, list]:
+    """``(added, keys)`` of the points ``pts`` of a right table with these
+    ``cells``, for one ``step``: ``added`` its ``(code, q)`` list (see
+    ``_fold_bits``), ``keys`` the codes alone for ``_fold_bits`` and the
+    ``(code, value)`` items for ``_fold_packed``."""
+    added = _coded(pts, strides, base)
+    if step is _fold_bits:
+        return added, [c for c, _ in added]
+    return added, [(c, cells[q][0]) for c, q in added]
+
+
 def _scaled(left: PointTable, a: PointTable, pts, scale: int) -> None:
     """Fill the empty frame table ``left`` with ``scale*p`` for the points
     ``p`` of ``a`` in ``pts``, valued ``scale*value(p)``; ``a`` becomes its
@@ -821,14 +837,15 @@ def _fold_bits(
     left: PointTable,
     right: PointTable,
     added: list[tuple[int, tuple[int, ...]]],
+    codes: list[int],
     lo: tuple[int, ...],
     hi: tuple[int, ...],
 ) -> PointTable:
     """Zero-valued step ``left + right`` in ``[lo, hi]``, as a bitset.
 
     ``added`` lists ``(code, q)`` for the points ``q`` of ``right`` to
-    add, in ``left``'s frame, ascending; ``lo`` and ``hi`` are digits of
-    that frame.  A
+    add, in ``left``'s frame, ascending, and ``codes`` their codes alone
+    (``_step_codes``); ``lo`` and ``hi`` are digits of that frame.  A
     one-point window ANDs ``left`` with the bitset of the partner codes
     ``code(lo) - code(q)``.  Otherwise the smaller side gives the shifts:
     ``min(|left|, |added|)`` shift-ORs of the other side's bitset, then
@@ -838,14 +855,13 @@ def _fold_bits(
     out = _fold_step(left, right, added)
     if lo == hi:
         code = sum(map(mul, lo, strides))
-        hits = _bitset([code - c for c, _ in added if c <= code])
+        hits = _bitset([code - c for c in codes if c <= code])
         out.bits = 1 << code if hits & left.bits else 0
         return out
     out.bits = 0
     mask = _box_mask(strides, lo, hi)
     if not mask:
         return out
-    codes = [c for c, _ in added]
     if len(codes) <= len(left):
         base, shifts = left.bits, codes
     else:
@@ -861,12 +877,14 @@ def _fold_packed(
     left: PointTable,
     right: PointTable,
     added: list[tuple[int, tuple[int, ...]]],
+    b_items: list[tuple[int, int]],
     lo: tuple[int, ...],
     hi: tuple[int, ...],
 ) -> PointTable:
     """Valued step ``left + right`` in ``[lo, hi]``, as code -> value.
 
-    ``added`` is as for ``_fold_bits``.  A
+    ``added`` is as for ``_fold_bits``, and ``b_items`` its ``(code,
+    value(q))`` items (``_step_codes``).  A
     one-point window looks up the partner codes ``code(lo) - code(q)`` in
     ``left`` and keeps the largest sum.  Otherwise the step runs on the
     frame's codes, so no point is decoded or turned into a tuple: a right
@@ -875,17 +893,16 @@ def _fold_packed(
     (``_index_sum``).  Max-plus sums do not depend on the order of the
     pairs, so both give the same code -> value map.
     """
-    strides, codes, cells = left.strides, left.codes, right.cells
+    strides, codes = left.strides, left.codes
     out = _fold_step(left, right, added)
     out.codes = {}
     if lo == hi:
         code = sum(map(mul, lo, strides))
-        sums = [codes[code - c] + cells[q][0] for c, q in added if code - c in codes]
+        sums = [codes[code - c] + v for c, v in b_items if code - c in codes]
         if sums:
             out.codes[code] = max(sums)
     elif not any(map(gt, lo, hi)):
         shifts = [stride.bit_length() - 1 for stride in strides]
-        b_items = [(c, cells[q][0]) for c, q in added]
         # Prefix groups: codes with every field but the last alike.
         prefix = -(1 << shifts[-2] - 1) if len(shifts) > 1 else 0
         if len(b_items) <= _PAIR_GROUP_POINTS * len({c & prefix for c, _ in b_items}):
@@ -923,6 +940,9 @@ def fold_tables(
     rows, so partial sums stay small; the probe term keeps a large table
     late.  Bricks of equal size and reach are interchangeable for the
     rule, so they are scored once per step and taken in position order.
+    A step is forced when one such group is left: it takes the group's
+    lowest position without scoring, the scorer's own choice on a tie,
+    and the box, which only the scores read, is no longer carried.
 
     The point -> value map does not depend on the order: the Minkowski
     sum and max-plus are associative and commutative, and every partial
@@ -931,8 +951,9 @@ def fold_tables(
     ``PointTable.decode`` returns witnesses in brick order.
 
     Tables that share one ``cells`` dict (the views of
-    ``base_tables_for_level``) are coded into the frame once per fold, and
-    ``_has_values`` scans such a dict once.
+    ``base_tables_for_level``) are coded into the frame once per fold,
+    with the codes or ``(code, value)`` items their step reads
+    (``_step_codes``), and ``_has_values`` scans such a dict once.
 
     Steps run one of two paths, both with the same partial point sets
     and the same witnesses:
@@ -960,8 +981,8 @@ def fold_tables(
         raise ValueError("fold_tables needs at least one table")
     r = tables[0].r
     reaches = [t.reach() for t in tables]
-    rest_lo = [sum(axis) for axis in zip(*(t_lo for t_lo, _ in reaches))]
-    rest_hi = [sum(axis) for axis in zip(*(t_hi for _, t_hi in reaches))]
+    rest_lo = tuple(map(sum, zip(*(t_lo for t_lo, _ in reaches))))
+    rest_hi = tuple(map(sum, zip(*(t_hi for _, t_hi in reaches))))
     if prev is None:
         pts, low, size, box_lo, box_hi = (), (0,) * r, 1, (0,) * r, (0,) * r
     else:
@@ -983,49 +1004,55 @@ def fold_tables(
     for idx in range(len(tables) - 1, -1, -1):
         groups.setdefault((len(tables[idx]), reaches[idx]), []).append(idx)
 
-    # id(cells) -> its frame codes: shared base tables are coded once.
-    coded: dict[int, list] = {}
+    # id(cells) -> its (added, keys) for the step: shared base tables are
+    # coded once.
+    coded: dict[int, tuple[list, list]] = {}
+    zeros = (0,) * r
     order: list[int] = []
     peak = 0
     while groups:
-        # The window of table t is [max(0, gap_lo + t_hi), gap_hi + t_lo].
-        gap_lo = list(map(sub, lo, rest_hi))
-        gap_hi = list(map(sub, hi, rest_lo))
-        best = best_key = None
-        for key, idxs in groups.items():
-            n_t, (t_lo, t_hi) = key
-            volume = probe = 1
-            for gl, gh, bl, bh, tl, th in zip(
-                gap_lo, gap_hi, box_lo, box_hi, t_lo, t_hi
-            ):
-                wl = gl + th if gl + th > 0 else 0
-                wh = gh + tl
-                ol = bl + tl if bl + tl > wl else wl
-                oh = bh + th if bh + th < wh else wh
-                volume *= oh - ol + 1 if oh >= ol else 0
-                span = wh - wl if wh - wl < th - tl else th - tl
-                probe *= span + 1 if span >= 0 else 0
-            score = min(size * n_t, volume) + size * min(n_t, probe)
-            if best is None or (score, idxs[-1]) < best:
-                best, best_key = (score, idxs[-1]), key
-        idx = best[1]
-        idxs = groups[best_key]
-        idxs.pop()
+        if len(groups) == 1:  # forced: every table scores alike
+            ((best_key, idxs),) = groups.items()
+        else:
+            # The window of table t is [max(0, gap_lo + t_hi), gap_hi + t_lo].
+            gap_lo = list(map(sub, lo, rest_hi))
+            gap_hi = list(map(sub, hi, rest_lo))
+            best = best_key = None
+            for key, idxs in groups.items():
+                n_t, (t_lo, t_hi) = key
+                volume = probe = 1
+                for gl, gh, bl, bh, tl, th in zip(
+                    gap_lo, gap_hi, box_lo, box_hi, t_lo, t_hi
+                ):
+                    wl = gl + th if gl + th > 0 else 0
+                    wh = gh + tl
+                    ol = bl + tl if bl + tl > wl else wl
+                    oh = bh + th if bh + th < wh else wh
+                    volume *= oh - ol + 1 if oh >= ol else 0
+                    span = wh - wl if wh - wl < th - tl else th - tl
+                    probe *= span + 1 if span >= 0 else 0
+                score = min(size * n_t, volume) + size * min(n_t, probe)
+                if best is None or (score, idxs[-1]) < best:
+                    best, best_key = (score, idxs[-1]), key
+            idxs = groups[best_key]
+        idx = idxs.pop()
         if not idxs:
             del groups[best_key]
         t_lo, t_hi = best_key[1]
-        w_lo = tuple(max(0, gl + th) for gl, th in zip(gap_lo, t_hi))
-        w_hi = tuple(map(add, gap_hi, t_lo))
-        box_lo = tuple(map(max, w_lo, map(add, box_lo, t_lo)))
-        box_hi = tuple(map(min, w_hi, map(add, box_hi, t_hi)))
-        rest_lo = list(map(sub, rest_lo, t_lo))
-        rest_hi = list(map(sub, rest_hi, t_hi))
+        rest_lo = tuple(map(sub, rest_lo, t_lo))
+        rest_hi = tuple(map(sub, rest_hi, t_hi))
+        w_lo = tuple(map(max, map(sub, lo, rest_hi), zeros))
+        w_hi = tuple(map(sub, hi, rest_lo))
+        if len(groups) > 1:  # the box feeds the scores alone
+            box_lo = tuple(map(max, w_lo, map(add, box_lo, t_lo)))
+            box_hi = tuple(map(min, w_hi, map(add, box_hi, t_hi)))
         if step is not None:
             cells = tables[idx].cells
-            added = coded.get(id(cells))
-            if added is None:
-                added = coded[id(cells)] = _coded(cells, partial.strides)
-            partial = step(partial, tables[idx], added, w_lo, w_hi)
+            keyed = coded.get(id(cells))
+            if keyed is None:
+                keyed = coded[id(cells)] = _step_codes(
+                    cells, cells, partial.strides, 0, step)
+            partial = step(partial, tables[idx], *keyed, w_lo, w_hi)
         elif partial is None:
             partial = (tables[idx].filtered(w_lo, w_hi) if prev is None
                        else sumset(prev, tables[idx], 2, w_lo, w_hi))
@@ -1056,6 +1083,7 @@ def base_tables_for_level(
     mode: str,
     *,
     hi: tuple[int, ...] | None = None,
+    memo: dict[tuple, PointTable] | None = None,
 ) -> list[PointTable]:
     """Per-brick base tables for one level's placed counts.
 
@@ -1067,19 +1095,21 @@ def base_tables_for_level(
     path of the solver's top point.
 
     ``block_base_table`` runs once per distinct key ``(matrix, placed,
-    cost slice)``; ``hi`` is the same for every brick.  A later brick with
-    a key already built gets a view: a table with its own ``block`` and
-    ``columns`` that shares the built table's ``cells`` dict and reach.
-    Witness nodes hold only column indices and ``decode`` adds counts to
-    ``table.block``, so every witness, value and tie is the one the brick's
-    own table would give.  The memo lives for this call only.
+    cost slice, hi)`` in ``memo``.  A brick with a key already built gets
+    a view: a table with its own ``block`` and ``columns`` that shares the
+    built table's ``cells`` dict and reach.  Witness nodes hold only
+    column indices and ``decode`` adds counts to ``table.block``, so every
+    witness, value and tie is the one the brick's own table would give.
+    The solver passes one ``memo`` per solve, so a level that places the
+    same units under the same cap as a level below reuses its tables;
+    without one the memo lives for this call only.
     """
     placed = plan.placed_at(level)
     costs = _block_costs(inst, mode)
-    built: dict[tuple, PointTable] = {}
+    built = {} if memo is None else memo
     tables = []
     for k in range(inst.n):
-        key = (inst.blocks[k], placed[k], costs[k])
+        key = (inst.blocks[k], placed[k], costs[k], hi)
         first = built.get(key)
         if first is None:
             table = built[key] = block_base_table(

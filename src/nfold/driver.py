@@ -151,6 +151,8 @@ def solve_with_trace(
         )
 
     cells_total = 0
+    # (matrix, placed, cost slice, cap) -> base table, for this solve only.
+    base_memo: dict = {}
 
     for level, (lo, hi, small_lo, small_hi) in enumerate(plan.windows, 1):
         if any(map(gt, lo, hi)) or any(map(gt, small_lo, small_hi)):
@@ -159,7 +161,8 @@ def solve_with_trace(
                 level, depth, lo, hi, small_lo, small_hi,
             )
             return finish_infeasible(level, cells_total), trace
-        base = base_tables_for_level(work, plan, level, mode, hi=small_hi)
+        base = base_tables_for_level(work, plan, level, mode, hi=small_hi,
+                                     memo=base_memo)
         base_cells = sum(len(b) for b in base)
         if level == 1:
             table = fold_tables(base, lo, hi)

@@ -5,7 +5,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import json
 import logging
+import math
+import operator
 import random
 import re
 import tracemalloc
@@ -18,6 +21,7 @@ import nfold.dp as dp
 import nfold.driver
 from nfold.core import NFoldInstance
 from nfold.dp import (
+    BlockWitness,
     PointTable,
     base_tables_for_level,
     block_base_table,
@@ -1164,6 +1168,171 @@ def test_widely_spread_zero_tables_fall_back_without_a_huge_bitset(monkeypatch):
     assert hits == {"packed": 1, "bits": 0}
     assert peak < 1 << 20, peak  # the code space is ~10^19 bits
     assert sum_pairs(got, a, b, 2) == reference_sumset(a.cells, b.cells, 2, lo, hi)
+
+
+def test_box_mask_matches_code_enumeration():
+    """``_box_mask`` sets exactly the codes of the window's points, for
+    r = 1..4 and random radices, in random, empty, one-digit (one axis or
+    every axis pinned) and full windows."""
+    rng = random.Random(17)
+    seen = dict.fromkeys(("random", "empty", "one digit", "one point", "full"), 0)
+    for trial in range(400):
+        r = 1 + trial % 4
+        radix = [rng.randint(1, 7) for _ in range(r)]
+        strides = tuple(math.prod(radix[j + 1:]) for j in range(r))
+        kind = list(seen)[trial // 4 % len(seen)]
+        lo = [rng.randrange(rd) for rd in radix]
+        hi = [rng.randint(l, rd - 1) for l, rd in zip(lo, radix)]
+        if kind == "empty":
+            axis = rng.randrange(r)
+            hi[axis] = lo[axis] - 1
+        elif kind == "one digit":
+            axis = rng.randrange(r)
+            hi[axis] = lo[axis]
+        elif kind == "one point":
+            hi = list(lo)
+        elif kind == "full":
+            lo, hi = [0] * r, [rd - 1 for rd in radix]
+        want = 0
+        for pt in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
+            want |= 1 << sum(map(operator.mul, pt, strides))
+        assert dp._box_mask(strides, tuple(lo), tuple(hi)) == want, (radix, lo, hi)
+        if kind == "full":
+            assert want == (1 << math.prod(radix)) - 1
+        seen[kind] += 1
+    assert min(seen.values()) == 80, seen
+
+
+def reference_fold(tables, order, lo, hi, prev=None) -> dict:
+    """``{point: witnesses}`` of a fold taken in ``order``, each step a
+    double loop (``reference_sumset``) under the fold's window, from the
+    origin or from ``2*prev``: every point with its value and the
+    ``BlockWitness`` list its first maximisers in sorted ``(p, q)`` order
+    decode to, ``prev``'s counts twice."""
+    r = tables[0].r
+    rest_lo = [sum(axis) for axis in zip(*(t.reach()[0] for t in tables))]
+    rest_hi = [sum(axis) for axis in zip(*(t.reach()[1] for t in tables))]
+    if prev is None:
+        partial = {(0,) * r: (0,)}
+    else:
+        partial = {tuple(2 * x for x in p): (2 * cell[0],) for p, cell in prev.cells.items()}
+    steps = []
+    for k in order:
+        t_lo, t_hi = tables[k].reach()
+        rest_lo = [v - x for v, x in zip(rest_lo, t_lo)]
+        rest_hi = [v - x for v, x in zip(rest_hi, t_hi)]
+        w_lo = tuple(max(0, l - v) for l, v in zip(lo, rest_hi))
+        w_hi = tuple(h - v for h, v in zip(hi, rest_lo))
+        partial = reference_sumset(partial, tables[k].cells, 1, w_lo, w_hi)
+        steps.append((k, partial))
+    out = {}
+    for pt, (value, *_) in partial.items():
+        counts, point = {}, pt
+        for k, step in reversed(steps):
+            _, point, q = step[point]
+            counts[k] = tables[k].decode(q)[0].counts
+        if prev is not None:
+            p = tuple(x // 2 for x in point)
+            counts[prev.block] = tuple(2 * c for c in prev.decode(p)[0].counts)
+        out[pt] = (value, [BlockWitness(block=k, counts=counts[k]) for k in sorted(counts)])
+    return out
+
+
+# One (size, reach) for every table: the points {(0, 0), (2, 2)} or
+# {(2, 0), (0, 2)}, with other costs and columns.
+FORCED_ALL = (
+    (((0, 2), (0, 2)), 1, (0, 3)),
+    (((2, 0), (0, 2)), 1, (1, 1)),
+    (((0, 2), (0, 2)), 1, (2, 0)),
+    (((2, 0), (0, 2)), 1, (0, 2)),
+    (((2, 0), (2, 0)), 1, (1, 0)),
+)
+# Four tables of the points {2, 3, 4} (other costs and columns) among two
+# smaller ones, {0, 3} and {0, 1}, that the scorer takes first; then one
+# group is left.
+FORCED_MID = (
+    (((1, 2),), 2, (1, 0)),
+    (((0, 3),), 1, (0, 1)),
+    (((1, 2),), 2, (0, 2)),
+    (((2, 1),), 2, (1, 1)),
+    (((0, 1),), 1, (2, 0)),
+    (((2, 1, 1),), 2, (0, 1, 1)),
+)
+
+
+@pytest.mark.parametrize("valued", [True, False], ids=["packed", "bits"])
+@pytest.mark.parametrize("start", ["origin", "prev"])
+@pytest.mark.parametrize("bricks, lo, hi, want_orders", [
+    (FORCED_ALL, (2, 2), (6, 7), {"origin": "[0, 1, 2, 3, 4], peak partial 7",
+                                  "prev": "[0, 1, 2, 3, 4], peak partial 15"}),
+    (FORCED_MID, (9,), (14,), {"origin": "[1, 4, 0, 2, 3, 5], peak partial 7",
+                               "prev": "[1, 4, 0, 2, 3, 5], peak partial 13"}),
+], ids=["one group", "collapse mid-fold"])
+def test_forced_fold_steps_take_the_lowest_position(
+        caplog, valued, start, bricks, lo, hi, want_orders):
+    """Once every table left shares one ``(size, reach)``, the fold takes
+    them by position without scoring, as the scorer's ties would: the
+    order line, the point -> value map and every decode are those of the
+    double-loop reference taken in that order."""
+    tables = [block_base_table(block, placed, block_index=k,
+                               costs=costs if valued else None)
+              for k, (block, placed, costs) in enumerate(bricks)]
+    prev = None
+    if start == "prev":
+        block, _, costs = bricks[0]
+        prev = block_base_table(block, 3, block_index=len(bricks),
+                                costs=costs if valued else None)
+        lo, hi = tuple(2 * v + 2 for v in lo), tuple(2 * v + 3 for v in hi)
+    with caplog.at_level(logging.DEBUG, logger="nfold.dp"):
+        folded = fold_tables(tables, lo, hi, prev)
+    (line,) = [rec.getMessage() for rec in caplog.records]
+    assert line == f"fold order {want_orders[start]} cells"
+    order = json.loads(line[len("fold order "):line.index("]") + 1])
+    want = reference_fold(tables, order, lo, hi, prev)
+    assert len(want) > 1
+    assert value_map(folded) == {pt: value for pt, (value, _) in want.items()}
+    for pt, (_, witnesses) in want.items():
+        assert folded.decode(pt) == witnesses
+    assert (folded.codes is not None) == valued
+
+
+def test_forced_fold_steps_match_the_reference_on_repeated_groups(caplog):
+    """Random folds over tables drawn from a few bricks, with other cost
+    slices, so that groups repeat and collapse: each one's order takes
+    the last group by position, and its map and decodes are the
+    reference's in its order."""
+    rng = random.Random(29)
+    forced = 0
+    for trial in range(80):
+        r = 1 + trial % 2
+        valued = trial % 4 < 2
+        pool = [tuple(tuple(rng.randint(0, 2) for _ in range(2)) for _ in range(r))
+                for _ in range(rng.randint(1, 3))]
+        tables = []
+        for k in range(rng.randint(2, 7)):
+            costs = tuple(rng.randint(0, 2) for _ in range(2)) if valued else None
+            tables.append(block_base_table(rng.choice(pool), rng.randint(1, 2),
+                                           block_index=k, costs=costs))
+        picks = [rng.choice(sorted(t.cells)) for t in tables]
+        center = tuple(map(sum, zip(*picks)))
+        lo = tuple(c - rng.randint(0, 2) for c in center)
+        hi = tuple(c + rng.randint(0, 2) for c in center)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="nfold.dp"):
+            folded = fold_tables(tables, lo, hi)
+        (line,) = [rec.getMessage() for rec in caplog.records]
+        order = json.loads(line[len("fold order "):line.index("]") + 1])
+        keys = [(len(t), t.reach()) for t in tables]
+        tail = next(i for i in range(len(order))
+                    if len({keys[k] for k in order[i:]}) == 1)
+        if len(order) == len(tables):
+            assert order[tail:] == sorted(order[tail:])
+            forced += len(order) - tail - 1 > 0
+        want = reference_fold(tables, order, lo, hi)
+        assert value_map(folded) == {pt: value for pt, (value, _) in want.items()}
+        for pt, (_, witnesses) in want.items():
+            assert folded.decode(pt) == witnesses
+    assert forced >= 20, forced
 
 
 # ---------------------------------------------------------------------------

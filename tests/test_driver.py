@@ -43,6 +43,9 @@ from test_acceptance import (FEASIBILITY_TRIALS, OPTIMIZE_TRIALS,
                              SEED_FEASIBILITY, SEED_OPTIMIZE)
 from test_dp import design_graph
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
 
 def two_brick(c=None) -> NFoldInstance:
     return NFoldInstance(
@@ -717,6 +720,84 @@ def test_repeated_core_instances_share_base_tables():
             assert solve(inst, mode="optimize").status == STATUS_OPTIMAL
         assert levels
         assert all(len({id(t.cells) for t in base}) < inst.n for base in levels)
+
+
+def core_deep_instance(rng: random.Random, target: int) -> NFoldInstance:
+    """The benchmark's ``core-deep`` family at ``b_low = target``: its two
+    bricks under one symmetry of the square, columns shuffled, ``b_up``
+    planted."""
+    sym = rng.choice(workloads.SQUARE_SYMMETRIES)
+    sets = [[sym(*pt) for pt in brick] for brick in workloads.DEEP_BRICKS]
+    for cols in sets:
+        rng.shuffle(cols)
+    return workloads.planted_instance(rng, sets, target)
+
+
+def base_memo_cases():
+    """Multi-level solves: the core-deep family up to ``b_low = 10**6``,
+    and repeated-brick instances planned at ``K = floor`` in both modes."""
+    rng = random.Random(71)
+    for target in (150, 10**4, 10**6):
+        for _ in range(2):
+            yield core_deep_instance(rng, target), "feasibility", None
+    for trial in range(60):
+        mode = ("feasibility", "optimize")[trial % 2]
+        inst = repeated_core_instance(rng, with_costs=mode == "optimize", plant=True)
+        yield inst, mode, support_floor(reduce_instance(inst).instance)
+
+
+def test_base_tables_are_built_once_per_key_per_solve(monkeypatch):
+    """One solve calls ``block_base_table`` once per distinct ``(matrix,
+    placed, cost slice, small_hi)`` over all its levels, and a second
+    solve builds them all again.  Status, ``x``, objective and stats are
+    those of a solve whose memo lives for one level only."""
+    built = []
+    real_build = dp.block_base_table
+
+    def counting(block, placed, **kwargs):
+        built.append((block, placed, kwargs["costs"], kwargs["hi"]))
+        return real_build(block, placed, **kwargs)
+
+    def per_level(*args, memo=None, **kwargs):
+        return dp.base_tables_for_level(*args, **kwargs)
+
+    def outputs(out):
+        stats = {k: v for k, v in out.stats.items() if k != "wall_time_s"}
+        return out.status, out.solution, stats
+
+    monkeypatch.setattr(dp, "block_base_table", counting)
+    cases = reuses = cap_only = 0
+    for inst, mode, support in base_memo_cases():
+        with pytest.MonkeyPatch.context() as patch:
+            if support is not None:
+                patch.setattr(driver, "build_plan",
+                              functools.partial(plan.build_plan, support=support))
+            del built[:]
+            shared, trace = solve_with_trace(inst, mode)
+            first = built[:]
+            del built[:]
+            again, _ = solve_with_trace(inst, mode)
+            assert built == first
+            patch.setattr(driver, "base_tables_for_level", per_level)
+            del built[:]
+            alone, _ = solve_with_trace(inst, mode)
+        assert shared.solution is not None
+        assert outputs(shared) == outputs(again) == outputs(alone)
+        work, levels = trace.reduced.instance, trace.plan.levels
+        costs = dp._block_costs(work, mode)
+        keys = [(work.blocks[k], trace.plan.placed_at(level)[k], costs[k],
+                 trace.plan.windows[level - 1][3])
+                for level in range(1, levels + 1) for k in range(work.n)]
+        assert first == list(dict.fromkeys(keys))
+        per_level_builds = sum(
+            len(set(keys[i:i + work.n])) for i in range(0, len(keys), work.n))
+        assert len(built) == per_level_builds
+        cases += levels >= 2
+        reuses += len(first) < per_level_builds
+        cap_only += len(first) > len({key[:3] for key in keys})
+    # Many solves reuse a table of a lower level, and some place the same
+    # units under another cap, which must not share.
+    assert reuses >= cases // 3 and cap_only >= 10, (cases, reuses, cap_only)
 
 
 @st.composite

@@ -1,13 +1,17 @@
 """Rebuild a committed ladder of seeded solves, parent tree against this one.
 
-Two ladders, chosen by ``--ladder``:
+Three ladders, chosen by ``--ladder``:
 
 - ``packed-step`` (``BENCH_packed_step.json``): optimize solves that run
   the packed fold step (``dp._fold_packed``) on sparse and dense brick
   tables;
 - ``shared-bricks`` (``BENCH_shared_bricks.json``): solves of programs
   whose bricks repeat, where ``dp.base_tables_for_level`` builds one base
-  table per distinct brick of a level.
+  table per distinct brick of a level;
+- ``fold-overhead`` (``BENCH_fold_overhead.json``): feasibility solves of
+  the two planted families of the benchmark's ``core-wide`` and
+  ``core-deep`` workloads, at more bricks and at more levels, where each
+  level's and each fold step's fixed cost counts.
 
 Rows:
 
@@ -24,27 +28,40 @@ Rows:
   columns of ``r`` entries ``rng.randint(0, e)``, then one cost
   ``rng.randint(0, 3)`` per column of each pool brick; the ``n`` bricks
   are ``rng.randrange(m)`` picks from the pool, with their pool brick's
-  costs, and ``planted_instance`` plants ``b_up``.
+  costs, and ``planted_instance`` plants ``b_up``;
+- *wide planted core* (seed 1, the ``core-wide`` family): ``n`` r = 1
+  bricks, each the columns 0, 1, 2 in ``rng.shuffle`` order, and
+  ``planted_instance`` plants ``b_up`` at ``b_low = b``;
+- *deep planted core* (seed 1, the ``core-deep`` family): the two
+  ``perfbench.workloads.DEEP_BRICKS`` under one ``rng.choice`` of
+  ``SQUARE_SYMMETRIES``, their columns in ``rng.shuffle`` order, and
+  ``planted_instance`` plants ``b_up`` at ``b_low = b``.
 
 Every row runs in fresh processes, each under a 60 s cap: one timed
 solve on the parent tree (``--parent``, a checkout of the commit to
-compare with), one on this tree, and one counted solve on this tree
-that wraps the packed paths and ``dp.block_base_table``.  A timed run
-repeats its solve, at most three times and while the next repeat likely
-ends within half the cap, and keeps the fastest.  A process that hits
-the cap records ``"limit"``; the row is never dropped or shrunk.  Each
-record holds the status, the objective (None in feasibility mode) and a
-digest of the witness ``x``; the counted run adds the solve's levels,
-its ``dp_cells``, the base tables built, the packed steps per path and
-the pairs each path tested: one per guard test on the pair path, and on
-the grouped walk every pair in the prefix groups that its axis-0 bisect
-reaches.
+compare with), one on this tree, and one counted solve on each tree
+(``parent_counted``, ``counted``) that wraps the packed paths,
+``dp.block_base_table`` and the solver's folds.  A timed run repeats
+its solve at least three times and until the repeats took a second,
+while the next repeat likely ends within half the cap, and keeps the
+fastest.  A process that hits the cap records ``"limit"``; the row is
+never dropped or shrunk.  Each record holds the status, the objective
+(None in feasibility mode) and a digest of the witness ``x``; a counted
+run adds the solve's levels, its ``dp_cells``, the base tables built,
+the packed steps per path, the pairs each path tested (one per guard
+test on the pair path, and on the grouped walk every pair in the prefix
+groups that its axis-0 bisect reaches), the steps of its folds, and the
+forced ones among them: steps taken while every table left in the fold
+has one ``(size, reach)``.  ``same_answer`` says that every record of
+the row that ended has one status, objective and witness, and every
+counted one the same ``dp_cells``.
 
 Usage::
 
     python tools/bench_packed_step.py --parent /path/to/parent/checkout
     python tools/bench_packed_step.py --parent DIR --rows core-n10-r2-t3-b1000
     python tools/bench_packed_step.py --parent DIR --ladder shared-bricks
+    python tools/bench_packed_step.py --parent DIR --ladder fold-overhead
 """
 
 from __future__ import annotations
@@ -52,21 +69,24 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import platform
 import random
 import subprocess
 import sys
 import time
 from bisect import bisect_left
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CAP_S = 60.0
 REPEATS = 3
+MIN_TIMED_S = 1.0
 
 # ladder -> (output file, {name -> (mode, spec)}), a spec being
-# ("core", n, r, t, e, b), ("cover", k, vertices, seed) or
-# ("uniform", n, m, r, t, e, b)
+# ("core", n, r, t, e, b), ("cover", k, vertices, seed),
+# ("uniform", n, m, r, t, e, b), ("wide", n, b) or ("deep", b)
 LADDERS = {
     "packed-step": ("BENCH_packed_step.json", {
         "core-n10-r2-t3-b1000": ("optimize", ("core", 10, 2, 3, 2, 1000)),
@@ -87,6 +107,14 @@ LADDERS = {
         "uniform-n24-m4-r2-t3-b1000": ("optimize", ("uniform", 24, 4, 2, 3, 2, 1000)),
         "uniform-n12-m4-r3-t3-b200": ("feasibility", ("uniform", 12, 4, 3, 3, 2, 200)),
     }),
+    "fold-overhead": ("BENCH_fold_overhead.json", {
+        "wide-n24-b100": ("feasibility", ("wide", 24, 100)),
+        "wide-n96-b100": ("feasibility", ("wide", 96, 100)),
+        "wide-n384-b100": ("feasibility", ("wide", 384, 100)),
+        "deep-b150": ("feasibility", ("deep", 150)),
+        "deep-b1e6": ("feasibility", ("deep", 10**6)),
+        "deep-b1e12": ("feasibility", ("deep", 10**12)),
+    }),
 }
 ROWS = {name: row for _, rows in LADDERS.values() for name, row in rows.items()}
 
@@ -95,6 +123,20 @@ def build(spec):
     """The ``NFoldInstance`` of one row."""
     from nfold.core import NFoldInstance
 
+    if spec[0] in ("wide", "deep"):
+        from perfbench.workloads import DEEP_BRICKS, SQUARE_SYMMETRIES, planted_instance
+
+        rng = random.Random(1)
+        if spec[0] == "wide":
+            _, n, b = spec
+            sets = [[(0,), (1,), (2,)] for _ in range(n)]
+        else:
+            _, b = spec
+            sym = rng.choice(SQUARE_SYMMETRIES)
+            sets = [[sym(*pt) for pt in brick] for brick in DEEP_BRICKS]
+        for cols in sets:
+            rng.shuffle(cols)
+        return planted_instance(rng, sets, b)
     if spec[0] in ("core", "uniform"):
         from perfbench.workloads import planted_instance
 
@@ -131,20 +173,51 @@ def build(spec):
     return build_ordering_ilp(graph, order)[0]
 
 
-def count_paths(dp) -> dict:
-    """Wrap the base table builder, the packed step and its two paths;
-    returns the live counts."""
-    counts = {"base_tables": 0,
+class FoldOrders(logging.Handler):
+    """Collects the order of every fold from its ``fold order`` debug line."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.orders: list[list[int]] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        message = record.getMessage()
+        if message.startswith("fold order ["):
+            self.orders.append(json.loads(message[len("fold order "):message.index("]") + 1]))
+
+
+def count_paths(dp, driver) -> dict:
+    """Wrap the base table builder, the packed step and its two paths, and
+    the solver's folds; returns the live counts."""
+    counts = {"base_tables": 0, "fold_steps": 0, "forced_steps": 0,
               "steps": {"pairs": 0, "pairs, bisect": 0, "grouped": 0,
                         "lookup or empty": 0},
               "pairs_tested": {"pairs": 0, "pairs, bisect": 0, "grouped": 0}}
     steps, tested = counts["steps"], counts["pairs_tested"]
     fold_packed, pair_sum, index_sum = dp._fold_packed, dp._pair_sum, dp._index_sum
-    block_base_table = dp.block_base_table
+    block_base_table, fold_tables = dp.block_base_table, driver.fold_tables
+    handler = FoldOrders()
+    logger = logging.getLogger(dp.__name__)
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    logger.propagate = False
 
     def base_table(*args, **kwargs):
         counts["base_tables"] += 1
         return block_base_table(*args, **kwargs)
+
+    def fold(tables, *args):
+        """A step is forced while the tables left share one (size, reach)."""
+        out = fold_tables(tables, *args)
+        left = Counter((len(t), t.reach()) for t in tables)
+        for idx in handler.orders.pop():
+            counts["fold_steps"] += 1
+            counts["forced_steps"] += len(left) == 1
+            key = (len(tables[idx]), tables[idx].reach())
+            left[key] -= 1
+            if not left[key]:
+                del left[key]
+        return out
 
     def axis0_pairs(a_items, b_items, shifts, w_lo, w_hi) -> int:
         """Pairs whose axis-0 digit lands: each ``p`` against its bisect range."""
@@ -182,27 +255,29 @@ def count_paths(dp) -> dict:
         return index_sum(a_items, b_items, shifts, w_lo, w_hi, values)
 
     dp._fold_packed, dp._pair_sum, dp._index_sum = packed, pairs, grouped
-    dp.block_base_table = base_table
+    dp.block_base_table, driver.fold_tables = base_table, fold
     return counts
 
 
 def child(name: str, count: bool) -> dict:
     """One row in this process, on the ``nfold`` found on ``sys.path``."""
-    from nfold import dp
-    from nfold.driver import solve
+    from nfold import dp, driver
 
     mode, spec = ROWS[name]
     inst = build(spec)
-    counts = count_paths(dp) if count else None
+    counts = count_paths(dp, driver) if count else None
     best = None
     spent = 0.0
-    for _ in range(1 if count else REPEATS):
+    runs = 0
+    while True:
         start = time.perf_counter()
-        outcome = solve(inst, mode=mode)
+        outcome = driver.solve(inst, mode=mode)
         seconds = time.perf_counter() - start
         spent += seconds
+        runs += 1
         best = seconds if best is None else min(best, seconds)
-        if spent + seconds > CAP_S / 2:
+        if count or spent + seconds > CAP_S / 2 or (
+                runs >= REPEATS and spent >= MIN_TIMED_S):
             break
     solution = outcome.solution
     x = None if solution is None else solution.x
@@ -262,15 +337,20 @@ def main() -> int:
     for name in args.rows:
         mode, spec = ladder[name]
         row = {"instance": spec, "mode": mode, "parent": run(args.parent, name, False),
-               "change": run(ROOT, name, False), "counted": run(ROOT, name, True)}
-        timed = [row[k] for k in ("parent", "change") if row[k] != "limit"]
-        row["same_answer"] = len({(t["objective"], t["witness"]) for t in timed}) <= 1
+               "change": run(ROOT, name, False), "counted": run(ROOT, name, True),
+               "parent_counted": run(args.parent, name, True)}
+        ended = [row[k] for k in ("parent", "change", "counted", "parent_counted")
+                 if row[k] != "limit"]
+        row["same_answer"] = (
+            len({(t["status"], t["objective"], t["witness"]) for t in ended}) <= 1
+            and len({t["dp_cells"] for t in ended if "dp_cells" in t}) <= 1)
         rows[name] = row
         timings = {k: row[k] for k in ("parent", "change", "same_answer")}
         print(name, json.dumps(timings), file=sys.stderr, flush=True)
     report = {
         "cap_s": CAP_S,
         "repeats": REPEATS,
+        "min_timed_s": MIN_TIMED_S,
         "host": {"python": platform.python_version(), "machine": platform.machine()},
         "rows": rows,
     }
