@@ -1,4 +1,4 @@
-"""Per-level point sets: base tables per brick and one windowed sumset kernel.
+"""Per-level point sets: base tables per brick and one windowed Minkowski-sum kernel.
 
 A *point* is the r-vector a brick (or a partial group of bricks)
 contributes to the shared rows.  ``block_base_table`` enumerates every
@@ -22,41 +22,35 @@ a view with its own ``block`` index that shares the built table's cells
 and reach, and a fold codes such shared cells into its frame once.  The
 solver's ``dp_cells`` counts a shared table once per brick that uses it.
 
-Every sum runs in a *frame*: a point is one ``int`` code, digit ``j`` of
-its offset from the frame's low corner times ``strides[j]``, axis 0 most
-significant, so codes sort like points and ``code(p + q)`` is one add.
-Zero-valued tables (feasibility mode) keep their codes as the set bits
-of one big-int bitset, whose sum step (``_fold_bits``) is a few
-shift-ORs and one AND; tables with values (optimize mode) keep a dict
-from packed code to value, a field per axis under a guard bit, whose
+Every fold runs in one *frame*: a point is one ``int`` code, digit
+``j`` of its offset from the frame's low corner times ``strides[j]``,
+axis 0 most significant, so codes sort like points and ``code(p + q)``
+is one add.  A zero-valued fold (feasibility mode) whose frame is within
+its bitset cap keeps its codes as the set bits of one big-int bitset,
+whose sum step (``_fold_bits``) is a few shift-ORs and one AND; every
+other fold, valued (optimize mode) or zero-valued above the cap, keeps a
+dict from packed code to value, a field per axis under a guard bit, whose
 step (``_fold_packed``) tests every pair of a sparse right table, a
 brick with few points per prefix group, with one guard-bit expression
 (``_pair_sum``), and walks a prefix-grouped index of a dense one
-(``_index_sum``).  These two steps are the one sum kernel, with two
-callers:
+(``_index_sum``).  These two steps are the one sum kernel, and
+``convolve``, one fold step, runs the one that fits its partial.
 
-- ``fold_tables`` sums the brick tables one at a time in one fold-wide
-  frame, from the origin or, for a solver level above the first, from
-  ``2*prev``, the level below scaled by 2, keeping only points that can
-  still land inside the target window given the summed reach of the
-  bricks not yet folded; that window depends on which bricks remain,
-  not on the order.
-  The order is greedy, as in bucket elimination: each step takes the
-  brick with the smallest bound on its output plus its probe work,
-  computed from table sizes and reaches alone, ties going to the lowest
-  brick position; once every brick left has one table size and reach,
-  the step is forced and takes the lowest position unscored.  Bricks
-  that pin a shared row thus go before bricks that spread over several,
-  and partial sums stay small.  Because the
-  Minkowski sum and max-plus are associative and commutative, and every
-  partial sum of a surviving decomposition stays inside its window, the
-  point -> value map is the same in every order; only tie witnesses
-  follow it.
-- ``sumset``, every ``scale*p + q`` in a window, sets up a frame per
-  call around the two tables, codes ``scale*p`` as its left table
-  and runs one step.  A zero-valued fold whose frame exceeds its bitset
-  cap runs it: at scale 2 for its first step from ``2*prev``, and as
-  ``convolve``, at scale 1, for every other step.
+``fold_tables`` sums the brick tables one at a time in one fold-wide
+frame, from the origin or, for a solver level above the first, from
+``2*prev``, the level below scaled by 2, keeping only points that can
+still land inside the target window given the summed reach of the
+bricks not yet folded; that window depends on which bricks remain, not
+on the order.  The order is greedy, as in bucket elimination: each step
+takes the brick with the smallest bound on its output plus its probe
+work, computed from table sizes and reaches alone, ties going to the
+lowest brick position; once every brick left has one table size and
+reach, the step is forced and takes the lowest position unscored.
+Bricks that pin a shared row thus go before bricks that spread over
+several, and partial sums stay small.  Because the Minkowski sum and
+max-plus are associative and commutative, and every partial sum of a
+surviving decomposition stays inside its window, the point -> value map
+is the same in every order; only tie witnesses follow it.
 
 No table stores a pair.  A base cell remembers its column-count chain; a
 sum table remembers its two parents, and ``PointTable.decode`` recovers
@@ -81,7 +75,7 @@ from dataclasses import dataclass
 from operator import add, gt, itemgetter, le, lshift, mul, sub
 from typing import Sequence
 
-from .core import MODE_FEASIBILITY, MODE_OPTIMIZE, InternalError, NFoldInstance
+from .core import MODE_OPTIMIZE, InternalError, NFoldInstance
 from .plan import IterationPlan
 
 logger = logging.getLogger(__name__)
@@ -112,7 +106,7 @@ class PointTable:
       ``(prefix, column, take)`` witness chain of ``block_base_table``,
       or None for no copies;
     - a frame table: none, each cell is ``(value,)``.  Only the result of
-      a fold or of ``sumset`` lists its points in ``cells``.
+      a fold lists its points in ``cells``.
 
     A frame table has ``strides`` and codes each point in its frame: one
     ``int``, digit ``j`` of ``point - low`` in ``[0, radix_j)`` times
@@ -121,9 +115,9 @@ class PointTable:
     from code to value.  Its ``parents`` say where its points come from:
 
     - none: the origin of a fold, the one point 0 valued 0;
-    - one, at ``scale``: the left table of ``sumset`` or the start of a
-      fold from ``2*prev`` (scale 2), each point ``scale*p`` for a point
-      ``p`` of the parent, valued ``scale*value(p)``;
+    - one, at ``scale`` 2: the start of a fold from ``2*prev``, each
+      point ``2*p`` for a point ``p`` of the parent, valued
+      ``2*value(p)``;
     - two: a sum ``left + right`` made by one step.  It stores no pairs:
       ``added`` lists the ``(code, q)`` of the points ``q`` of ``right``
       that the step added, ascending, and ``decode`` recovers each pair
@@ -244,34 +238,24 @@ class PointTable:
             self._reach = _reach_of(self.cells or self.points() or [(0,) * self.r])
         return self._reach
 
-    def filtered(self, lo: tuple[int, ...], hi: tuple[int, ...]) -> "PointTable":
-        """A base table's copy with only the points inside [lo, hi] per axis."""
-        out = PointTable(self.r, block=self.block, columns=self.columns)
-        for pt, cell in self.cells.items():
-            if all(l <= v <= h for v, l, h in zip(pt, lo, hi)):
-                out.cells[pt] = cell
-        return out
-
     def decode(self, pt: tuple[int, ...]) -> list[BlockWitness]:
         """Expand a point into per-brick column counts, sorted by brick.
 
         One walk of the witness graph down to the base tables, carrying a
         weight that starts at 1: both parents of a sum keep the weight,
-        a one-parent table at scale ``s`` (``sumset``'s left table or a
-        fold's start from ``2*prev``) passes ``weight*s`` to its parent,
-        and a base table adds ``weight*take`` into its
-        brick's counts.  A missing point, or a point with no pair, raises
-        ``InternalError``: a corrupt witness is a bug, never an input
-        problem.
+        a one-parent table at scale ``s`` (a fold's start from
+        ``2*prev``, ``s = 2``) passes ``weight*s`` to its parent, and a
+        base table adds ``weight*take`` into its brick's counts.  A
+        missing point, or a point with no pair, raises ``InternalError``:
+        a corrupt witness is a bug, never an input problem.
 
         A sum table stores no pairs.  Its pair for ``point`` is the
         smallest ``p`` of the left parent with ``q = point - p`` in the
         right one and ``value(p) + value(q) == value(point)``: the first
-        maximiser in sorted ``(p, q)`` order.  For a ``sumset`` that is
-        the smallest ``p`` of its own left operand, whose points are
-        ``scale*p``.  The search (``_pair``) takes the step's ``added``
-        points ``q`` coded at most ``code(point)``, found by one bisect,
-        in descending order, each one code subtraction and one lookup.
+        maximiser in sorted ``(p, q)`` order.  The search (``_pair``)
+        takes the step's ``added`` points ``q`` coded at most
+        ``code(point)``, found by one bisect, in descending order, each
+        one code subtraction and one lookup.
         That lookup is exact: a point of the left table plus an added
         ``q`` never carries a digit in the frame, so
         ``code(point) - code(q) == code(p)`` only for ``p == point - q``.
@@ -420,77 +404,6 @@ def block_base_table(
     return table
 
 
-def sumset(
-    a: PointTable,
-    b: PointTable,
-    scale: int,
-    lo: tuple[int, ...],
-    hi: tuple[int, ...],
-) -> PointTable:
-    """Every ``scale*p + q`` in ``[lo, hi]``, ``p`` in ``a`` and ``q`` in ``b``.
-
-    A point's value is the largest ``scale*value(p) + value(q)`` over its
-    pairs (a cell's value is its first entry), and ``decode`` recovers
-    the first maximiser in sorted ``(p, q)`` order.  Points may have any
-    sign.  The result is a frame table that lists its points, sorted, as
-    ``(value,)``; an empty result is a bare ``PointTable``.
-
-    A frame setup around one step of the fold's kernel.  ``_clip_pair``
-    drops the points that cannot land in the window (a one-point window,
-    whose pairs are lookups, keeps every point); the frame's low corner
-    is ``scale*a_lo + b_lo`` and its digit ``j`` runs up to
-    ``scale*spread(a)_j + spread(b)_j`` over the kept points' reaches,
-    so no digit sum carries.  The left table holds ``scale*p`` for every
-    kept ``p``, with ``a`` as its one parent at ``scale``, and one
-    ``_fold_bits`` or ``_fold_packed`` step adds the kept ``b`` to it, a
-    one-point window by lookup.  Zero-valued tables take a mixed-radix
-    bitset while it has at most ``_BITS_PER_POINT`` bits per kept point
-    of ``b``; anything else takes guard-bit packed codes.
-    """
-    if not a.cells or not b.cells or any(map(gt, lo, hi)):
-        return PointTable(a.r)
-    if lo == hi:  # pairs are lookups; a frame over the whole reaches is exact
-        clipped = a.cells, a.reach(), b.cells, b.reach()
-    else:
-        clipped = _clip_pair(a, b, scale, lo, hi)
-        if clipped is None:
-            return PointTable(a.r)
-    a_pts, (a_lo, a_hi), b_pts, (b_lo, b_hi) = clipped
-    tops = [
-        scale * (ah - al) + bh - bl for al, ah, bl, bh in zip(a_lo, a_hi, b_lo, b_hi)
-    ]
-    left = _frame(tops, 0 if _has_values((a, b)) else _BITS_PER_POINT * len(b_pts))
-    left.low = tuple(scale * x for x in a_lo)
-    _scaled(left, a, a_pts, scale)
-    step, strides = _fold_bits if left.codes is None else _fold_packed, left.strides
-    corner = tuple(map(add, left.low, b_lo))
-    out = step(
-        left, b,
-        *_step_codes(b.cells, b_pts, strides, sum(map(mul, b_lo, strides)), step),
-        tuple(max(l - c, 0) for l, c in zip(lo, corner)),
-        tuple(min(h - c, top) for h, c, top in zip(hi, corner, tops)),
-    )
-    out.low = corner
-    out._list_cells()
-    return out
-
-
-# Largest bitset, in bits per kept point of the right table, that
-# ``sumset`` builds for zero-valued tables; larger ones take packed codes.
-# A fold from ``2*prev`` allows as many bits per kept point of ``prev``
-# (see ``fold_tables``).  A bitset step shifts whole bitsets, the packed
-# step probes per point.
-# Measured when a separate scale-2 ``sumset`` still combined the levels:
-# the 27 zero-valued calls of the core-wide, core-deep and apps-feas
-# benchmark workloads, seeds 1-3, one-point windows aside, had 2 to
-# 1,159 bits per point and took 27 ms as bitsets against 158 ms packed
-# (min of 20, shared 2-vCPU host); the apps-feas calls among them came
-# from the scheduling ``cmax`` guess 91/3, which the bracketed search no
-# longer decides.  4096 is the crossover measured for an earlier
-# per-point bitset walk, which none of them comes near.
-_BITS_PER_POINT = 4096
-
-
 def _repeat(bits: int, count: int, step: int) -> int:
     """OR of ``bits << (i * step)`` for ``i < count``, by doubling."""
     out, done, size = 0, 0, 1
@@ -552,34 +465,6 @@ def _clip(cells, reach, lo, hi):
         return list(cells), reach
     pts = [p for p in cells if all(map(le, lo, p)) and all(map(le, p, hi))]
     return pts, (_reach_of(pts) if pts else reach)
-
-
-def _clip_pair(a: PointTable, b: PointTable, scale, lo, hi):
-    """``(a_pts, a_reach, b_pts, b_reach)``: the points that can land in the window.
-
-    ``a`` keeps the ``p`` with ``scale*p + q`` in ``[lo, hi]`` for some
-    ``q`` in the reach of ``b``; ``b`` then keeps the ``q`` that some
-    ``p`` in the reach of the kept ``a`` can carry there.  Each reach is
-    the per-axis (min, max) of the kept points.  Returns None when either
-    side is left empty.
-    """
-    a_reach, (b_lo, b_hi) = a.reach(), b.reach()
-    a_pts, a_reach = _clip(
-        a.cells, a_reach,
-        [-((bh - l) // scale) for l, bh in zip(lo, b_hi)],
-        [(h - bl) // scale for h, bl in zip(hi, b_lo)],
-    )
-    if not a_pts:
-        return None
-    a_lo, a_hi = a_reach
-    b_pts, b_reach = _clip(
-        b.cells, (b_lo, b_hi),
-        [l - scale * ah for l, ah in zip(lo, a_hi)],
-        [h - scale * al for h, al in zip(hi, a_lo)],
-    )
-    if not b_pts:
-        return None
-    return a_pts, a_reach, b_pts, b_reach
 
 
 # Points per prefix group of the right table (its prefix: every field but
@@ -705,88 +590,69 @@ def _index_sum(a_items, b_items, shifts, w_lo, w_hi, values) -> None:
                     values[key] = value
 
 
-def convolve(
-    a: PointTable,
-    b: PointTable,
-    *,
-    lo: tuple[int, ...] | None = None,
-    hi: tuple[int, ...] | None = None,
-) -> PointTable:
-    """Minkowski sum ``a + b`` of two listed tables inside ``[lo, hi]``:
-    ``sumset`` at scale 1, whose result decodes through ``a`` and ``b``.
-
-    Values add; a missing window side defaults to ``reach(a) + reach(b)``.
-    """
-    if lo is None or hi is None:
-        (a_lo, a_hi), (b_lo, b_hi) = a.reach(), b.reach()
-        lo = lo if lo is not None else tuple(map(add, a_lo, b_lo))
-        hi = hi if hi is not None else tuple(map(add, a_hi, b_hi))
-    return sumset(a, b, 1, lo, hi)
-
-
-# Largest frame, in bits, in which ``fold_tables`` folds zero-valued
-# tables as bitsets from the origin; larger ones take the ``convolve``
-# chain.  See ``fold_tables`` for the cap of a fold from ``2*prev``.
+# Bitset cap of a zero-valued fold: its partials are one bitset while
+# the frame has at most max(_FOLD_FRAME_BITS, _BITS_PER_POINT * |kept p|)
+# bits, |kept p| the points kept from ``prev`` (none from the origin), and
+# zero-valued packed codes above that.  A bitset step costs min(|P|, |t|)
+# shift-ORs over the whole frame and the packed step one probe per pair,
+# so a large frame of few points is slower as a bitset; the points kept
+# from ``prev`` start the partial, so they raise the cap.
 # Measured on the scheduling ``cmax`` fold of the benchmark instance at
 # the guess 91/3, the first guess of the unbracketed search (the
 # bracketed one no longer decides it): 3 r=4 tables of 399, 693 and 659
-# points into one point, in a frame of 1,299,480 bits.  Timed in-process
-# (min of 7 calls, seeds 1-3, on a shared 2-vCPU host), it takes 9.6 to
-# 9.8 ms as the ``convolve`` chain, whose frames hold 802,893 and 849,303
-# bits, and 12.4 to 22.9 ms as an uncapped bitset (its last step the
-# one-point lookup).
+# points into one point, in a frame of 1,299,480 bits, just above the
+# cap.  It takes 24.2-24.4 ms in packed codes and 12.0-15.0 ms as an
+# uncapped bitset (in-process, min of 7, shared 2-vCPU host).  Both caps
+# were set against per-step frames fitted to each step's tables, 9.4-9.8
+# ms on that fold; the crossover against the fold-wide packed frame is
+# not measured.  4096 bits per point is the crossover measured for an
+# earlier per-point bitset walk.
 _FOLD_FRAME_BITS = 1 << 20
+_BITS_PER_POINT = 4096
 
 
-def _frame(tops, bitset_bits: int) -> PointTable:
-    """An empty frame table, low corner 0, whose digit ``j`` holds
-    ``[0, tops_j]``; axis 0 is most significant, so codes sort like points.
+def _fold_frame(tables, reaches, hi, low, prev, pts) -> PointTable:
+    """A fold's first partial, in the fold's frame: the origin alone, or
+    ``2*p`` valued ``2*value(p)`` for the points ``p`` of ``pts``, with
+    ``prev`` as its one parent at scale 2.
 
-    When the mixed-radix code space, ``radix_j = tops_j + 1``, has at
-    most ``bitset_bits`` codes, the table is a bitset (``bits = 0``).
-    Otherwise it holds packed codes (``codes = {}``): digit ``j`` has
-    ``w_j`` bits, ``radix_j = 2**w_j > tops_j``, under one zero guard bit.
-    """
-    table = PointTable(len(tops))
-    table.low = (0,) * len(tops)
-    radix = [top + 1 for top in tops]
-    if math.prod(radix) <= bitset_bits:
-        table.bits, fields = 0, radix
-    else:
-        radix = [1 << top.bit_length() for top in tops]
-        table.codes, fields = {}, [2 * rd for rd in radix]  # digit and guard bit
-    table.radix = tuple(radix)
-    table.strides = tuple(math.prod(fields[j + 1:]) for j in range(len(fields)))
-    return table
-
-
-def _fold_frame(tables, reaches, hi, low, prev, pts):
-    """``(step, start)`` of a fold in a frame, or None for a zero-valued
-    fold above its bitset cap.
-
-    ``start`` is the fold's first partial, in a ``_frame`` with low corner
-    ``low``: the origin alone, or ``2*p`` for the points ``p`` of ``pts``
-    with ``prev`` as its one parent, at scale 2.  A partial point lies in
-    ``[low, hi]`` and a brick point in ``[0, reach_hi]``, so with ``top_j
-    = max(hi_j - low_j, 0) + max_t reach_hi_j`` digit sums never carry.
-    Valued tables take packed codes and ``_fold_packed``, zero-valued
-    ones a bitset and ``_fold_bits``.
+    The frame's low corner is ``low`` and its digit ``j`` holds ``[0,
+    top_j]``, ``top_j = max(hi_j - low_j, 0) + max_t reach_hi_j``: a
+    partial point lies in ``[low, hi]`` and a brick point in ``[0,
+    reach_hi]``, so digit sums never carry.  Axis 0 is most significant,
+    so codes sort like points.  A zero-valued fold whose mixed-radix code
+    space, ``radix_j = top_j + 1``, is within the bitset cap keeps a
+    bitset (``bits``); any other fold keeps packed codes (``codes``):
+    digit ``j`` has ``w_j`` bits, ``radix_j = 2**w_j > top_j``, under one
+    zero guard bit.
     """
     tops = map(max, zip(*(t_hi for _, t_hi in reaches)))
     tops = [max(h - l, 0) + top for h, l, top in zip(hi, low, tops)]
-    valued = _has_values(tables if prev is None else [*tables, prev])
-    cap = max(_FOLD_FRAME_BITS, _BITS_PER_POINT * len(pts))
-    start = _frame(tops, 0 if valued else cap)
-    if start.codes is not None and not valued:
-        return None
+    start = PointTable(len(tops))
     start.low = low
-    if prev is not None:
-        _scaled(start, prev, pts, 2)
-    elif start.codes is None:
-        start.bits = 1
+    radix = [top + 1 for top in tops]
+    cap = max(_FOLD_FRAME_BITS, _BITS_PER_POINT * len(pts))
+    if math.prod(radix) <= cap and not _has_values(
+            tables if prev is None else [*tables, prev]):
+        start.bits, fields = 0, radix
     else:
-        start.codes[0] = 0
-    return (_fold_bits if start.codes is None else _fold_packed), start
+        radix = [1 << top.bit_length() for top in tops]
+        start.codes, fields = {}, [2 * rd for rd in radix]  # digit and guard bit
+    start.radix = tuple(radix)
+    start.strides = strides = tuple(math.prod(fields[j + 1:]) for j in range(len(fields)))
+    if prev is None:
+        if start.codes is None:
+            start.bits = 1
+        else:
+            start.codes[0] = 0
+        return start
+    coded = _coded(pts, [2 * s for s in strides], sum(map(mul, low, strides)))
+    start.parents, start.scale = (prev,), 2
+    if start.codes is None:
+        start.bits = _bitset([c for c, _ in coded])
+    else:
+        start.codes = {c: 2 * prev.cells[p][0] for c, p in coded}
+    return start
 
 
 def _has_values(tables) -> bool:
@@ -801,28 +667,32 @@ def _coded(pts, strides, base: int = 0) -> list[tuple[int, tuple[int, ...]]]:
     return [(sum(map(mul, p, strides)) - base, p) for p in pts]
 
 
-def _step_codes(cells, pts, strides, base, step) -> tuple[list, list]:
-    """``(added, keys)`` of the points ``pts`` of a right table with these
-    ``cells``, for one ``step``: ``added`` its ``(code, q)`` list (see
-    ``_fold_bits``), ``keys`` the codes alone for ``_fold_bits`` and the
-    ``(code, value)`` items for ``_fold_packed``."""
-    added = _coded(pts, strides, base)
-    if step is _fold_bits:
+def _step_codes(cells, strides, bits: bool) -> tuple[list, list]:
+    """``(added, keys)`` of a right table with these ``cells`` in a frame
+    of these ``strides``: ``added`` its ``(code, q)`` list (see
+    ``_fold_bits``), ``keys`` the codes alone for a bitset partial
+    (``_fold_bits``) and the ``(code, value)`` items for a packed one
+    (``_fold_packed``)."""
+    added = _coded(cells, strides)
+    if bits:
         return added, [c for c, _ in added]
     return added, [(c, cells[q][0]) for c, q in added]
 
 
-def _scaled(left: PointTable, a: PointTable, pts, scale: int) -> None:
-    """Fill the empty frame table ``left`` with ``scale*p`` for the points
-    ``p`` of ``a`` in ``pts``, valued ``scale*value(p)``; ``a`` becomes its
-    one parent, at ``scale``."""
-    strides = left.strides
-    coded = _coded(pts, [scale * s for s in strides], sum(map(mul, left.low, strides)))
-    left.parents, left.scale = (a,), scale
-    if left.codes is None:
-        left.bits = _bitset([c for c, _ in coded])
-    else:
-        left.codes = {c: scale * a.cells[p][0] for c, p in coded}
+def convolve(
+    left: PointTable,
+    right: PointTable,
+    added: list[tuple[int, tuple[int, ...]]],
+    keys: list,
+    lo: tuple[int, ...],
+    hi: tuple[int, ...],
+) -> PointTable:
+    """One fold step: ``left + right`` in ``[lo, hi]``, digits of
+    ``left``'s frame, with ``right``'s ``added`` and ``keys`` from
+    ``_step_codes``.  A bitset ``left`` takes ``_fold_bits``, packed
+    codes ``_fold_packed``."""
+    step = _fold_bits if left.codes is None else _fold_packed
+    return step(left, right, added, keys, lo, hi)
 
 
 def _fold_step(left: PointTable, right: PointTable, added) -> PointTable:
@@ -881,13 +751,14 @@ def _fold_packed(
     lo: tuple[int, ...],
     hi: tuple[int, ...],
 ) -> PointTable:
-    """Valued step ``left + right`` in ``[lo, hi]``, as code -> value.
+    """Packed step ``left + right`` in ``[lo, hi]``, as code -> value.
 
     ``added`` is as for ``_fold_bits``, and ``b_items`` its ``(code,
-    value(q))`` items (``_step_codes``).  A
-    one-point window looks up the partner codes ``code(lo) - code(q)`` in
-    ``left`` and keeps the largest sum.  Otherwise the step runs on the
-    frame's codes, so no point is decoded or turned into a tuple: a right
+    value(q))`` items (``_step_codes``); every value is 0 in a
+    zero-valued fold above its bitset cap.  A one-point window looks up
+    the partner codes ``code(lo) - code(q)`` in ``left`` and keeps the
+    largest sum.  Otherwise the step runs on the frame's codes, so no
+    point is decoded or turned into a tuple: a right
     table with at most ``_PAIR_GROUP_POINTS`` points per prefix group
     tests each pair (``_pair_sum``), a denser one walks its prefix groups
     (``_index_sum``).  Max-plus sums do not depend on the order of the
@@ -950,32 +821,17 @@ def fold_tables(
     window in any order.  Only tie witnesses follow the order;
     ``PointTable.decode`` returns witnesses in brick order.
 
-    Tables that share one ``cells`` dict (the views of
-    ``base_tables_for_level``) are coded into the frame once per fold,
-    with the codes or ``(code, value)`` items their step reads
-    (``_step_codes``), and ``_has_values`` scans such a dict once.
-
-    Steps run one of two paths, both with the same partial point sets
-    and the same witnesses:
-
-    - frame (``_fold_frame``): every valued fold, and every zero-valued
-      fold under the bitset cap.  The partial starts in one fold-wide
-      frame, one ``int`` per point, and every step is ``_fold_packed``
-      (a dict from code to value; one guard test per pair for a sparse
-      brick table, ``_index_sum``'s prefix groups for a dense one) or
-      ``_fold_bits`` (one bitset ``int``).  No step builds a cell; the
-      result lists its points in ``cells`` as ``(value,)``, sorted;
-    - ``convolve`` chain: a zero-valued fold above the cap.  The first
-      step filters its table to its window, or from ``prev`` is a
-      ``sumset`` at scale 2, and every later one is a ``convolve``; each
-      runs the same steps in a frame of its own, fitted to its tables.
-
-    Bitset cap: ``max(_FOLD_FRAME_BITS, _BITS_PER_POINT * |kept p|)``
-    frame bits, so ``_FOLD_FRAME_BITS`` from the origin.  A step costs
-    ``min(|P|, |t|)`` shifts over the whole frame, while a ``convolve``
-    frame spans only the clipped tables, so a large fold frame of few
-    points is slower as a bitset; the points kept from ``prev`` raise
-    the cap as the right table's points raise ``sumset``'s.
+    Every fold runs in one frame (``_fold_frame``), one ``int`` per
+    point, and every step is one ``convolve``: ``_fold_bits`` (one bitset
+    ``int``) for a zero-valued fold within the bitset cap, else
+    ``_fold_packed`` (a dict from code to value; one guard test per pair
+    for a sparse brick table, ``_index_sum``'s prefix groups for a dense
+    one).  No step builds a cell; the result lists its points in
+    ``cells`` as ``(value,)``, sorted.  Tables that share one ``cells``
+    dict (the views of ``base_tables_for_level``) are coded into the
+    frame once per fold, with the codes or ``(code, value)`` items their
+    step reads (``_step_codes``), and ``_has_values`` scans such a dict
+    once.
     """
     if not tables:
         raise ValueError("fold_tables needs at least one table")
@@ -995,10 +851,9 @@ def fold_tables(
         # No partial point lies below 2*min p, nor, once clipped to its
         # window, below lo - rest_hi: that is the frame's low corner.
         low, size = tuple(map(max, map(sub, lo, rest_hi), box_lo)), len(pts)
-    step, partial = _fold_frame(tables, reaches, hi, low, prev, pts) or (None, None)
-    if step is not None:  # from here on, offsets from the frame's low corner
-        lo, hi, box_lo, box_hi = (
-            tuple(map(sub, v, low)) for v in (lo, hi, box_lo, box_hi))
+    partial = _fold_frame(tables, reaches, hi, low, prev, pts)
+    # From here on, offsets from the frame's low corner.
+    lo, hi, box_lo, box_hi = (tuple(map(sub, v, low)) for v in (lo, hi, box_lo, box_hi))
     # (size, reach) -> positions, highest first, so pop() takes the lowest.
     groups: dict[tuple, list[int]] = {}
     for idx in range(len(tables) - 1, -1, -1):
@@ -1046,25 +901,18 @@ def fold_tables(
         if len(groups) > 1:  # the box feeds the scores alone
             box_lo = tuple(map(max, w_lo, map(add, box_lo, t_lo)))
             box_hi = tuple(map(min, w_hi, map(add, box_hi, t_hi)))
-        if step is not None:
-            cells = tables[idx].cells
-            keyed = coded.get(id(cells))
-            if keyed is None:
-                keyed = coded[id(cells)] = _step_codes(
-                    cells, cells, partial.strides, 0, step)
-            partial = step(partial, tables[idx], *keyed, w_lo, w_hi)
-        elif partial is None:
-            partial = (tables[idx].filtered(w_lo, w_hi) if prev is None
-                       else sumset(prev, tables[idx], 2, w_lo, w_hi))
-        else:
-            partial = convolve(partial, tables[idx], lo=w_lo, hi=w_hi)
+        cells = tables[idx].cells
+        keyed = coded.get(id(cells))
+        if keyed is None:
+            keyed = coded[id(cells)] = _step_codes(
+                cells, partial.strides, partial.codes is None)
+        partial = convolve(partial, tables[idx], *keyed, w_lo, w_hi)
         order.append(idx)
         size = len(partial)
         peak = max(peak, size)
         if not size:
             break
-    if step is not None:
-        partial._list_cells()
+    partial._list_cells()
     logger.debug("fold order %s, peak partial %d cells", order, peak)
     return partial
 
@@ -1120,20 +968,3 @@ def base_tables_for_level(
         tables.append(table)
     return tables
 
-
-def small_subproblem_set(
-    inst: NFoldInstance,
-    plan: IterationPlan,
-    level: int,
-    mode: str = MODE_FEASIBILITY,
-) -> PointTable:
-    """Complete level point set over the box {0..D}^r.
-
-    This is the reference-shaped variant: no target windows, every point
-    within the box radius is kept.  The solver itself folds the same base
-    tables under much tighter windows; both agree on their common domain.
-    """
-    radius = plan.radius
-    box = (radius,) * inst.r
-    tables = base_tables_for_level(inst, plan, level, mode)
-    return fold_tables(tables, (0,) * inst.r, box)

@@ -97,14 +97,12 @@ def _combine_levels(
 
 def _peak_partial(table: PointTable) -> int:
     """Largest partial of the fold that made a level table: its step
-    results down to the fold's start, the origin or ``2*prev``, or to its
-    first partial, a filtered base table, in a ``convolve`` chain."""
+    results down to the fold's start, the origin or ``2*prev``."""
     peak = 0
     while table.parents is not None and table.scale != 2:
-        if len(table.parents) == 2:
-            peak = max(peak, len(table))
+        peak = max(peak, len(table))
         table = table.parents[0]
-    return peak if table.block is None else max(peak, len(table))
+    return peak
 
 
 def reconstruct(top: PointTable, b_up: Sequence[int]) -> list[tuple[int, ...]]:

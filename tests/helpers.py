@@ -17,6 +17,7 @@ from functools import lru_cache
 
 from nfold.core import (MODE_FEASIBILITY, MODE_OPTIMIZE, NFoldInstance,
                         verify_solution)
+from nfold.dp import PointTable, base_tables_for_level, fold_tables
 from nfold.driver import solve
 from nfold.oracle import enumeration_size, oracle_solve
 from nfold import scheduling
@@ -37,6 +38,21 @@ ENUMERATION_CAP = 150_000
 def canonical_bytes(obj) -> bytes:
     """Stable byte serialization used for determinism comparisons."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
+def small_subproblem_set(inst, plan, level, mode=MODE_FEASIBILITY) -> PointTable:
+    """Complete level point set over the box {0..D}^r.
+
+    The level's base tables folded from the origin with no target window
+    but the box of the plan's radius ``D``, so every point within it is
+    kept; the solver folds the same tables under much tighter windows,
+    and both agree on their common domain.  Unlike the references in this
+    module it runs the package's own fold, for the tests that compare it
+    with ``oracle.oracle_point_set``.
+    """
+    box = (plan.radius,) * inst.r
+    tables = base_tables_for_level(inst, plan, level, mode)
+    return fold_tables(tables, (0,) * inst.r, box)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import time
 import pytest
 
 import helpers
-from helpers import ACCEPTANCE_LINES, canonical_bytes
+from helpers import ACCEPTANCE_LINES, canonical_bytes, small_subproblem_set
 
 from nfold.closest_string import hamming, solve_closest
 from nfold.core import (
@@ -25,7 +25,6 @@ from nfold.core import (
     STATUS_INFEASIBLE,
     verify_solution,
 )
-from nfold.dp import small_subproblem_set
 from nfold.driver import solve, solve_with_trace
 from nfold.imbalance import Graph, solve_imbalance
 from nfold.oracle import oracle_point_set, oracle_solve

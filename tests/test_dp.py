@@ -1,8 +1,7 @@
-"""Point-table engine: base tables, convolution, level sets."""
+"""Point-table engine: base tables, folds and their steps, level sets."""
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -25,15 +24,15 @@ from nfold.dp import (
     PointTable,
     base_tables_for_level,
     block_base_table,
-    convolve,
     fold_tables,
-    small_subproblem_set,
 )
-from nfold.driver import _combine_levels, solve
+from nfold.driver import solve
 from nfold.imbalance import Graph, build_ordering_ilp, solve_imbalance
 from nfold.oracle import oracle_point_set
 from nfold.plan import build_plan
 from nfold.scheduling import OBJECTIVE_CMAX, SchedulingInstance, decide_guess
+
+from helpers import small_subproblem_set
 
 
 def points_of(table: PointTable) -> set[tuple[int, ...]]:
@@ -89,31 +88,56 @@ def test_base_table_decode_recovers_counts():
         assert (sum(c * e for c, e in zip(witness.counts, (1, 2))),) == pt
 
 
+def fold_pair(a: PointTable, b: PointTable, lo=None, hi=None) -> PointTable:
+    """``a + b`` inside ``[lo, hi]``, by default ``reach(a) + reach(b)``:
+    a fold of the two tables from the origin, whose steps are
+    ``dp.convolve``."""
+    (a_lo, a_hi), (b_lo, b_hi) = a.reach(), b.reach()
+    lo = tuple(map(operator.add, a_lo, b_lo)) if lo is None else lo
+    hi = tuple(map(operator.add, a_hi, b_hi)) if hi is None else hi
+    return fold_tables([a, b], lo, hi)
+
+
+def reference_chain(tables, lo=None, hi=None) -> dict:
+    """Every ``q_1 + ... + q_n`` in ``[lo, hi]`` (by default the box of
+    the summed reaches) with its best value: a chain of double loops
+    (``reference_sumset``) from the first table."""
+    r = tables[0].r
+    lo = (0,) * r if lo is None else lo
+    hi = tuple(map(sum, zip(*(t.reach()[1] for t in tables)))) if hi is None else hi
+    partial = {(0,) * r: (0,)}
+    for t in tables:
+        partial = reference_sumset(partial, t.cells, 1, (0,) * r, hi)
+    return {pt: cell[0] for pt, cell in partial.items()
+            if all(map(operator.le, lo, pt))}
+
+
 def test_convolve_frozen_sets():
     a = block_base_table(((0, 1),), 1)  # points {0, 1}
     b = block_base_table(((2,),), 1)  # point {2}
-    got = convolve(a, b)
-    assert points_of(got) == {(2,), (3,)}
+    got = fold_pair(a, b)
+    assert points_of(got) == {(2,), (3,)} == set(reference_chain([a, b]))
 
 
 def test_convolve_with_origin_is_identity_on_points():
     a = block_base_table(((1, 2),), 2)
     origin = block_base_table(((0,),), 0)
-    assert points_of(convolve(a, origin)) == points_of(a)
+    assert points_of(fold_pair(a, origin)) == points_of(a)
 
 
 def test_convolve_adds_values_max_plus():
     a = block_base_table(((0, 1),), 1, costs=(0, 5))  # {0: 0, 1: 5}
     b = block_base_table(((2,),), 1, costs=(1,))  # {2: 1}
-    got = convolve(a, b)
+    got = fold_pair(a, b)
     assert got.value((2,)) == 1
     assert got.value((3,)) == 6
+    assert value_map(got) == reference_chain([a, b])
 
 
 def test_convolve_window_filters_results():
     a = block_base_table(((1, 2),), 2)
     b = block_base_table(((1, 2),), 2)
-    got = convolve(a, b, lo=(5,), hi=(6,))
+    got = fold_pair(a, b, lo=(5,), hi=(6,))
     assert points_of(got) == {(5,), (6,)}
 
 
@@ -129,17 +153,20 @@ def test_convolve_window_agrees_with_filtered_full_sum():
         a, b = mk(), mk()
         lo = (0,) * r
         hi = (rng.randint(2, 9),) * r
-        windowed = convolve(a, b, lo=lo, hi=hi)
-        full = convolve(a, b)
+        windowed = fold_pair(a, b, lo=lo, hi=hi)
+        full = fold_pair(a, b)
+        assert value_map(full) == reference_chain([a, b])
         want = {
             pt: cell[0]
             for pt, cell in full.cells.items()
             if all(l <= v <= h for v, l, h in zip(pt, lo, hi))
         }
-        assert {pt: cell[0] for pt, cell in windowed.cells.items()} == want
+        assert value_map(windowed) == want == reference_chain([a, b], lo, hi)
 
 
 def test_convolve_is_commutative_and_associative_on_values():
+    """Either table order and either grouping of three tables, each sum
+    a fold, has the double loop's point -> value map."""
     rng = random.Random(29)
     for _ in range(25):
         tables = [
@@ -151,20 +178,17 @@ def test_convolve_is_commutative_and_associative_on_values():
             for _ in range(3)
         ]
         a, b, c = tables
-
-        def as_map(t: PointTable) -> dict:
-            return {pt: cell[0] for pt, cell in t.cells.items()}
-
-        assert as_map(convolve(a, b)) == as_map(convolve(b, a))
-        assert as_map(convolve(convolve(a, b), c)) == as_map(
-            convolve(a, convolve(b, c))
-        )
+        want = reference_chain([a, b])
+        assert value_map(fold_pair(a, b)) == want == value_map(fold_pair(b, a))
+        want = reference_chain(tables)
+        assert value_map(fold_pair(fold_pair(a, b), c)) == want
+        assert value_map(fold_pair(a, fold_pair(b, c))) == want
 
 
 def test_decode_through_pair_tables_recombines():
     a = block_base_table(((1, 2),), 2, block_index=0)
     b = block_base_table(((0, 1),), 1, block_index=1)
-    got = convolve(a, b)
+    got = fold_pair(a, b)
     for pt in got.points():
         witnesses = got.decode(pt)
         assert [w.block for w in witnesses] == [0, 1]
@@ -244,10 +268,9 @@ def fold_cases(draw):
 @given(fold_cases())
 def test_fold_value_map_is_independent_of_table_order(case):
     tables, columns, lo, hi, order = case
-    full = functools.reduce(convolve, tables)
     want = {
-        pt: cell[0]
-        for pt, cell in full.cells.items()
+        pt: value
+        for pt, value in reference_chain(tables).items()
         if all(l <= v <= h for v, l, h in zip(pt, lo, hi))
     }
     folded = fold_tables([tables[k] for k in order], lo, hi)
@@ -410,26 +433,16 @@ def zero_fold_cases(draw):
     return tables, lo, hi
 
 
-def is_convolve(table: PointTable) -> bool:
-    """Whether a sum table was made by ``sumset``, whose left parent codes
-    its left operand (one parent) rather than being a fold partial."""
-    return len(table.parents[0].parents or ()) == 1
-
-
 def fold_steps(folded: PointTable, tables) -> list[tuple[int, PointTable]]:
     """``(position in tables, partial after the step)`` for each step of a
-    fold, read off its witness graph.  A fold in a frame starts from the
-    origin, which is no step; the cell chain's first partial is a filtered
-    copy of its table, and each later step a ``convolve``."""
+    fold from the origin, read off its witness graph down to the origin,
+    which is no step."""
     steps = []
     while folded.parents is not None:
         left, brick = folded.parents
         steps.append((next(k for k, t in enumerate(tables) if t is brick), folded))
-        folded = left.parents[0] if is_convolve(folded) else left
-    if folded.strides:
-        assert folded.points() == [(0,) * folded.r] and folded.value((0,) * folded.r) == 0
-    else:
-        steps.append((folded.block, folded))
+        folded = left
+    assert folded.points() == [(0,) * folded.r] and folded.value((0,) * folded.r) == 0
     return steps[::-1]
 
 
@@ -437,11 +450,20 @@ def value_map(table: PointTable) -> dict:
     return {pt: cell[0] for pt, cell in table.cells.items()}
 
 
-def convolve_chain(tables, order, lo, hi) -> list[PointTable]:
-    """The partials of ``convolve`` over the tables in ``order``, under the
-    fold's windows; an empty partial ends the chain."""
+def convolve_chain(tables, order, lo, hi, prev=None) -> list[dict]:
+    """The partials of a fold taken in ``order``, each step a double loop
+    (``reference_sumset``) under the fold's window, from the origin or
+    from ``2*prev``: ``{point: (value, p, q)}`` per step, ``p`` in the
+    partial before it and ``q`` in its table.  An empty partial ends the
+    chain."""
+    r = tables[0].r
     rest_lo = [sum(axis) for axis in zip(*(t.reach()[0] for t in tables))]
     rest_hi = [sum(axis) for axis in zip(*(t.reach()[1] for t in tables))]
+    if prev is None:
+        partial = {(0,) * r: (0,)}
+    else:
+        partial = {tuple(2 * x for x in p): (2 * cell[0],)
+                   for p, cell in prev.cells.items()}
     partials = []
     for k in order:
         t_lo, t_hi = tables[k].reach()
@@ -449,40 +471,40 @@ def convolve_chain(tables, order, lo, hi) -> list[PointTable]:
         rest_hi = [v - x for v, x in zip(rest_hi, t_hi)]
         w_lo = tuple(max(0, l - v) for l, v in zip(lo, rest_hi))
         w_hi = tuple(h - v for h, v in zip(hi, rest_lo))
-        if not partials:
-            partials.append(tables[k].filtered(w_lo, w_hi))
-        else:
-            partials.append(convolve(partials[-1], tables[k], lo=w_lo, hi=w_hi))
-        if not partials[-1]:
+        partial = reference_sumset(partial, tables[k].cells, 1, w_lo, w_hi)
+        partials.append(partial)
+        if not partial:
             break
     return partials
+
+
+def step_kinds(steps) -> list[str]:
+    """``bits`` or ``packed`` for each fold step's partial."""
+    return ["bits" if p.bits is not None else "packed" for _, p in steps]
 
 
 @pytest.mark.parametrize("cap", [dp._FOLD_FRAME_BITS, 0], ids=["bitset", "fallback"])
 @settings(max_examples=150, deadline=None)
 @given(case=zero_fold_cases())
 def test_zero_valued_fold_matches_the_convolve_chain(cap, case):
-    """Bitset steps or not, a zero-valued fold has the chain's partials,
-    lists the chain's points, and decodes every point to the same counts."""
+    """Bitset steps or not, a zero-valued fold has the double-loop chain's
+    partials, and decodes every point to the chain's first maximisers.
+    Under the cap every step is a bitset step in the fold's frame; at cap
+    0 every step is a zero-valued packed step in that frame."""
     tables, lo, hi = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dp, "_FOLD_FRAME_BITS", cap)
         folded = fold_tables(tables, lo, hi)
     steps = fold_steps(folded, tables)
-    chain = convolve_chain(tables, [k for k, _ in steps], lo, hi)
-    assert [p.points() for _, p in steps] == [p.points() for p in chain]
-    assert value_map(folded) == value_map(chain[-1])
+    order = [k for k, _ in steps]
+    chain = convolve_chain(tables, order, lo, hi)
+    assert [p.points() for _, p in steps] == [sorted(p) for p in chain]
+    assert value_map(folded) == {pt: 0 for pt in chain[-1]}
+    want = reference_fold(tables, order, lo, hi)
     for pt in folded.cells:
-        assert folded.decode(pt) == chain[-1].decode(pt)
-    # Under the cap every step is a bitset step in the fold's frame; above
-    # it the first partial is filtered and every later one a convolve.
-    kinds = [
-        "filtered" if p.parents is None else "convolve" if is_convolve(p)
-        else "bits" if p.bits is not None else "packed"
-        for _, p in steps
-    ]
-    want = ["bits"] * len(chain) if cap else ["filtered"] + ["convolve"] * (len(chain) - 1)
-    assert kinds == want
+        assert folded.decode(pt) == want[pt][1]
+    assert step_kinds(steps) == ["bits" if cap else "packed"] * len(chain)
+    assert all(not any(p.codes.values()) for _, p in steps if p.codes is not None)
 
 
 @st.composite
@@ -517,23 +539,25 @@ def valued_fold_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(case=valued_fold_cases())
 def test_valued_fold_matches_the_convolve_chain(case):
-    """A valued fold, all packed steps, has the chain's partials with
-    their values, lists the chain's points with their values, and decodes
-    every point to the same counts."""
+    """A valued fold, all packed steps, has the double-loop chain's
+    partials with their values, and decodes every point to the chain's
+    first maximisers."""
     tables, lo, hi = case
     folded = fold_tables(tables, lo, hi)
     steps = fold_steps(folded, tables)
-    chain = convolve_chain(tables, [k for k, _ in steps], lo, hi)
+    order = [k for k, _ in steps]
+    chain = convolve_chain(tables, order, lo, hi)
     assert [[(pt, p.value(pt)) for pt in p.points()] for _, p in steps] == [
-        [(pt, p.value(pt)) for pt in p.points()] for p in chain
+        [(pt, p[pt][0]) for pt in sorted(p)] for p in chain
     ]
     for _, p in steps:
         assert all(pt in p for pt in p.points())
         assert (-1,) * len(lo) not in p and tuple(h + 1 for h in hi) not in p
-    assert value_map(folded) == value_map(chain[-1])
+    want = reference_fold(tables, order, lo, hi)
+    assert value_map(folded) == {pt: value for pt, (value, _) in want.items()}
     for pt in folded.cells:
-        assert folded.decode(pt) == chain[-1].decode(pt)
-    assert all(p.codes is not None for _, p in steps)
+        assert folded.decode(pt) == want[pt][1]
+    assert step_kinds(steps) == ["packed"] * len(steps)
 
 
 @st.composite
@@ -568,33 +592,27 @@ def prev_fold_cases(draw):
     return tables[:-1], tables[-1], columns, lo, hi
 
 
-@pytest.mark.parametrize("cap", [None, 0], ids=["frame", "chain"])
+@pytest.mark.parametrize("cap", [None, 0], ids=["frame", "packed"])
 @settings(max_examples=150, deadline=None)
 @given(case=prev_fold_cases())
 def test_fold_from_prev_is_the_doubled_level_sum(cap, case):
     """A fold started from ``2*prev`` holds every ``2*p + q_1 + ... + q_n``
     in its window, valued ``2*value(p) + sum value(q_k)`` at best, and
     decodes every point to counts that rebuild it, ``p``'s counted twice.
-    With both bitset caps at 0 a zero-valued fold takes the ``convolve``
-    chain, whose first step is one ``sumset`` of ``prev`` at scale 2."""
+    Its first partial codes ``2*p`` with ``prev`` as its one parent, at
+    scale 2.  Under the caps a zero-valued fold takes bitset steps; with
+    both caps at 0 every step, valued or not, is a packed step."""
     tables, prev, columns, lo, hi = case
-    scales = []
-    real_sumset = dp.sumset
-
-    def spied(a, b, scale, *window):
-        scales.append(scale)
-        return real_sumset(a, b, scale, *window)
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dp, "sumset", spied)
+        hits = count_steps(patch)
         if cap is not None:
             patch.setattr(dp, "_FOLD_FRAME_BITS", cap)
             patch.setattr(dp, "_BITS_PER_POINT", cap)
         folded = fold_tables(tables, lo, hi, prev)
-    level = functools.reduce(convolve, tables)
+    level = reference_chain(tables)
     want: dict = {}
     for p, (p_value, *_) in prev.cells.items():
-        for q, (q_value, *_) in level.cells.items():
+        for q, q_value in level.items():
             pt = tuple(2 * x + y for x, y in zip(p, q))
             if all(l <= v <= h for v, l, h in zip(pt, lo, hi)):
                 want[pt] = max(want.get(pt, 0), 2 * p_value + q_value)
@@ -609,31 +627,31 @@ def test_fold_from_prev_is_the_doubled_level_sum(cap, case):
                 total = [v + count * e for v, e in zip(total, col)]
                 gain += count * cost
         assert tuple(total) == pt and gain == value
+    start = folded
+    while start.parents is not None and start.scale != 2:
+        start = start.parents[0]
+    if start.parents is not None:
+        assert start.parents == (prev,) and sum(hits.values()) > 0
     valued = any(cell[0] for t in [*tables, prev] for cell in t.cells.values())
-    if cap is None or valued:
-        assert scales == []
-    else:
-        assert scales[:1] == [2] and set(scales[1:]) <= {1} and (scales or not want)
+    kind = "packed" if cap == 0 or valued else "bits"
+    assert hits[{"packed": "bits", "bits": "packed"}[kind]] == 0
 
 
 def test_optimize_mode_folds_never_take_the_bitset_path(monkeypatch):
     """Tables with values never become bitsets: the twelve cover-order
-    programs of one imbalance graph fold without a bitset step or a
-    ``convolve``, every step a packed one."""
-    other_steps = []
-    monkeypatch.setattr(dp, "_fold_bits", lambda *args: other_steps.append(args))
-    steps = []
+    programs of one imbalance graph fold without a bitset step, every
+    ``convolve`` step a packed one."""
+    hits = count_steps(monkeypatch)
+    calls = []
+    real = dp.convolve
 
-    def counted(real):
-        def step(*args, **kwargs):
-            steps.append(args)
-            return real(*args, **kwargs)
-        return step
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(dp, "convolve", lambda *args, **kwargs: other_steps.append(args))
-    monkeypatch.setattr(dp, "_fold_packed", counted(dp._fold_packed))
+    monkeypatch.setattr(dp, "convolve", counted)
     assert solve_imbalance(design_graph(random.Random(1))).value == 16
-    assert other_steps == [] and len(steps) > 12
+    assert hits["bits"] == 0 and hits["packed"] == len(calls) > 12
 
 
 def small_instance() -> NFoldInstance:
@@ -746,9 +764,10 @@ def test_repeated_bricks_share_one_base_table(monkeypatch, mode, floor, frame):
     table: each has its own ``block`` and ``columns``, and the same cells,
     in the same order, and reach as its own ``block_base_table``.  Near
     misses (another placed count or cost slice) build their own.  Every
-    level's fold, from the origin or from ``2*prev``, in a frame or as a
-    ``convolve`` chain, has the point -> value map and decodes of a fold
-    over tables built brick by brick."""
+    level's fold, from the origin or from ``2*prev``, under the bitset
+    caps or, with both caps at 0, in zero-valued packed frames, has the
+    point -> value map and decodes of a fold over tables built brick by
+    brick."""
     inst = repeating_instance()
     plan = build_plan(inst, mode, support=3 if floor else None)
     assert plan.levels == (2 if floor else 1)
@@ -796,7 +815,7 @@ def test_repeated_bricks_share_one_base_table(monkeypatch, mode, floor, frame):
 
 
 # ---------------------------------------------------------------------------
-# the windowed sumset kernel against a plain double loop
+# the fold's windowed sum steps against a plain double loop
 
 
 def reference_sumset(a_cells, b_cells, scale, lo, hi):
@@ -824,9 +843,10 @@ def witness_table(cells: dict, block: int) -> PointTable:
 
 
 def sum_pairs(out: PointTable, a: PointTable, b: PointTable, scale: int) -> dict:
-    """``{point: (value, p, q)}`` of a ``sumset`` of two ``witness_table``s,
-    each pair read off ``out.decode``; ``out`` must list its points in
-    ascending order, and no cell may hold more than its value."""
+    """``{point: (value, p, q)}`` of a sum ``scale*p + q`` of two
+    ``witness_table``s, each pair read off ``out.decode``; ``out`` must
+    list its points in ascending order, and no cell may hold more than
+    its value."""
     assert list(out.cells) == sorted(out.cells)
     a_pts, b_pts = list(a.cells), list(b.cells)
     got = {}
@@ -838,13 +858,28 @@ def sum_pairs(out: PointTable, a: PointTable, b: PointTable, scale: int) -> dict
     return got
 
 
-def check_sumset(a_cells, b_cells, scale, lo, hi, run=None) -> PointTable:
-    """Run ``dp.sumset`` (or ``run(a, b)``) on witness tables of the cells
-    and check its point -> value map and every recovered pair against
-    ``reference_sumset``; returns the result."""
+def check_sumset(a_cells, b_cells, scale, lo, hi) -> PointTable:
+    """Every ``scale*p + q`` in ``[lo, hi]`` for ``p`` of ``a_cells`` and
+    ``q`` of ``b_cells``, by ``fold_tables`` over witness tables of the
+    cells: both tables from the origin at scale 1, ``b`` from ``2*a`` at
+    scale 2.  Checks its point -> value map and every recovered pair
+    against ``reference_sumset`` in the fold's order (the first table
+    folded gives the ``p`` side of the last step); returns the result.
+
+    Brick tables are nonnegative, so ``b``'s points are, and ``a``'s at
+    scale 1; the level below, ``a`` at scale 2, may have any sign.
+    """
     a, b = witness_table(a_cells, 0), witness_table(b_cells, 1)
-    out = dp.sumset(a, b, scale, lo, hi) if run is None else run(a, b)
-    want = reference_sumset(a_cells, b_cells, scale, lo, hi)
+    assert min(map(min, b_cells)) >= 0 and (scale == 2 or min(map(min, a_cells)) >= 0)
+    if scale == 1:
+        out = fold_tables([a, b], lo, hi)
+    else:
+        out = fold_tables([b], lo, hi, a)
+    if scale == 1 and out.parents is not None and out.parents[1] is a:
+        swapped = reference_sumset(b_cells, a_cells, 1, lo, hi)
+        want = {pt: (value, p, q) for pt, (value, q, p) in swapped.items()}
+    else:
+        want = reference_sumset(a_cells, b_cells, scale, lo, hi)
     assert sum_pairs(out, a, b, scale) == want, (scale, lo, hi)
     return out
 
@@ -883,13 +918,11 @@ def kernel_windows(rng: random.Random, a_cells, b_cells, scale):
         yield lo, hi
 
 
-def level_step(a, b, lo, hi) -> PointTable:
-    """``driver._combine_levels`` with ``a`` as the level below and ``b``
-    as the one brick table of the level."""
-    return _combine_levels(a, [b], lo, hi)
-
-
 def test_sumset_kernel_matches_double_loop_in_both_callers():
+    """Both ways a fold starts: from the origin, summing two tables
+    (scale 1), and from ``2*prev`` with one table (scale 2), in empty,
+    one-point, wider-than-reach and random windows.  In a third of the
+    trials the level below has negative points; those run at scale 2."""
     rng = random.Random(2024)
     windows = {"volume <= |b|": 0, "volume > |b|": 0}
     for trial in range(120):
@@ -897,12 +930,11 @@ def test_sumset_kernel_matches_double_loop_in_both_callers():
         span = rng.choice((2, 4, 8))
         low = -span if trial % 3 == 0 else 0
         a_cells = random_cells(rng, r, rng.randint(1, 30), span, low)
-        b_cells = random_cells(rng, r, rng.randint(1, 60), span, low)
-
-        check_sumset(
-            a_cells, b_cells, 1, (-10 * span,) * r, (10 * span,) * r, run=convolve
-        )
-        for scale in (1, 2):
+        b_cells = random_cells(rng, r, rng.randint(1, 60), span)
+        scales = (2,) if low else (1, 2)
+        if not low:
+            check_sumset(a_cells, b_cells, 1, (-10 * span,) * r, (10 * span,) * r)
+        for scale in scales:
             for lo, hi in kernel_windows(rng, a_cells, b_cells, scale):
                 volume = 1
                 for l, h in zip(lo, hi):
@@ -910,17 +942,7 @@ def test_sumset_kernel_matches_double_loop_in_both_callers():
                 if volume:
                     small = volume <= len(b_cells)
                     windows["volume <= |b|" if small else "volume > |b|"] += 1
-                if scale == 1:
-                    run = functools.partial(convolve, lo=lo, hi=hi)
-                elif low == 0:
-                    # The level step: a fold of the one brick table b
-                    # started from 2*a.
-                    run = functools.partial(level_step, lo=lo, hi=hi)
-                else:
-                    # The fold takes nonnegative brick tables only; with
-                    # negative points the scale-2 check runs sumset.
-                    run = None
-                check_sumset(a_cells, b_cells, scale, lo, hi, run=run)
+                check_sumset(a_cells, b_cells, scale, lo, hi)
     assert min(windows.values()) > 50, windows
 
 
@@ -974,8 +996,9 @@ def pair_windows(rng: random.Random, a_cells, b_cells, scale):
 def test_sumset_index_matches_double_loop_on_packed_code_cases(monkeypatch):
     """r up to 5 at scales 1 and 2, valued cells with ties, dense and
     sparse prefix groups, windows narrow on a middle axis only, and
-    coordinates past +-2**31 whose code fields span several int digits."""
-    hits = count_sumset_steps(monkeypatch)
+    coordinates past +-2**31 whose code fields span several int digits.
+    A negative offset moves only the level below, at scale 2."""
+    hits = count_steps(monkeypatch)
     rng = random.Random(2026)
     seen = {"r=5": 0, "pinned middle": 0, "wide fields": 0, "dense": 0}
     for trial in range(160):
@@ -985,8 +1008,8 @@ def test_sumset_index_matches_double_loop_on_packed_code_cases(monkeypatch):
         span = 2**33 if wide else rng.choice((3, 12))
         offset = rng.choice((-(2**40), 2**35)) if wide else rng.choice((0, -5))
         a_cells = grouped_cells(rng, r, rng.randint(1, 30), span, offset, dense)
-        b_cells = grouped_cells(rng, r, rng.randint(1, 50), span, offset, dense)
-        for scale in (1, 2):
+        b_cells = grouped_cells(rng, r, rng.randint(1, 50), span, abs(offset), dense)
+        for scale in (1, 2) if offset >= 0 else (2,):
             for lo, hi in pair_windows(rng, a_cells, b_cells, scale):
                 got = check_sumset(a_cells, b_cells, scale, lo, hi)
                 seen["r=5"] += r == 5
@@ -1043,8 +1066,9 @@ def test_both_packed_paths_match_double_loop(monkeypatch):
     """Sparse and dense right tables at r = 1..5, on both sides of the
     points-per-group and the bisect-size crossovers, in windows that pin
     axis 0, a middle axis or the last axis, with 2**33-wide fields and
-    negative offsets: every step of either packed path matches the
-    double loop, and each path runs many times in every kind of case."""
+    a level below at negative offsets (scale 2): every step of either
+    packed path matches the double loop, and each path runs many times
+    in every kind of case."""
     steps = []
 
     def counted(name, fn):
@@ -1073,8 +1097,8 @@ def test_both_packed_paths_match_double_loop(monkeypatch):
         ][shape]
         a_cells = random_cells(rng, r, rng.randint(1, 20), span if wide else 12)
         a_cells = {tuple(x + offset for x in p): v for p, v in a_cells.items()}
-        b_cells = brick_cells(rng, r, groups, per_group, span, offset)
-        for scale in (1, 2):
+        b_cells = brick_cells(rng, r, groups, per_group, span, abs(offset))
+        for scale in (1, 2) if offset >= 0 else (2,):
             for kind, lo, hi in pinned_windows(rng, a_cells, b_cells, scale):
                 del steps[:]
                 check_sumset(a_cells, b_cells, scale, lo, hi)
@@ -1091,8 +1115,8 @@ def zero_cells(rng: random.Random, r: int, size: int, span: int) -> dict:
     return {pt: (0, ()) for pt in random_cells(rng, r, size, span)}
 
 
-def count_sumset_steps(monkeypatch) -> dict[str, int]:
-    """Count the bitset and packed steps that ``dp.sumset`` runs."""
+def count_steps(monkeypatch) -> dict[str, int]:
+    """Count the bitset and packed fold steps."""
     hits = {"packed": 0, "bits": 0}
 
     def counted(name, fn):
@@ -1107,19 +1131,28 @@ def count_sumset_steps(monkeypatch) -> dict[str, int]:
 
 
 def test_zero_valued_sumset_matches_double_loop_on_every_path(monkeypatch):
-    hits = count_sumset_steps(monkeypatch)
-    # The clip takes a table whole when its reach already lies inside the
-    # clip bounds; count both branches per side.
-    clips = {(side, branch): 0 for side in "ab" for branch in ("skip", "clip")}
+    hits = count_steps(monkeypatch)
+    # The clip of the level below takes it whole when its reach already
+    # lies inside the clip bounds; count both branches.
+    clips = {"skip": 0, "clip": 0}
     clip = dp._clip
 
     def counted_clip(cells, reach, lo, hi):
         pts, out = clip(cells, reach, lo, hi)
-        side = "a" if cells.keys() == a_cells.keys() else "b"
-        clips[side, "skip" if out is reach and pts else "clip"] += 1
+        clips["skip" if out is reach and pts else "clip"] += 1
         return pts, out
 
     monkeypatch.setattr(dp, "_clip", counted_clip)
+    # One-point windows are lookups, in either kind of partial.
+    lookups = {"bits": 0, "packed": 0}
+    step = dp.convolve
+
+    def counted_step(left, right, added, keys, lo, hi):
+        if lo == hi:
+            lookups["bits" if left.codes is None else "packed"] += 1
+        return step(left, right, added, keys, lo, hi)
+
+    monkeypatch.setattr(dp, "convolve", counted_step)
     rng = random.Random(2025)
     for trial in range(150):
         r = 1 + trial % 5
@@ -1137,10 +1170,11 @@ def test_zero_valued_sumset_matches_double_loop_on_every_path(monkeypatch):
                 check_sumset(a_cells, b_cells, scale, lo, hi)
     assert min(hits.values()) > 20, hits
     assert min(clips.values()) > 20, clips
+    assert min(lookups.values()) > 20, lookups
 
 
 def test_one_nonzero_value_never_takes_the_bitset_path(monkeypatch):
-    hits = count_sumset_steps(monkeypatch)
+    hits = count_steps(monkeypatch)
     rng = random.Random(31)
     for trial in range(40):
         r = 1 + trial % 3
@@ -1150,18 +1184,21 @@ def test_one_nonzero_value_never_takes_the_bitset_path(monkeypatch):
         side[rng.choice(sorted(side))] = (1, ())
         got = check_sumset(a_cells, b_cells, 1, (0,) * r, (12,) * r)
         assert any(cell[0] for cell in got.cells.values())
-    assert hits["bits"] == 0 and hits["packed"] == 40, hits
+    # Two steps per fold: the origin plus one table, then the other.
+    assert hits["bits"] == 0 and hits["packed"] == 2 * 40, hits
 
 
 def test_widely_spread_zero_tables_fall_back_without_a_huge_bitset(monkeypatch):
-    hits = count_sumset_steps(monkeypatch)
+    """A zero-valued fold from ``2*prev`` whose frame far exceeds the
+    bitset cap takes one packed step and builds no bitset."""
+    hits = count_steps(monkeypatch)
     rng = random.Random(5)
     a = witness_table(zero_cells(rng, 3, 30, 10**6), 0)
     b = witness_table(zero_cells(rng, 3, 30, 10**6), 1)
     lo, hi = (0,) * 3, (3 * 10**6,) * 3
     tracemalloc.start()
     try:
-        got = dp.sumset(a, b, 2, lo, hi)
+        got = fold_tables([b], lo, hi, a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1205,30 +1242,15 @@ def test_box_mask_matches_code_enumeration():
 
 def reference_fold(tables, order, lo, hi, prev=None) -> dict:
     """``{point: witnesses}`` of a fold taken in ``order``, each step a
-    double loop (``reference_sumset``) under the fold's window, from the
+    double loop (``convolve_chain``) under the fold's window, from the
     origin or from ``2*prev``: every point with its value and the
     ``BlockWitness`` list its first maximisers in sorted ``(p, q)`` order
     decode to, ``prev``'s counts twice."""
-    r = tables[0].r
-    rest_lo = [sum(axis) for axis in zip(*(t.reach()[0] for t in tables))]
-    rest_hi = [sum(axis) for axis in zip(*(t.reach()[1] for t in tables))]
-    if prev is None:
-        partial = {(0,) * r: (0,)}
-    else:
-        partial = {tuple(2 * x for x in p): (2 * cell[0],) for p, cell in prev.cells.items()}
-    steps = []
-    for k in order:
-        t_lo, t_hi = tables[k].reach()
-        rest_lo = [v - x for v, x in zip(rest_lo, t_lo)]
-        rest_hi = [v - x for v, x in zip(rest_hi, t_hi)]
-        w_lo = tuple(max(0, l - v) for l, v in zip(lo, rest_hi))
-        w_hi = tuple(h - v for h, v in zip(hi, rest_lo))
-        partial = reference_sumset(partial, tables[k].cells, 1, w_lo, w_hi)
-        steps.append((k, partial))
+    chain = convolve_chain(tables, order, lo, hi, prev)
     out = {}
-    for pt, (value, *_) in partial.items():
+    for pt, (value, *_) in chain[-1].items():
         counts, point = {}, pt
-        for k, step in reversed(steps):
+        for k, step in reversed(list(zip(order, chain))):
             _, point, q = step[point]
             counts[k] = tables[k].decode(q)[0].counts
         if prev is not None:
@@ -1505,8 +1527,10 @@ def test_scheduling_configuration_brick_matches_pairwise_reference(monkeypatch):
 def test_pair_search_tries_only_added_points_at_most_the_code(monkeypatch):
     """``PointTable._pair`` skips the added ``q`` coded above the point's
     code, whose partner code would be negative.  On the scheduling ``cmax``
-    guess 91/3, the fold's 693-point step tried 690 candidates under a
-    scan of every added point; the witnesses stay those of that scan."""
+    guess 91/3, whose fold runs in one zero-valued packed frame above its
+    bitset cap, the fold's 693-point step tried 690 candidates and its
+    399-point step 399 under a scan of every added point; the witnesses
+    stay those of that scan."""
     real_pair, real_value_at = PointTable._pair, PointTable._value_at
     count = {"on": False, "tries": 0}
 
@@ -1541,5 +1565,5 @@ def test_pair_search_tries_only_added_points_at_most_the_code(monkeypatch):
     (schedule, fast), (want, slow) = runs["bisect"], runs["full scan"]
     assert schedule is not None and schedule == want
     assert [found for *_, found in fast] == [found for *_, found in slow]
-    assert [(size, tried) for size, tried, _ in slow] == [(659, 1), (693, 690)]
-    assert [(size, tried) for size, tried, _ in fast] == [(659, 1), (693, 1)]
+    assert [(size, tried) for size, tried, _ in slow] == [(659, 1), (693, 690), (399, 399)]
+    assert [(size, tried) for size, tried, _ in fast] == [(659, 1), (693, 1), (399, 1)]

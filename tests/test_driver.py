@@ -268,8 +268,8 @@ def logged_levels(caplog, inst):
 
 def test_debug_log_reports_cells_per_level(caplog, monkeypatch):
     """One line per level: base cells, the tables built for the level's
-    bricks, the fold's peak partial (as its own fold line reports it, in
-    a frame or a ``convolve`` chain) and the retained points; base cells,
+    bricks, the fold's peak partial (as its own fold line reports it,
+    under the bitset caps or at caps 0) and the retained points; base cells,
     counted per brick, and retained points sum to ``dp_cells``."""
     pin_support(monkeypatch, 12)
     inst = NFoldInstance(
@@ -445,12 +445,12 @@ def corrupt_packed_attempts(inst):
 
 
 def sum_pair(table, point):
-    \"\"\"``(p, q, left)`` for ``point`` of a ``sumset`` table: the pair
-    ``decode`` recovers and the left table that codes ``scale*p``.\"\"\"
+    \"\"\"``(p, q, left)`` for ``point`` of a fold step: the pair ``decode``
+    recovers and the step's left partial, which holds ``p``.\"\"\"
     left, _ = table.parents
     code = table._code(point)
-    scaled, q, _, _ = table._pair(point, code, table._value_at(code))
-    return tuple(x // left.scale for x in scaled), q, left
+    p, q, _, _ = table._pair(point, code, table._value_at(code))
+    return p, q, left
 
 
 def level_pair(table, point):
@@ -468,23 +468,23 @@ def level_pair(table, point):
 
 def corrupt_sum_attempts(inst):
     \"\"\"Decode pairless sum tables after each corruption, undone after:
-    a valued ``convolve`` table (scale 1) after raising its value of its
-    last point and after dropping that point's ``p`` from its left
-    operand; the top level table of ``inst`` (a bitset fold started from
+    a valued fold of two tables after raising its value of its last point
+    and after dropping that point's ``p`` from the last step's left
+    partial; the top level table of ``inst`` (a bitset fold started from
     ``2*prev``) after emptying its start table and after dropping
     ``b_up``'s ``p`` from the level below.\"\"\"
     a = dp.block_base_table(((1, 2),), 2, block_index=0, costs=(0, 1))
     b = dp.block_base_table(((0, 1),), 1, block_index=1, costs=(1, 0))
-    pair = dp.convolve(a, b)
+    pair = dp.fold_tables([a, b], (2,), (5,))
     point = pair.points()[-1]
-    p, _, _ = sum_pair(pair, point)
+    p, _, left = sum_pair(pair, point)
     lines = []
     pair.codes[pair._code(point)] += 1
     lines.append(decoded("raised value", pair, point))
     pair.codes[pair._code(point)] -= 1
-    cell = a.cells.pop(p)
-    lines.append(decoded("dropped operand point", pair, point))
-    a.cells[p] = cell
+    value = left.codes.pop(left._code(p))
+    lines.append(decoded("dropped partial point", pair, point))
+    left.codes[left._code(p)] = value
     lines.append(decoded("restored", pair, point))
 
     trace = solve_with_trace(inst)[1]
@@ -537,7 +537,7 @@ def check_corrupt_sum_lines(lines: list[str]) -> None:
     assert len(lines) == 6, lines
     assert lines[:3] == [
         "raised value internal error: corrupt witness: no pair for (5,)",
-        "dropped operand point internal error: corrupt witness: (4,) missing",
+        "dropped partial point internal error: corrupt witness: no pair for (5,)",
         "restored decoded",
     ]
     assert re.fullmatch(
@@ -553,7 +553,7 @@ def check_corrupt_sum_lines(lines: list[str]) -> None:
 
 def test_corrupt_pair_raises_in_decode():
     """No sum table stores a pair, so ``decode`` must find one for every
-    point: a ``convolve`` table (scale 1) and a level table (a fold from
+    point: a fold of two tables and a level table (a fold from
     ``2*prev``) raise once a value is raised or a parent point is
     dropped; and a bitset fold table must hold the point and a pair for
     it, down to the origin."""
@@ -899,6 +899,88 @@ def test_reach_windows_hold_the_witness_inside_the_d_box_at_the_floor(
             assert inside(target, lo, hi) and inside(small_pt, small_lo, small_hi)
             target = parent
     assert deep >= trials // 5 and witnessed >= deep // 3
+
+
+# ---------------------------------------------------------------------------
+# closed forms at depth: r = 1 lattice bricks
+
+
+def lattice_program(rng: random.Random, target: int):
+    """``(blocks, b_low, g, low, span)`` for 2 to 4 r = 1 bricks whose
+    columns are ``{a, a + g, ..., a + s*g}``, shuffled, with one ``g``
+    for all.  ``m`` units of a brick reach exactly ``m*a + g*j`` for
+    ``0 <= j <= s*m``, so together the bricks reach exactly ``low +
+    g*J`` for ``0 <= J <= span``, with ``low = sum m*a`` and ``span =
+    sum s*m``."""
+    g = rng.randint(2, 4)
+    blocks, b_low, low, span = [], [], 0, 0
+    for _ in range(rng.randint(2, 4)):
+        a, s, m = rng.randint(1, 3), rng.randint(1, 2), rng.randint(target // 2, target)
+        cols = [a + g * i for i in range(s + 1)]
+        rng.shuffle(cols)
+        blocks.append((tuple(cols),))
+        b_low.append(m)
+        low += m * a
+        span += s * m
+    return tuple(blocks), tuple(b_low), g, low, span
+
+
+def lattice_targets(rng: random.Random, g: int, low: int, span: int):
+    """``(b_up, feasible)``: both ends of the range and a point inside it,
+    one off the residue on either side of that point, and one step of
+    ``g`` past either end."""
+    inner = low + g * rng.randint(1, span - 1)
+    return [(low, True), (low + g * span, True), (inner, True),
+            (inner - 1, False), (inner + 1, False),
+            (low - g, False), (low + g * (span + 1), False)]
+
+
+@pytest.mark.parametrize("mode", ["feasibility", "optimize"])
+@pytest.mark.parametrize("cap", ["shipped", "0"])
+def test_lattice_programs_match_their_closed_form_at_depth(monkeypatch, mode, cap):
+    """Random r = 1 lattice programs (``lattice_program``) with ``b_low``
+    up to 10**6, solved at 10 or more levels: a target is feasible
+    exactly when it lies in ``[low, low + g*span]`` with the residue of
+    ``low`` modulo ``g``.  In optimize mode the costs ``c_j = alpha*col_j
+    + beta`` give every feasible x the objective ``alpha*b_up +
+    beta*sum(b_low)``, which checks the values through every doubling.
+    Under the shipped caps the feasibility folds take bitset steps; with
+    both caps at 0 they take zero-valued packed steps."""
+    if cap == "0":
+        monkeypatch.setattr(dp, "_FOLD_FRAME_BITS", 0)
+        monkeypatch.setattr(dp, "_BITS_PER_POINT", 0)
+    steps = {"bits": 0, "packed": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            steps[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(dp, "_fold_bits", counted("bits", dp._fold_bits))
+    monkeypatch.setattr(dp, "_fold_packed", counted("packed", dp._fold_packed))
+    rng = random.Random(83)
+    depths = []
+    for trial in range(12):
+        blocks, b_low, g, low, span = lattice_program(rng, (10**4, 10**5, 10**6)[trial % 3])
+        alpha, beta = rng.randint(0, 3), rng.randint(1, 3)
+        c = None
+        if mode == "optimize":
+            c = tuple(alpha * col + beta for (row,) in blocks for col in row)
+        for b_up, feasible in lattice_targets(rng, g, low, span):
+            inst = NFoldInstance(n=len(blocks), r=1, t=tuple(len(row) for (row,) in blocks),
+                                 blocks=blocks, b_up=(b_up,), b_low=b_low, c=c)
+            out = solve(inst, mode)
+            assert (out.solution is not None) == feasible, (inst, out.status)
+            if feasible:
+                depths.append(out.stats["iterations"])
+                assert verify_solution(inst, out.solution.x)
+                if mode == "optimize":
+                    assert out.solution.objective == alpha * b_up + beta * sum(b_low)
+    assert min(depths) >= 10, depths
+    kind, other = ("bits", "packed") if mode == "feasibility" and cap == "shipped" else (
+        "packed", "bits")
+    assert steps[other] == 0 and steps[kind] > 0
 
 
 def test_one_level_programs_keep_the_single_point_window(monkeypatch):
