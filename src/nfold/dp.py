@@ -211,7 +211,12 @@ class PointTable:
         # A left code is never negative: skip every q coded above ``code``.
         for q_code, q in reversed(added[:bisect_right(added, code, key=itemgetter(0))]):
             value = value_at(code - q_code)
-            if value is not None and value + cells[q][0] == target:
+            if value is None:
+                continue
+            cell = cells.get(q)
+            if cell is None:
+                raise InternalError(f"corrupt witness: {q} missing")
+            if value + cell[0] == target:
                 return tuple(map(sub, point, q)), q, code - q_code, value
         raise InternalError(f"corrupt witness: no pair for {point}")
 

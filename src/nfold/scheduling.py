@@ -30,6 +30,12 @@ withheld jobs and slack bundles afterwards; each pivot is tried in turn.
 Otherwise every class is dense: its configurations are enumerated in full,
 which is exact, and without a pivot every job count is below
 ``p_max**2 * B``, so there are at most ``prod(n_j + 1)`` of them.
+
+Filler units make up the gap between the park's targets and the job
+mass.  Each class keeps one ascending list of ``(real-job counts, filler
+units)`` configurations (``_class_configs``); ``_build_program`` makes its
+brick from it, and ``greedy_augment`` reads the solution vector straight
+into machines, placing slack bundles in one best-fit loop.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Optional, Sequence
 
 from .core import STATUS_FEASIBLE, NFoldInstance, _int_tuple
@@ -208,8 +215,8 @@ class _GuessContext:
     pivot: Optional[int]              # pivot job size for sparse classes
     withheld: int                     # pivot jobs kept out of the program
     adjusted_n: tuple[int, ...]       # job multiplicities seen by the program
-    configs: list[list[tuple[int, ...]]] = field(default_factory=list)
-    dummy_per_config: list[list[int]] = field(default_factory=list)
+    # per speed class, its sorted (real-job counts, filler units) pairs
+    configs: list[list[tuple[tuple[int, ...], int]]] = field(default_factory=list)
 
 
 def _class_targets(inst: SchedulingInstance, guess: Fraction,
@@ -222,7 +229,8 @@ def _class_targets(inst: SchedulingInstance, guess: Fraction,
 
 def _real_config_parts(sizes: tuple[int, ...], caps: tuple[int, ...],
                        lo: int, hi: int) -> list[tuple[int, ...]]:
-    """All count vectors under per-size caps with total load in [lo, hi]."""
+    """All count vectors under per-size caps with total load in [lo, hi],
+    in ascending order."""
     out: list[tuple[int, ...]] = []
     counts = [0] * len(sizes)
 
@@ -242,238 +250,148 @@ def _real_config_parts(sizes: tuple[int, ...], caps: tuple[int, ...],
     return out
 
 
-def _enumerate_class_configs(ctx: _GuessContext, k: int) -> tuple[
-        list[tuple[int, ...]], list[int]]:
-    """Configurations (real-job counts) and dummy counts for speed class k."""
+def _class_configs(ctx: _GuessContext,
+                   k: int) -> list[tuple[tuple[int, ...], int]]:
+    """Configurations of speed class k, ascending: ``(counts, units)``
+    pairs whose real load ``counts . p`` plus ``sign * units`` filler
+    load meets the class target (modulo the pivot size in a sparse
+    class), ``sign`` being +1 for ``cmax`` and -1 for ``cmin``.  Both
+    enumerations list their count vectors in ascending order."""
     inst = ctx.inst
     target = ctx.targets[k]
-    has_dummy = ctx.dummy_count > 0
-    if ctx.small[k]:
-        if ctx.objective == OBJECTIVE_CMIN:
-            # Real load may exceed the target by up to one filler per unit,
-            # at most p_max filler units on one machine.
-            span = inst.p_max if has_dummy else 0
-            lo, hi = target, target + span
-        else:
-            span = 0  # filler units only ever top a machine up to the target
-            lo, hi = 0, target
-        caps = tuple(min(ctx.adjusted_n[j], hi // size) if size <= hi else 0
-                     for j, size in enumerate(inst.p))
-        reals = _real_config_parts(inst.p, caps, lo, hi)
-        reals.sort()
-        if ctx.objective == OBJECTIVE_CMIN:
-            dummies = [sum(c * s for c, s in zip(vec, inst.p)) - target
-                       for vec in reals]
-        else:
-            dummies = [target - sum(c * s for c, s in zip(vec, inst.p))
-                       for vec in reals]
-        if not has_dummy:
-            keep = [i for i, dcount in enumerate(dummies) if dcount == 0]
-            reals = [reals[i] for i in keep]
-            dummies = [0] * len(reals)
-        return reals, dummies
-    # Sparse class: keep only configurations with all counts below the pivot
-    # size whose signed load matches the target modulo the pivot size.
-    a = ctx.pivot
-    assert a is not None
     sign = -1 if ctx.objective == OBJECTIVE_CMIN else 1
-    ranges = [range(min(a - 1, ctx.adjusted_n[j]) + 1) for j in range(len(inst.p))]
-    dummy_range = range(min(a - 1, ctx.dummy_count) + 1) if has_dummy else range(1)
-    reals: list[tuple[int, ...]] = []
-    dummies: list[int] = []
-    for vec in product(*ranges):
-        load = sum(c * s for c, s in zip(vec, inst.p))
-        for dcount in dummy_range:
-            if (target - load - sign * dcount) % a == 0:
-                reals.append(vec)
-                dummies.append(dcount)
-    order = sorted(range(len(reals)), key=lambda i: (reals[i], dummies[i]))
-    return [reals[i] for i in order], [dummies[i] for i in order]
+    if ctx.small[k]:
+        # Filler units top a cmax machine up to the target; a cmin machine
+        # may exceed it by up to p_max of them.  Without fillers the real
+        # load is the target.
+        span = (inst.p_max if sign < 0 else target) if ctx.dummy_count else 0
+        lo, hi = (target, target + span) if sign < 0 else (target - span, target)
+        caps = tuple(min(count, hi // size)
+                     for count, size in zip(ctx.adjusted_n, inst.p))
+        return [(vec, sign * (target - sum(map(mul, vec, inst.p))))
+                for vec in _real_config_parts(inst.p, caps, lo, hi)]
+    # Sparse class: every count and the filler units below the pivot size
+    # a, the signed load matching the target modulo a; the units are the
+    # one residue that does, if there are that many fillers.
+    a = ctx.pivot
+    ranges = [range(min(a - 1, count) + 1) for count in ctx.adjusted_n]
+    configs = [(vec, sign * (target - sum(map(mul, vec, inst.p))) % a)
+               for vec in product(*ranges)]
+    return [(vec, units) for vec, units in configs if units <= ctx.dummy_count]
 
 
 def _build_program(ctx: _GuessContext) -> NFoldInstance:
-    """Assemble the block program whose bricks pick one config per machine."""
+    """Assemble the block program whose bricks pick one config per machine:
+    one row per job size, then a filler row when fillers are needed."""
     inst = ctx.inst
-    d = len(inst.p)
-    has_dummy = ctx.dummy_count > 0
-    rows = d + (1 if has_dummy else 0)
-    blocks: list[tuple[tuple[int, ...], ...]] = []
-    t: list[int] = []
-    b_low: list[int] = []
-    for k in range(len(inst.s)):
-        reals, dummies = ctx.configs[k], ctx.dummy_per_config[k]
-        cols = []
-        for vec, dcount in zip(reals, dummies):
-            col = list(vec)
-            if has_dummy:
-                col.append(dcount)
-            cols.append(col)
-        block = tuple(tuple(col[i] for col in cols) for i in range(rows))
-        blocks.append(block)
-        t.append(len(cols))
-        b_low.append(inst.m[k])
+    rows = len(inst.p) + (ctx.dummy_count > 0)
+    blocks = [tuple(zip(*[(*vec, units)[:rows] for vec, units in configs]))
+              for configs in ctx.configs]
+    t = [len(configs) for configs in ctx.configs]
+    b_low = list(inst.m)
     a = ctx.pivot
     if a is not None:
         # Column i bundles row i's pivot-sized chunk: one pivot job, `a`
         # jobs of another size or `a` filler units; the last column is
         # open so the brick sum is free.
-        slack_cols = [[0] * rows for _ in range(rows + 1)]
-        for j, size in enumerate(inst.p):
-            slack_cols[j][j] = 1 if size == a else a
-        if has_dummy:
-            slack_cols[d][d] = a
-        block = tuple(tuple(col[i] for col in slack_cols) for i in range(rows))
-        blocks.append(block)
-        t.append(len(slack_cols))
+        chunk = [1 if size == a else a for size in inst.p] + [a]
+        blocks.append(tuple(tuple(chunk[i] if col == i else 0
+                                  for col in range(rows + 1))
+                            for i in range(rows)))
+        t.append(rows + 1)
         b_low.append(sum(ctx.adjusted_n) + ctx.dummy_count)
-    b_up = list(ctx.adjusted_n)
-    if has_dummy:
-        b_up.append(ctx.dummy_count)
     return NFoldInstance(n=len(blocks), r=rows, t=tuple(t),
-                         blocks=tuple(blocks), b_up=tuple(b_up),
+                         blocks=tuple(blocks),
+                         b_up=(*ctx.adjusted_n, ctx.dummy_count)[:rows],
                          b_low=tuple(b_low))
 
 
-def _machine_configs_from_solution(ctx: _GuessContext,
-                                   x: tuple[int, ...]) -> tuple[
-        list[list[tuple[tuple[int, ...], int]]], dict[int, int]]:
-    """Split the flat solution vector back into per-machine configurations."""
-    inst = ctx.inst
-    per_class: list[list[tuple[tuple[int, ...], int]]] = []
-    offset = 0
-    for k in range(len(inst.s)):
-        reals, dummies = ctx.configs[k], ctx.dummy_per_config[k]
-        counts = x[offset:offset + len(reals)]
-        offset += len(reals)
-        chosen: list[tuple[tuple[int, ...], int]] = []
-        for idx, times in enumerate(counts):
-            for _ in range(times):
-                chosen.append((reals[idx], dummies[idx]))
-        if len(chosen) != inst.m[k]:
-            raise ScheduleError(
-                f"class {k} received {len(chosen)} configs for {inst.m[k]} machines")
-        chosen.sort()
-        per_class.append(chosen)
-    slack: dict[int, int] = {}
-    if ctx.pivot is not None:
-        # One slack column per program row, then the open column.
-        rows = len(inst.p) + (1 if ctx.dummy_count > 0 else 0)
-        slack = dict(enumerate(x[offset:offset + rows]))
-        offset += rows + 1
-    if offset != len(x):
-        raise ScheduleError("solution vector length inconsistent with program")
-    return per_class, slack
+def greedy_augment(ctx: _GuessContext, x: tuple[int, ...]) -> Schedule:
+    """Read a solution ``x`` of the block program into a schedule.
 
-
-def greedy_augment(ctx: _GuessContext,
-                   per_class: list[list[tuple[tuple[int, ...], int]]],
-                   slack: dict[int, int]) -> Schedule:
-    """Distribute withheld pivot jobs and slack bundles onto the machines.
-
-    The block program hands back one configuration per machine plus, for
-    sparse classes, slack counts saying how many pivot-sized chunks of each
-    job size remain.  This pass places those chunks: filler bundles go to a
-    single sparse machine, real-job bundles best-fit into machines whose
-    load deficit can absorb them, and pivot jobs (withheld plus single-unit
-    slack) fill every remaining deficit exactly.
+    ``x`` holds, class by class, how many machines take each
+    configuration and, when there is a pivot ``a``, then the slack
+    brick: per program row how many pivot-sized bundles of it remain,
+    then the open column.  The bundles go to the sparse machines.  Under
+    ``cmin`` every filler bundle goes to the first sparse machine, since
+    extra fillers only deepen a deficit that pivot jobs repair.  Then,
+    one at a time, each bundle of ``a`` units of size ``w`` goes to the
+    machine with the largest deficit that can absorb ``a*w``: the filler
+    bundles first under ``cmax`` (size 1), then the real-job bundles,
+    largest size first.  Pivot jobs (withheld plus single-unit slack)
+    fill every remaining deficit exactly.
 
     Raises
     ------
     ScheduleError
-        If the greedy placement cannot finish; the guess decision promised
-        a schedule, so this indicates an internal bug.
+        If ``x`` has the wrong length or gives a class the wrong number of
+        configurations, or the greedy placement cannot finish; the guess
+        decision promised a schedule, so this indicates an internal bug.
     """
-    inst = ctx.inst
+    inst, a = ctx.inst, ctx.pivot
     d = len(inst.p)
-    a = ctx.pivot
     sign = -1 if ctx.objective == OBJECTIVE_CMIN else 1
-    machines: list[dict] = []
-    for k in range(len(inst.s)):
-        for vec, dcount in per_class[k]:
-            jobs = [0] * d
-            for j, count in enumerate(vec):
-                jobs[j] += count
-            machines.append({
-                "speed": inst.s[k],
-                "jobs": jobs,
-                "dummies": dcount,
-                "target": ctx.targets[k],
-                "big": not ctx.small[k],
-            })
+    weights = (*inst.p, sign)  # load of one unit of each row, fillers last
+    machines: list[tuple[int, list[int]]] = []  # (class, units per row)
+    offset = 0
+    for k, configs in enumerate(ctx.configs):
+        counts = x[offset:offset + len(configs)]
+        offset += len(configs)
+        if sum(counts) != inst.m[k]:
+            raise ScheduleError(
+                f"class {k} received {sum(counts)} configs for {inst.m[k]} machines")
+        machines += [(k, [*vec, units])
+                     for (vec, units), times in zip(configs, counts)
+                     for _ in range(times)]
+    rows = d + (ctx.dummy_count > 0)
+    if len(x) != (offset if a is None else offset + rows + 1):
+        raise ScheduleError("solution vector length inconsistent with program")
 
-    def signed_load(mach: dict) -> int:
-        real = sum(c * s for c, s in zip(mach["jobs"], inst.p))
-        return real + sign * mach["dummies"]
+    def deficit(mach: tuple[int, list[int]]) -> int:
+        return ctx.targets[mach[0]] - sum(map(mul, mach[1], weights))
 
     if a is not None:
-        pivot_idx = inst.p.index(a)
-        singles = ctx.withheld + slack.get(pivot_idx, 0)
-        big_machines = [mach for mach in machines if mach["big"]]
-        dummy_bundles = slack.get(d, 0) if ctx.dummy_count > 0 else 0
-        if dummy_bundles and not big_machines:
-            raise ScheduleError("filler bundles with no sparse machine")
+        slack = (*x[offset:offset + rows], 0)  # no filler row: no fillers
+        pivot = inst.p.index(a)
+        singles = ctx.withheld + slack[pivot]
+        big = [mach for mach in machines if not ctx.small[mach[0]]]
+        largest_first = sorted(range(d), key=inst.p.__getitem__, reverse=True)
+        bundles = [(j, slack[j]) for j in largest_first if j != pivot]
         if sign < 0:
-            # Extra fillers only deepen a machine's deficit, which pivot
-            # jobs repair afterwards, so one machine may take them all.
-            if dummy_bundles:
-                big_machines[0]["dummies"] += a * dummy_bundles
+            big[0][1][d] += a * slack[d]
         else:
-            # Fillers count toward the load target here, so spread them
-            # where deficits can absorb them, largest deficit first.
-            for _ in range(dummy_bundles):
-                best = None
-                for mach in big_machines:
-                    deficit = mach["target"] - signed_load(mach)
-                    if deficit >= a and (best is None or deficit > best[0]):
-                        best = (deficit, mach)
-                if best is None:
-                    raise ScheduleError("no machine can absorb a filler bundle")
-                best[1]["dummies"] += a
-        for j in sorted(slack, key=lambda j: -inst.p[j] if j != d else 1):
-            if j in (pivot_idx, d):
-                continue
-            size = inst.p[j]
-            for _ in range(slack[j]):
-                chunk = a * size
-                best = None
-                for mach in big_machines:
-                    deficit = mach["target"] - signed_load(mach)
-                    if deficit >= chunk and (
-                            best is None or deficit > best[0]):
-                        best = (deficit, mach)
-                if best is None:
-                    raise ScheduleError(
-                        f"no machine can absorb a bundle of {a} size-{size} jobs")
-                best[1]["jobs"][j] += a
-        for mach in big_machines:
-            deficit = mach["target"] - signed_load(mach)
-            if deficit < 0 or deficit % a != 0:
+            bundles.insert(0, (d, slack[d]))
+        for j, count in bundles:
+            for _ in range(count):
+                best = max(big, key=deficit)
+                if deficit(best) < a * weights[j]:
+                    raise ScheduleError(f"no machine can absorb a bundle "
+                                        f"of {a} size-{weights[j]} units")
+                best[1][j] += a
+        for mach in big:
+            need, rest = divmod(deficit(mach), a)
+            if need < 0 or rest:
                 raise ScheduleError(
-                    f"deficit {deficit} not fillable with size-{a} jobs")
-            need = deficit // a
+                    f"deficit {deficit(mach)} not fillable with size-{a} jobs")
             if need > singles:
                 raise ScheduleError("ran out of pivot jobs while filling")
-            mach["jobs"][pivot_idx] += need
+            mach[1][pivot] += need
             singles -= need
         if singles != 0:
             raise ScheduleError(f"{singles} pivot jobs left unplaced")
 
     for mach in machines:
-        if signed_load(mach) != mach["target"]:
+        if deficit(mach):
+            target = ctx.targets[mach[0]]
             raise ScheduleError(
-                f"machine load {signed_load(mach)} misses target {mach['target']}")
-
-    assignments = []
-    for mach in machines:
-        expanded = tuple(size for j, size in enumerate(inst.p)
-                         for _ in range(mach["jobs"][j]))
-        assignments.append(MachineAssignment(speed=mach["speed"], jobs=expanded))
-    completions = [m.completion for m in assignments]
-    if ctx.objective == OBJECTIVE_CMIN:
-        value = min(completions)
-    else:
-        value = max(completions)
-    return Schedule(machines=tuple(assignments), objective=value)
+                f"machine load {target - deficit(mach)} misses target {target}")
+    assignments = tuple(
+        MachineAssignment(speed=inst.s[k], jobs=tuple(
+            size for size, count in zip(inst.p, counts) for _ in range(count)))
+        for k, counts in machines)
+    completions = [mach.completion for mach in assignments]
+    value = min(completions) if sign < 0 else max(completions)
+    return Schedule(machines=assignments, objective=value)
 
 
 def decide_guess(inst: SchedulingInstance, guess: Fraction,
@@ -532,30 +450,19 @@ def decide_guess(inst: SchedulingInstance, guess: Fraction,
             return None
 
     for pivot in pivots:
+        adjusted_n = list(inst.n)
+        if pivot is not None:
+            adjusted_n[inst.p.index(pivot)] -= withheld
         ctx = _GuessContext(inst=inst, objective=objective, targets=targets,
                             dummy_count=dummy_count, small=small, pivot=pivot,
-                            withheld=withheld, adjusted_n=inst.n)
-        if pivot is not None:
-            adjusted = list(inst.n)
-            adjusted[inst.p.index(pivot)] -= withheld
-            ctx.adjusted_n = tuple(adjusted)
-        empty_class = False
-        for k in range(len(inst.s)):
-            reals, dummies = _enumerate_class_configs(ctx, k)
-            if not reals:
-                empty_class = True
-                break
-            ctx.configs.append(reals)
-            ctx.dummy_per_config.append(dummies)
-        if empty_class:
+                            withheld=withheld, adjusted_n=tuple(adjusted_n))
+        ctx.configs = [_class_configs(ctx, k) for k in range(len(inst.s))]
+        if not all(ctx.configs):
             continue
-        program = _build_program(ctx)
-        outcome = ilp_solve(program, mode="feasibility")
+        outcome = ilp_solve(_build_program(ctx), mode="feasibility")
         if outcome.status != STATUS_FEASIBLE:
             continue
-        per_class, slack = _machine_configs_from_solution(
-            ctx, outcome.solution.x)
-        sched = greedy_augment(ctx, per_class, slack)
+        sched = greedy_augment(ctx, outcome.solution.x)
         verify_schedule(inst, sched, objective)
         if objective == OBJECTIVE_CMIN and sched.objective < guess:
             raise ScheduleError(

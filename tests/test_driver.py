@@ -468,16 +468,17 @@ def level_pair(table, point):
 
 def corrupt_sum_attempts(inst):
     \"\"\"Decode pairless sum tables after each corruption, undone after:
-    a valued fold of two tables after raising its value of its last point
-    and after dropping that point's ``p`` from the last step's left
-    partial; the top level table of ``inst`` (a bitset fold started from
+    a valued fold of two tables after raising its value of its last point,
+    after dropping that point's ``p`` from the last step's left partial,
+    and after dropping the pair's point from either base table; the top
+    level table of ``inst`` (a bitset fold started from
     ``2*prev``) after emptying its start table and after dropping
     ``b_up``'s ``p`` from the level below.\"\"\"
     a = dp.block_base_table(((1, 2),), 2, block_index=0, costs=(0, 1))
     b = dp.block_base_table(((0, 1),), 1, block_index=1, costs=(1, 0))
     pair = dp.fold_tables([a, b], (2,), (5,))
     point = pair.points()[-1]
-    p, _, left = sum_pair(pair, point)
+    p, q, left = sum_pair(pair, point)
     lines = []
     pair.codes[pair._code(point)] += 1
     lines.append(decoded("raised value", pair, point))
@@ -485,6 +486,12 @@ def corrupt_sum_attempts(inst):
     value = left.codes.pop(left._code(p))
     lines.append(decoded("dropped partial point", pair, point))
     left.codes[left._code(p)] = value
+    # The left partial is the origin plus the table folded first, so
+    # ``p`` is its point, and ``q`` is one of the table folded last.
+    for table, base_point in ((left.parents[1], p), (pair.parents[1], q)):
+        cell = table.cells.pop(base_point)
+        lines.append(decoded(f"dropped block {table.block} point", pair, point))
+        table.cells[base_point] = cell
     lines.append(decoded("restored", pair, point))
 
     trace = solve_with_trace(inst)[1]
@@ -534,28 +541,30 @@ def check_corrupt_packed_lines(lines: list[str]) -> None:
 
 
 def check_corrupt_sum_lines(lines: list[str]) -> None:
-    assert len(lines) == 6, lines
-    assert lines[:3] == [
+    assert len(lines) == 8, lines
+    assert lines[:5] == [
         "raised value internal error: corrupt witness: no pair for (5,)",
         "dropped partial point internal error: corrupt witness: no pair for (5,)",
+        "dropped block 1 point internal error: corrupt witness: (1,) missing",
+        "dropped block 0 point internal error: corrupt witness: (4,) missing",
         "restored decoded",
     ]
     assert re.fullmatch(
         r"emptied left table internal error: corrupt witness: no pair for \(\d+,\)",
-        lines[3],
+        lines[5],
     )
     assert re.fullmatch(
         r"dropped level point internal error: corrupt witness: \(\d+,\) missing",
-        lines[4],
+        lines[6],
     )
-    assert lines[5] == "restored decoded"
+    assert lines[7] == "restored decoded"
 
 
 def test_corrupt_pair_raises_in_decode():
     """No sum table stores a pair, so ``decode`` must find one for every
     point: a fold of two tables and a level table (a fold from
     ``2*prev``) raise once a value is raised or a parent point is
-    dropped; and a bitset fold table must hold the point and a pair for
+    dropped, a base table's point too; and a bitset fold table must hold the point and a pair for
     it, down to the origin."""
     scope: dict = {}
     exec(CORRUPT_FRAME, scope)

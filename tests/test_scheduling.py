@@ -19,6 +19,7 @@ from nfold.scheduling import (
     ScheduleError,
     SchedulingInstance,
     decide_guess,
+    greedy_augment,
     solve_cmax,
     solve_cmin,
     verify_schedule,
@@ -165,6 +166,70 @@ def test_decide_guess_validates_arguments():
         decide_guess(inst, Fraction(1), "makespan")
     with pytest.raises(ValueError, match="nonnegative"):
         decide_guess(inst, Fraction(-1), OBJECTIVE_CMAX)
+
+
+def augment_calls(monkeypatch, inst, guess, objective):
+    """Decide ``guess``; return its schedule and the ``(ctx, x)`` of every
+    ``greedy_augment`` call made on the way."""
+    calls = []
+
+    def record(ctx, x):
+        calls.append((ctx, x))
+        return greedy_augment(ctx, x)
+
+    monkeypatch.setattr(scheduling, "greedy_augment", record)
+    return decide_guess(inst, guess, objective), calls
+
+
+# A pivot case: two speed-1 machines and one sparse speed-20 machine; at
+# the makespan guess 10 its solution holds both kinds of slack bundle.
+MIXED_BUNDLES = SchedulingInstance.build((1, 2), (3, 4), (1, 20), (2, 1))
+
+
+@pytest.mark.parametrize("inst, guess, pivot, slack, jobs, objective", [
+    # 95 filler bundles and one bundle of two size-1 jobs, one sparse machine
+    (MIXED_BUNDLES, Fraction(10), 2, (1, 0, 95, 116),
+     [(), (1,), (1, 1, 2, 2, 2, 2)], Fraction(1)),
+    # 462 filler bundles, then three of size-2 jobs and four of size-1
+    # jobs, over four sparse machines: placed in any other order, the
+    # bundles give another schedule
+    (SchedulingInstance.build((1, 2, 3), (13, 11, 18), (20, 150), (2, 2)),
+     Fraction(87, 20), 3, (4, 3, 0, 462, 944),
+     [(1, 1, 1, 2, 2, 2, 3, 3, 3, 3), (1, 1, 1, 2, 2, 2, 3, 3, 3, 3),
+      (2, 2, 2, 3, 3, 3, 3, 3), (1, 1, 1, 1, 1, 1, 1, 2, 2, 3, 3, 3, 3, 3)],
+     Fraction(21, 20)),
+], ids=["one-sparse-machine", "order-sensitive"])
+def test_cmax_augment_places_filler_bundles_then_real_bundles(
+        monkeypatch, inst, guess, pivot, slack, jobs, objective):
+    """Under ``cmax`` filler bundles and real-job bundles go by one
+    best-fit rule, each to the machine with the largest deficit that can
+    absorb it: fillers first, then real sizes, largest first.  One
+    augment runs both kinds; its schedule is pinned."""
+    sched, [(ctx, x)] = augment_calls(monkeypatch, inst, guess, OBJECTIVE_CMAX)
+    assert ctx.pivot == pivot
+    # slack per program row (job sizes, then fillers), then the open column
+    assert x[sum(map(len, ctx.configs)):] == slack
+    assert [mach.jobs for mach in sched.machines] == jobs
+    assert sched.objective == objective
+    verify_schedule(inst, sched, OBJECTIVE_CMAX)
+
+
+@pytest.mark.parametrize("inst, guess, objective, pivot", [
+    (SchedulingInstance.build(p=[2, 3], n=[2, 2], s=[1], m=[2]), Fraction(5),
+     OBJECTIVE_CMIN, None),
+    (MIXED_BUNDLES, Fraction(10), OBJECTIVE_CMAX, 2),
+], ids=["dense", "pivot"])
+def test_greedy_augment_rejects_a_vector_that_does_not_fit(
+        monkeypatch, inst, guess, objective, pivot):
+    """A solution vector one entry too long, or one that gives a class
+    more configurations than it has machines, is an internal error."""
+    sched, [(ctx, x)] = augment_calls(monkeypatch, inst, guess, objective)
+    assert sched is not None and ctx.pivot == pivot
+    assert greedy_augment(ctx, x) == sched
+    with pytest.raises(ScheduleError, match="length inconsistent"):
+        greedy_augment(ctx, x + (0,))
+    with pytest.raises(ScheduleError, match="class 0 received 3 configs for 2"):
+        greedy_augment(ctx, (x[0] + 1, *x[1:]))
 
 
 @pytest.mark.parametrize("p, n, s, m", SPARSE_FIXTURES)
