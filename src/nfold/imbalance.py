@@ -9,21 +9,24 @@ lands in, because the remainder is an independent set whose members never
 see each other.
 
 For each of the ``k!`` cover orders we compile slot assignment into a
-block program: one brick per *neighbourhood type* (distinct ``N(w)`` over
-independent vertices) selecting slot counts, plus one brick per cover
-vertex splitting its signed imbalance into positive and negative parts
-whose sum is the absolute value once minimised.  The engine maximises, so
-costs are flipped against a constant ceiling and the true minimum is
-recovered afterwards.  Reversing a full ordering never changes its score,
-so only half the cover orders need solving.  The best value over them is
-exact.
+block program with no negative entry: one brick per *neighbourhood type*
+(distinct ``N(w)`` over independent vertices) selecting slot counts, plus
+one brick per cover vertex ``i`` whose ``deg(i)`` units split into
+``pos + neg + open``.  Row ``i`` reads ``2·(earlier independent
+neighbours) + 2·neg + open = 2·(deg(i) − earlier cover neighbours)``,
+which with the unit count gives ``pos − neg = earlier − later``; both
+parts cost one unit apiece, so once minimised their sum is the absolute
+imbalance.  The engine maximises, so costs are flipped against a
+constant ceiling and the true minimum is ``offset − objective``.
+Reversing a full ordering never changes its score, so only half the
+cover orders need solving.  The best value over them is exact.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Hashable, Iterable, Optional, Sequence
 
 from .core import NFoldInstance, STATUS_OPTIMAL
@@ -49,16 +52,21 @@ class Graph:
     @classmethod
     def build(cls, vertices: Iterable[Vertex],
               edges: Iterable[Sequence[Vertex]]) -> "Graph":
-        """Normalise labels and edges; rejects loops and unknown endpoints."""
+        """Normalise labels and edges; rejects loops and unknown endpoints.
+
+        An endpoint must be a vertex label itself, of the same type: ``1.0``
+        or ``True`` does not name the vertex ``1``.
+        """
         verts = tuple(sorted(set(vertices)))
-        known = set(verts)
+        label = {v: v for v in verts}
         norm = set()
         for edge in edges:
             u, v = edge
+            if not all(end in label and type(label[end]) is type(end)
+                       for end in (u, v)):
+                raise ValueError(f"edge {edge!r} uses unknown vertices")
             if u == v:
                 raise ValueError(f"self-loop on {u!r} not allowed")
-            if u not in known or v not in known:
-                raise ValueError(f"edge {edge!r} uses unknown vertices")
             norm.add((u, v) if u <= v else (v, u))
         return cls(vertices=verts, edges=frozenset(norm))
 
@@ -128,109 +136,78 @@ def ordering_imbalance(graph: Graph, ordering: Sequence[Vertex]) -> int:
 
 
 def build_ordering_ilp(graph: Graph, cover_order: Sequence[Vertex]) -> tuple[
-        NFoldInstance, list[tuple[tuple[int, ...], int]], int, int]:
+        NFoldInstance, list[tuple[tuple[int, ...], list[Vertex]]], int]:
     """Compile slot assignment for one fixed order of the cover vertices.
 
-    Row ``i`` tracks the signed imbalance of the i-th cover vertex: slot
-    columns contribute +1 per earlier neighbour and -1 per later one, and
-    the vertex's own brick splits the total into a positive and a negative
-    part.  Since both parts cost one unit apiece, minimisation drives one
-    of them to zero, leaving their sum equal to the absolute imbalance.
+    Slot column ``s`` of a type has entry 2 on row ``i`` when cover vertex
+    ``i`` (1-based) is in the type's neighbourhood and ``s < i``, else 0.
+    Cover vertex ``i``'s brick places ``deg(i)`` units on its columns
+    ``(pos, neg, open)``, which are ``(0, 2, 1)`` on row ``i`` and 0 on
+    every other row; row ``i`` targets ``2·(deg(i) − earlier cover
+    neighbours)``.
 
-    Returns the program, the neighbourhood types as (cover-index tuple,
-    multiplicity) pairs in brick order, the cost ceiling used to flip
-    minimisation into maximisation, and the total brick mass (the sum of
-    all per-brick totals, needed to invert the flip).
+    Returns the program, the neighbourhood types in brick order as
+    (cover-position tuple, sorted independent members) pairs, and the
+    offset that undoes the cost flip: the imbalance is ``offset −
+    objective``.
     """
     k = len(cover_order)
     if k == 0:
         raise ValueError("cover order must be nonempty")
-    cover_pos = {v: i + 1 for i, v in enumerate(cover_order)}  # 1-based
-    independents = [v for v in graph.vertices if v not in cover_pos]
-
-    # e_i: signed count of cover neighbours before/after cover vertex i.
-    e = []
-    degrees = []
-    for i, v in enumerate(cover_order, start=1):
-        balance = 0
-        for w in graph.neighbours(v):
-            j = cover_pos.get(w)
-            if j is None:
-                continue
-            balance += 1 if j < i else -1
-        e.append(balance)
-        degrees.append(len(graph.neighbours(v)))
-
-    types: dict[tuple[int, ...], int] = {}
-    for w in independents:
-        hood = tuple(sorted(cover_pos[u] for u in graph.neighbours(w)))
-        types[hood] = types.get(hood, 0) + 1
-    type_list = sorted(types.items())
+    cover_pos = {v: i for i, v in enumerate(cover_order, start=1)}
+    by_hood: dict[tuple[int, ...], list[Vertex]] = {}
+    for w in graph.vertices:
+        if w not in cover_pos:
+            hood = tuple(sorted(cover_pos[u] for u in graph.neighbours(w)))
+            by_hood.setdefault(hood, []).append(w)
+    types = sorted(by_hood.items())
 
     blocks: list[tuple[tuple[int, ...], ...]] = []
-    widths: list[int] = []
     b_low: list[int] = []
     costs: list[list[int]] = []
-    for hood, count in type_list:
-        cols: list[list[int]] = []
-        cost_row: list[int] = []
-        members = set(hood)
-        for slot in range(k + 1):
-            col = [0] * k
-            for i in members:
-                col[i - 1] = 1 if slot < i else -1
-            cols.append(col)
-            before = sum(1 for i in members if i <= slot)
-            cost_row.append(abs(before - (len(members) - before)))
-        blocks.append(tuple(tuple(col[r] for col in cols) for r in range(k)))
-        widths.append(k + 1)
-        b_low.append(count)
-        costs.append(cost_row)
-    for i in range(1, k + 1):
+    for hood, members in types:
+        blocks.append(tuple(
+            tuple(2 if i in hood and slot < i else 0 for slot in range(k + 1))
+            for i in range(1, k + 1)))
+        b_low.append(len(members))
+        costs.append([abs(len(hood) - 2 * sum(i <= slot for i in hood))
+                      for slot in range(k + 1)])
+    b_up: list[int] = []
+    for i, v in enumerate(cover_order, start=1):
+        around = graph.neighbours(v)
+        earlier = sum(1 for u in around
+                      if u in cover_pos and cover_pos[u] < i)
+        b_up.append(2 * (len(around) - earlier))
         # Positive part, negative part, and an open column up to the
         # vertex's degree, which its imbalance can never exceed.
-        cols = [[0] * k, [0] * k, [0] * k]
-        cols[0][i - 1] = -1
-        cols[1][i - 1] = 1
-        blocks.append(tuple(tuple(c[r] for c in cols) for r in range(k)))
-        widths.append(3)
-        b_low.append(degrees[i - 1])
+        blocks.append(tuple((0, 2, 1) if row == i else (0, 0, 0)
+                            for row in range(1, k + 1)))
+        b_low.append(len(around))
         costs.append([1, 1, 0])
 
-    ceiling = max(value for cost_row in costs for value in cost_row)
-    flat_costs = tuple(ceiling - value
-                       for cost_row in costs for value in cost_row)
-    inst = NFoldInstance(n=len(blocks), r=k, t=tuple(widths),
-                         blocks=tuple(blocks), b_up=tuple(-v for v in e),
-                         b_low=tuple(b_low), c=flat_costs)
-    return inst, type_list, ceiling, sum(b_low)
+    ceiling = max(max(cost_row) for cost_row in costs)
+    inst = NFoldInstance(n=len(blocks), r=k,
+                         t=tuple(len(cost_row) for cost_row in costs),
+                         blocks=tuple(blocks), b_up=tuple(b_up),
+                         b_low=tuple(b_low),
+                         c=tuple(ceiling - value for cost_row in costs
+                                 for value in cost_row))
+    return inst, types, ceiling * sum(b_low)
 
 
-def _ordering_from_solution(graph: Graph, cover_order: Sequence[Vertex],
-                            type_list: list[tuple[tuple[int, ...], int]],
+def _ordering_from_solution(cover_order: Sequence[Vertex],
+                            types: list[tuple[tuple[int, ...], list[Vertex]]],
                             x: tuple[int, ...]) -> list[Vertex]:
     """Expand slot counts back into a concrete vertex ordering."""
     k = len(cover_order)
-    cover_pos = {v: i + 1 for i, v in enumerate(cover_order)}
-    by_type: dict[tuple[int, ...], list[Vertex]] = {}
-    for w in graph.vertices:
-        if w in cover_pos:
-            continue
-        hood = tuple(sorted(cover_pos[u] for u in graph.neighbours(w)))
-        by_type.setdefault(hood, []).append(w)
     buckets: list[list[Vertex]] = [[] for _ in range(k + 1)]
-    offset = 0
-    for hood, count in type_list:
-        counts = x[offset:offset + k + 1]
-        offset += k + 1
-        pool = sorted(by_type.get(hood, []))
-        if sum(counts) != len(pool):
+    for start, (_, members) in zip(range(0, len(x), k + 1), types):
+        counts = x[start:start + k + 1]
+        if sum(counts) != len(members):
             raise AssertionError("slot counts do not cover a type's vertices")
-        at = 0
+        pool = iter(members)
         for slot, times in enumerate(counts):
-            for _ in range(times):
-                buckets[slot].append(pool[at])
-                at += 1
+            buckets[slot].extend(islice(pool, times))
     ordering: list[Vertex] = []
     for slot in range(k + 1):
         ordering.extend(sorted(buckets[slot]))
@@ -243,15 +220,13 @@ def _best_for_cover_order(graph: Graph,
                           cover_order: tuple[Vertex, ...]) -> tuple[
         int, list[Vertex]]:
     """Optimal imbalance achievable with this relative cover order."""
-    inst, type_list, ceiling, brick_mass = build_ordering_ilp(
-        graph, cover_order)
+    inst, types, offset = build_ordering_ilp(graph, cover_order)
     outcome = ilp_solve(inst, mode="optimize")
     if outcome.status != STATUS_OPTIMAL:
         raise AssertionError(
             "slot assignment program must always be feasible")
-    predicted = ceiling * brick_mass - outcome.solution.objective
-    ordering = _ordering_from_solution(graph, cover_order, type_list,
-                                       outcome.solution.x)
+    predicted = offset - outcome.solution.objective
+    ordering = _ordering_from_solution(cover_order, types, outcome.solution.x)
     actual = ordering_imbalance(graph, ordering)
     if actual != predicted:
         raise AssertionError(

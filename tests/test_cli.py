@@ -283,6 +283,17 @@ def test_imbalance_vertex_list_is_checked(tmp_path, capsys, doc, message):
     assert "bad graph input" in err and message in err
 
 
+@pytest.mark.parametrize("end", [1.0, True])
+def test_imbalance_endpoint_must_be_the_vertex_label(tmp_path, capsys, end):
+    # 1.0 and true compare equal to the vertex 1 but do not name it
+    path = write_json(tmp_path, "graph.json",
+                      {"n": 3, "edges": [[0, end], [1, 2]]})
+    assert main(["imbalance", "--in", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad graph input" in captured.err and "unknown" in captured.err
+
+
 def test_imbalance_rejects_self_loop(tmp_path, capsys):
     path = write_json(tmp_path, "graph.json", {"n": 2, "edges": [[0, 0]]})
     assert main(["imbalance", "--in", path]) == 1

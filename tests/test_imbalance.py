@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from nfold.core import STATUS_OPTIMAL
+import nfold.imbalance
+from nfold.core import STATUS_OPTIMAL, NFoldInstance
 from nfold.driver import solve as ilp_solve
 from nfold.imbalance import (
     Graph,
@@ -15,6 +17,7 @@ from nfold.imbalance import (
     solve_imbalance,
     vertex_cover,
 )
+from nfold.reduction import reduce_instance
 
 from helpers import imbalance_reference, min_cover_size, random_small_graph
 
@@ -45,6 +48,13 @@ def test_build_rejects_self_loop():
 def test_build_rejects_unknown_endpoint():
     with pytest.raises(ValueError, match="unknown"):
         Graph.build([0, 1], [(0, 2)])
+
+
+@pytest.mark.parametrize("edge", [(0, 1.0), (0, True), (1.0, 2), (True, 0)])
+def test_build_rejects_an_endpoint_only_equal_to_a_label(edge):
+    # 1.0 == True == 1, but none of them is the vertex 1
+    with pytest.raises(ValueError, match="unknown"):
+        Graph.build(range(3), [edge])
 
 
 def test_neighbours():
@@ -114,17 +124,18 @@ def test_ordering_imbalance_requires_permutation():
 
 def test_build_ordering_ilp_path_shape():
     g = path3()
-    inst, type_list, ceiling, brick_mass = build_ordering_ilp(g, ("b",))
-    # both leaves share the neighbourhood {b}, so one type of count 2,
-    # plus the single cover vertex's split brick
-    assert type_list == [((1,), 2)]
+    inst, types, offset = build_ordering_ilp(g, ("b",))
+    # both leaves share the neighbourhood {b}, so one type with both of
+    # them, plus the single cover vertex's split brick
+    assert types == [((1,), ["a", "c"])]
     assert inst.n == 2
     assert inst.r == 1
-    assert inst.b_up == (0,)  # b has no cover neighbours
+    # a leaf in slot 0 sits before b; b's brick is (pos, neg, open)
+    assert inst.blocks == (((2, 0),), ((0, 2, 1),))
+    assert inst.b_up == (4,)  # 2 * deg(b): no earlier cover neighbour
     assert inst.t == (2, 3)
     assert inst.b_low == (2, 2)  # two leaves; degree of b
-    assert ceiling == 1
-    assert brick_mass == 4
+    assert offset == 4  # ceiling 1 times the four units
 
 
 def test_compiled_program_value_matches_direct_score():
@@ -132,11 +143,66 @@ def test_compiled_program_value_matches_direct_score():
     # cost flip; the result must equal the best direct score with "b"
     # second (or its reverse)
     g = path3()
-    inst, _, ceiling, brick_mass = build_ordering_ilp(g, ("b",))
+    inst, _, offset = build_ordering_ilp(g, ("b",))
     outcome = ilp_solve(inst, mode="optimize")
     assert outcome.status == STATUS_OPTIMAL
-    predicted = ceiling * brick_mass - outcome.solution.objective
-    assert predicted == 2
+    assert offset - outcome.solution.objective == 2
+
+
+def test_slot_program_is_nonnegative_and_built_once_per_cover_order(monkeypatch):
+    """The program reaches the engine as built: no entry is negative, so
+    the sign reduction hands it through, and a solve builds exactly one
+    ``NFoldInstance`` per cover order."""
+    graph = Graph.build(range(9), [(0, 1), (1, 2), (2, 3), (0, 4), (1, 4),
+                                   (2, 5), (3, 6), (0, 7), (3, 7), (1, 8)])
+    for order in itertools.permutations(vertex_cover(graph)):
+        inst, _, _ = build_ordering_ilp(graph, order)
+        assert all(entry >= 0 for block in inst.blocks for row in block
+                   for entry in row)
+        assert reduce_instance(inst).instance is inst
+
+    built, orders = [], []
+    real_init = NFoldInstance.__post_init__
+    real_best = nfold.imbalance._best_for_cover_order
+
+    def counting_init(self):
+        built.append(self)
+        real_init(self)
+
+    def counting_best(graph, order):
+        orders.append(order)
+        return real_best(graph, order)
+
+    monkeypatch.setattr(NFoldInstance, "__post_init__", counting_init)
+    monkeypatch.setattr(nfold.imbalance, "_best_for_cover_order", counting_best)
+    solve_imbalance(graph)
+    assert len(orders) == 12  # 4! cover orders, one per reversal pair
+    assert len(built) == len(orders)
+
+
+def test_each_cover_order_optimum_matches_brute_force():
+    """``offset - objective`` is the least imbalance over the orderings
+    that keep the cover vertices in the given relative order, for every
+    cover order, not only the best one."""
+    rng = random.Random(2718)
+    graphs = 0
+    while graphs < 20:
+        n, edges = random_small_graph(rng)
+        if n > 7 or not edges:
+            continue
+        graphs += 1
+        graph = Graph.build(range(n), edges)
+        cover = vertex_cover(graph, k_max=n)
+        best: dict[tuple[int, ...], int] = {}
+        for perm in itertools.permutations(range(n)):
+            order = tuple(v for v in perm if v in cover)
+            score = ordering_imbalance(graph, perm)
+            best[order] = min(score, best.get(order, score))
+        for order, want in best.items():
+            inst, _, offset = build_ordering_ilp(graph, order)
+            outcome = ilp_solve(inst, mode="optimize")
+            assert outcome.status == STATUS_OPTIMAL
+            assert offset - outcome.solution.objective == want, (n, edges, order)
 
 
 def test_build_ordering_ilp_rejects_empty_cover():

@@ -1,4 +1,5 @@
-"""The test configuration itself: warnings as errors must not stop a run."""
+"""The test configuration and the repository's tools: warnings as errors
+must not stop a run, and ``tools/code_lines.py`` counts what it says."""
 
 from __future__ import annotations
 
@@ -37,3 +38,39 @@ def test_failing_property_test_does_not_abort_the_run(tmp_path):
     output = done.stdout + done.stderr
     assert "INTERNALERROR" not in output
     assert "1 failed, 1 passed" in output
+
+
+SOURCE = '''"""Module docstring,
+over two lines."""
+
+# a comment-only line
+import os  # a trailing comment keeps the line
+
+
+class Box:
+    """Class docstring."""
+
+    def size(self):
+        """Function docstring,
+
+        over three lines."""
+        text = """a string literal
+that is not a docstring
+spans three lines"""
+        return len(text) + len(os.sep)
+'''
+
+
+def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path):
+    """Code lines of ``SOURCE``: ``import os``, ``class Box:``, ``def
+    size``, the three lines the assigned string spans, and ``return``."""
+    (tmp_path / "one.py").write_text(SOURCE)
+    (tmp_path / "two.py").write_text("x = 1\n\n# comment\ny = (\n    2)\n")
+    done = subprocess.run(
+        [sys.executable, str(PYPROJECT.parent / "tools" / "code_lines.py"),
+         str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout.split("\n") == [
+        "     7  one.py", "     3  two.py", "    10  total", ""]
