@@ -15,9 +15,9 @@ reverse-lexicographically largest count vector, stored as a shared
 ``(prefix, column, take)`` node; points are decoded for the kept cells
 only, and count vectors only by ``PointTable.decode``.
 ``base_tables_for_level`` builds one table per distinct key ``(matrix,
-placed count, cost slice, cap)`` in a memo that the solver keeps for one
-solve, so a level that places the same units under the same cap as a
-level below reuses its tables; every further brick with a built key gets
+placed count, cost slice, cap)``, the cap being the one the builder
+reads (``_caps``), in a memo that lasts one solve, or one front-end call
+that passes it to every solve; every further brick with a built key gets
 a view with its own ``block`` index that shares the built table's cells
 and reach, and a fold codes such shared cells into its frame once.  The
 solver's ``dp_cells`` counts a shared table once per brick that uses it.
@@ -297,6 +297,16 @@ class PointTable:
         return [BlockWitness(block=k, counts=tuple(counts[k])) for k in sorted(counts)]
 
 
+def _caps(row_max, placed: int, hi: tuple[int, ...] | None) -> tuple[int, ...]:
+    """Per-axis cap of kept points, ``max(min(placed * row max, hi), -1)``
+    (-1: nothing kept); comparisons, as 2-argument min/max are slow."""
+    caps = [placed * top for top in row_max]
+    if hi is not None:
+        caps = [c if -1 < c < h else h if -1 < h <= c else -1
+                for c, h in zip(caps, hi)]
+    return tuple(caps)
+
+
 def block_base_table(
     block: Sequence[Sequence[int]],
     placed: int,
@@ -364,9 +374,7 @@ def block_base_table(
         costs = (0,) * len(cols)
 
     # Point codes: (shift, mask, low) per axis, axis 0 in the highest field.
-    caps = [placed * max(row) for row in block]
-    if hi is not None:
-        caps = [max(min(c, h), -1) for c, h in zip(caps, hi)]
+    caps = _caps(map(max, block), placed, hi)
     fields: list[tuple[int, int, int]] = []
     shift = guard = 0
     for c in reversed(caps):
@@ -948,25 +956,30 @@ def base_tables_for_level(
     path of the solver's top point.
 
     ``block_base_table`` runs once per distinct key ``(matrix, placed,
-    cost slice, hi)`` in ``memo``.  A brick with a key already built gets
-    a view: a table with its own ``block`` and ``columns`` that shares the
-    built table's ``cells`` dict and reach.  Witness nodes hold only
-    column indices and ``decode`` adds counts to ``table.block``, so every
-    witness, value and tie is the one the brick's own table would give.
-    The solver passes one ``memo`` per solve, so a level that places the
-    same units under the same cap as a level below reuses its tables;
-    without one the memo lives for this call only.
+    cost slice, cap)`` in ``memo``, the cap being ``_caps``, all of ``hi``
+    that the builder reads, so equal keys build equal tables.  A brick
+    with a key already built gets a view: a table with its own ``block``
+    and ``columns`` that shares the built table's ``cells`` dict and
+    reach.  Witness nodes hold only column indices and ``decode`` adds
+    counts to ``table.block``, so every witness, value and tie is the one
+    the brick's own table would give.  The solver passes one ``memo`` per
+    solve, or its caller's (``driver.solve``); without one the memo lives
+    for this call only.
     """
     placed = plan.placed_at(level)
     costs = _block_costs(inst, mode)
     built = {} if memo is None else memo
+    keys: dict[tuple, tuple] = {}  # one _caps per distinct brick
     tables = []
     for k in range(inst.n):
-        key = (inst.blocks[k], placed[k], costs[k], hi)
+        brick = (inst.blocks[k], placed[k], costs[k])
+        key = keys.get(brick)
+        if key is None:
+            key = keys[brick] = brick + (_caps(plan.row_max[k], placed[k], hi),)
         first = built.get(key)
         if first is None:
             table = built[key] = block_base_table(
-                inst.blocks[k], placed[k], block_index=k, costs=costs[k], hi=hi)
+                brick[0], placed[k], block_index=k, costs=costs[k], hi=hi)
         else:
             table = PointTable(inst.r, block=k, columns=first.columns)
             table.cells, table._reach = first.cells, first.reach()

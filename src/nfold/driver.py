@@ -115,9 +115,11 @@ def reconstruct(top: PointTable, b_up: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 def solve_with_trace(
-    inst: NFoldInstance, mode: str = MODE_FEASIBILITY
+    inst: NFoldInstance, mode: str = MODE_FEASIBILITY, *,
+    base_memo: dict | None = None,
 ) -> tuple[SolveOutcome, SolveTrace]:
-    """Solve and also return the internal level sets for inspection."""
+    """Solve and also return the internal level sets for inspection;
+    ``base_memo`` as for ``solve``."""
     if mode not in (MODE_FEASIBILITY, MODE_OPTIMIZE):
         raise ValueError(f"unknown mode: {mode!r}")
     validate(inst)
@@ -149,8 +151,8 @@ def solve_with_trace(
         )
 
     cells_total = 0
-    # (matrix, placed, cost slice, cap) -> base table, for this solve only.
-    base_memo: dict = {}
+    if base_memo is None:
+        base_memo = {}
 
     for level, (lo, hi, small_lo, small_hi) in enumerate(plan.windows, 1):
         if any(map(gt, lo, hi)) or any(map(gt, small_lo, small_hi)):
@@ -159,6 +161,7 @@ def solve_with_trace(
                 level, depth, lo, hi, small_lo, small_hi,
             )
             return finish_infeasible(level, cells_total), trace
+        known = len(base_memo)
         base = base_tables_for_level(work, plan, level, mode, hi=small_hi,
                                      memo=base_memo)
         base_cells = sum(len(b) for b in base)
@@ -168,11 +171,13 @@ def solve_with_trace(
             table = _combine_levels(trace.levels[-1], base, lo, hi)
         cells_total += base_cells + len(table)
         if logger.isEnabledFor(logging.DEBUG):
+            tables, built = len({id(b.cells) for b in base}), len(base_memo) - known
             logger.debug(
-                "level %d/%d: %d base cells (%d tables for %d bricks), "
-                "peak partial %d, %d retained; window %s..%s, small %s..%s",
-                level, depth, base_cells, len({id(b.cells) for b in base}),
-                len(base), _peak_partial(table), len(table),
+                "level %d/%d: %d base cells (%d tables for %d bricks, "
+                "%d built, %d from the memo), peak partial %d, %d retained; "
+                "window %s..%s, small %s..%s",
+                level, depth, base_cells, tables, len(base), built,
+                tables - built, _peak_partial(table), len(table),
                 lo, hi, small_lo, small_hi,
             )
         if not table:
@@ -208,7 +213,10 @@ def solve_with_trace(
     return outcome, trace
 
 
-def solve(inst: NFoldInstance, mode: str = MODE_FEASIBILITY) -> SolveOutcome:
+def solve(
+    inst: NFoldInstance, mode: str = MODE_FEASIBILITY, *,
+    base_memo: dict | None = None,
+) -> SolveOutcome:
     """Solve a combinatorial n-fold program exactly.
 
     Parameters
@@ -219,6 +227,10 @@ def solve(inst: NFoldInstance, mode: str = MODE_FEASIBILITY) -> SolveOutcome:
     mode : str
         ``"feasibility"`` for a witness or ``"optimize"`` for a maximizer
         (requires ``inst.c >= 0``).
+    base_memo : dict, optional
+        Base-table memo (``dp.base_tables_for_level``); omitted, the solve
+        keeps its own.  One dict passed to related solves builds each
+        table once for all; the outcome is that of a fresh memo.
 
     Returns
     -------
@@ -229,5 +241,5 @@ def solve(inst: NFoldInstance, mode: str = MODE_FEASIBILITY) -> SolveOutcome:
         equal at their level, count it once each), wall time, and the
         level size K the plan used.
     """
-    outcome, _ = solve_with_trace(inst, mode)
+    outcome, _ = solve_with_trace(inst, mode, base_memo=base_memo)
     return outcome

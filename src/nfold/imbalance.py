@@ -216,12 +216,12 @@ def _ordering_from_solution(cover_order: Sequence[Vertex],
     return ordering
 
 
-def _best_for_cover_order(graph: Graph,
-                          cover_order: tuple[Vertex, ...]) -> tuple[
+def _best_for_cover_order(graph: Graph, cover_order: tuple[Vertex, ...], *,
+                          base_memo: dict | None = None) -> tuple[
         int, list[Vertex]]:
     """Optimal imbalance achievable with this relative cover order."""
     inst, types, offset = build_ordering_ilp(graph, cover_order)
-    outcome = ilp_solve(inst, mode="optimize")
+    outcome = ilp_solve(inst, mode="optimize", base_memo=base_memo)
     if outcome.status != STATUS_OPTIMAL:
         raise AssertionError(
             "slot assignment program must always be feasible")
@@ -247,8 +247,13 @@ def solve_imbalance(graph: Graph, *,
 
     Cover orders are solved one after another, one exact optimize-mode
     solve each: the engine is pure Python, and the interpreter lock lets
-    only one thread run Python code at a time.  Among equal values the
-    smallest ordering wins, so every run returns the same result.
+    only one thread run Python code at a time.  They share one
+    base-table memo, which never changes the witness a solve returns.
+
+    Ties: within a cover order they follow the engine's fold order, and
+    among equal values the smallest per-order witness wins.  Every run
+    returns the same result, though not always the smallest optimal
+    ordering.
 
     Parameters
     ----------
@@ -265,8 +270,10 @@ def solve_imbalance(graph: Graph, *,
     orders = [order for order in permutations(cover)
               if order <= tuple(reversed(order))]
     best_value, best_ordering = None, None
+    base_memo: dict = {}
     for order in orders:
-        value, ordering = _best_for_cover_order(graph, order)
+        value, ordering = _best_for_cover_order(graph, order,
+                                                base_memo=base_memo)
         if best_value is None or value < best_value or (
                 value == best_value and ordering < best_ordering):
             best_value, best_ordering = value, ordering

@@ -227,7 +227,8 @@ class IterationPlan:
     highest levels, zeros below), which is what the uniform top-down rule
     produces on its own.  ``windows[i - 1]`` is ``(lo, hi, small_lo,
     small_hi)`` of level ``i``: the bounds of its retained prefixes and
-    of its small set (see the module doc).
+    of its small set (see the module doc).  ``row_max[k]`` holds each
+    row's largest entry in brick ``k``.
     """
 
     mode: str
@@ -238,6 +239,7 @@ class IterationPlan:
     block_levels: tuple[int, ...]
     schedules: tuple[LevelSchedule, ...]
     windows: tuple[tuple[tuple[int, ...], ...], ...]
+    row_max: tuple[tuple[int, ...], ...]
 
     def placed_at(self, level: int) -> tuple[int, ...]:
         """Units every brick must place at ``level`` (1-based)."""
@@ -245,7 +247,8 @@ class IterationPlan:
 
 
 def reach_windows(
-    inst: NFoldInstance, schedules: Sequence[LevelSchedule], levels: int
+    inst: NFoldInstance, schedules: Sequence[LevelSchedule], levels: int,
+    row_max: Sequence[Sequence[int]],
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """``(lo, hi, small_lo, small_hi)`` per level, bottom first: the exact
     reach windows of the module doc, computed one axis at a time."""
@@ -254,8 +257,7 @@ def reach_windows(
         rmin = [sum(s.placed[j] * min(block[a])
                     for s, block in zip(schedules, inst.blocks))
                 for j in range(levels)]
-        rmax = [sum(s.placed[j] * max(block[a])
-                    for s, block in zip(schedules, inst.blocks))
+        rmax = [sum(s.placed[j] * top[a] for s, top in zip(schedules, row_max))
                 for j in range(levels)]
         lo, hi = [], []
         below_lo = below_hi = 0
@@ -317,6 +319,7 @@ def build_plan(
         "plan: paper K=%d, floor %d, K=%d D=%d levels=%d block_levels=%s",
         paper, floor, support, radius, levels, block_levels,
     )
+    row_max = tuple(tuple(map(max, block)) for block in inst.blocks)
     return IterationPlan(
         mode=mode,
         support=support,
@@ -325,7 +328,8 @@ def build_plan(
         levels=levels,
         block_levels=block_levels,
         schedules=schedules,
-        windows=reach_windows(inst, schedules, levels),
+        windows=reach_windows(inst, schedules, levels, row_max),
+        row_max=row_max,
     )
 
 

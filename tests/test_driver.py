@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import logging
 import os
 import random
@@ -31,7 +32,7 @@ from nfold.core import (
 from nfold import dp, driver, plan
 from nfold.driver import solve, solve_with_trace
 from nfold.closest_string import solve_closest
-from nfold.imbalance import solve_imbalance
+from nfold.imbalance import Graph, build_ordering_ilp, solve_imbalance, vertex_cover
 from nfold.oracle import enumeration_size, oracle_solve
 from nfold.plan import support_floor
 from nfold.reduction import reduce_instance
@@ -238,14 +239,14 @@ def test_stats_shape():
     assert out.stats["dp_cells"] > 0
 
 
-def logged_levels(caplog, inst):
+def logged_levels(caplog, inst, base_memo=None):
     """Solve ``inst`` at debug level: the outcome, each driver line's
     ``(base cells, peak partial, retained)``, each fold line's peak and
-    each driver line's ``(tables built, bricks)``."""
+    each driver line's ``(tables, bricks, built, from the memo)``."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="nfold.driver"), \
             caplog.at_level(logging.DEBUG, logger="nfold.dp"):
-        out = solve(inst)
+        out = solve(inst, base_memo=base_memo)
     folds = [
         int(re.fullmatch(r"fold order \[[\d, ]+\], peak partial (\d+) cells",
                          rec.getMessage())[1])
@@ -253,8 +254,8 @@ def logged_levels(caplog, inst):
         if rec.name == "nfold.dp"
     ]
     line = re.compile(
-        r"level \d+/\d+: (\d+) base cells \((\d+) tables for (\d+) bricks\),"
-        r" peak partial (\d+), (\d+) retained;"
+        r"level \d+/\d+: (\d+) base cells \((\d+) tables for (\d+) bricks,"
+        r" (\d+) built, (\d+) from the memo\), peak partial (\d+), (\d+) retained;"
         r" window \(\d+,\)\.\.\(\d+,\), small \(\d+,\)\.\.\(\d+,\)"
     )
     fields = [
@@ -262,13 +263,15 @@ def logged_levels(caplog, inst):
         for rec in caplog.records
         if rec.name == "nfold.driver"
     ]
-    counts = [[base, peak, kept] for base, _, _, peak, kept in fields]
-    return out, counts, folds, [(built, n) for _, built, n, _, _ in fields]
+    counts = [[base, peak, kept] for base, _, _, _, _, peak, kept in fields]
+    return out, counts, folds, [tuple(line[1:5]) for line in fields]
 
 
 def test_debug_log_reports_cells_per_level(caplog, monkeypatch):
-    """One line per level: base cells, the tables built for the level's
-    bricks, the fold's peak partial (as its own fold line reports it,
+    """One line per level: base cells, the tables of the level's bricks,
+    how many of them this solve built and how many it took from the
+    memo (a solve given a memo that holds them builds none), the fold's
+    peak partial (as its own fold line reports it,
     under the bitset caps or at caps 0) and the retained points; base cells,
     counted per brick, and retained points sum to ``dp_cells``."""
     pin_support(monkeypatch, 12)
@@ -280,7 +283,14 @@ def test_debug_log_reports_cells_per_level(caplog, monkeypatch):
     assert all(base > 0 and peak >= kept > 0 for base, peak, kept in counts)
     assert sum(base + kept for base, _, kept in counts) == out.stats["dp_cells"]
     assert [peak for _, peak, _ in counts] == folds
-    assert built == [(1, 1)] * 4
+    # Level 4 places level 3's units under the same effective cap.
+    assert built == [(1, 1, 1, 0)] * 3 + [(1, 1, 0, 1)]
+    memo = {}
+    first = logged_levels(caplog, inst, memo)
+    again = logged_levels(caplog, inst, memo)
+    assert first[3] == built and again[3] == [(1, 1, 0, 1)] * 4
+    assert again[1:3] == first[1:3] and len(memo) == 3
+    assert again[0].solution == first[0].solution
     # Four bricks, two of each kind, over several levels, and two bricks
     # whose one-point window makes the first partial the largest.
     runs = [logged_levels(caplog, four_brick()), logged_levels(caplog, two_brick())]
@@ -291,7 +301,8 @@ def test_debug_log_reports_cells_per_level(caplog, monkeypatch):
         assert len(counts) == out.stats["iterations"]
         assert [peak for _, peak, _ in counts] == folds
         assert any(peak > kept for _, peak, kept in counts)
-        assert built == [want] * len(counts)
+        assert [line[:2] for line in built] == [want] * len(counts)
+        assert all(new + found == tables for tables, _, new, found in built)
     four = runs[0][0]
     assert sum(base + kept for base, _, kept in runs[0][1]) == four.stats["dp_cells"]
     assert all(base % 2 == 0 for base, _, _ in runs[0][1])
@@ -744,27 +755,39 @@ def core_deep_instance(rng: random.Random, target: int) -> NFoldInstance:
 
 def base_memo_cases():
     """Multi-level solves: the core-deep family up to ``b_low = 10**6``,
-    and repeated-brick instances planned at ``K = floor`` in both modes."""
+    and repeated-brick and random core instances planned at ``K = floor``
+    in both modes; some of the random ones place a brick's units at two
+    levels under two binding caps."""
     rng = random.Random(71)
     for target in (150, 10**4, 10**6):
         for _ in range(2):
             yield core_deep_instance(rng, target), "feasibility", None
-    for trial in range(60):
-        mode = ("feasibility", "optimize")[trial % 2]
-        inst = repeated_core_instance(rng, with_costs=mode == "optimize", plant=True)
-        yield inst, mode, support_floor(reduce_instance(inst).instance)
+    for make in (repeated_core_instance, random_core_instance):
+        for trial in range(60 if make is repeated_core_instance else 120):
+            mode = ("feasibility", "optimize")[trial % 2]
+            inst = make(rng, with_costs=mode == "optimize", plant=True)
+            yield inst, mode, support_floor(reduce_instance(inst).instance)
+
+
+def effective_cap(block, placed, hi):
+    """The per-axis cap ``block_base_table`` reads: ``placed * max(row)``
+    cut at ``hi``, never below -1."""
+    return tuple(max(min(placed * max(row), h), -1) for row, h in zip(block, hi))
 
 
 def test_base_tables_are_built_once_per_key_per_solve(monkeypatch):
     """One solve calls ``block_base_table`` once per distinct ``(matrix,
-    placed, cost slice, small_hi)`` over all its levels, and a second
+    placed, cost slice, effective cap)`` over all its levels, and a second
     solve builds them all again.  Status, ``x``, objective and stats are
-    those of a solve whose memo lives for one level only."""
+    those of a solve whose memo lives for one level only.  Levels whose
+    windows differ only where the brick's own reach stays below both
+    share a table; a binding cap difference never does."""
     built = []
     real_build = dp.block_base_table
 
     def counting(block, placed, **kwargs):
-        built.append((block, placed, kwargs["costs"], kwargs["hi"]))
+        built.append((block, placed, kwargs["costs"],
+                      effective_cap(block, placed, kwargs["hi"])))
         return real_build(block, placed, **kwargs)
 
     def per_level(*args, memo=None, **kwargs):
@@ -775,7 +798,7 @@ def test_base_tables_are_built_once_per_key_per_solve(monkeypatch):
         return out.status, out.solution, stats
 
     monkeypatch.setattr(dp, "block_base_table", counting)
-    cases = reuses = cap_only = 0
+    cases = reuses = cap_only = loose_cap = 0
     for inst, mode, support in base_memo_cases():
         with pytest.MonkeyPatch.context() as patch:
             if support is not None:
@@ -794,9 +817,10 @@ def test_base_tables_are_built_once_per_key_per_solve(monkeypatch):
         assert outputs(shared) == outputs(again) == outputs(alone)
         work, levels = trace.reduced.instance, trace.plan.levels
         costs = dp._block_costs(work, mode)
-        keys = [(work.blocks[k], trace.plan.placed_at(level)[k], costs[k],
-                 trace.plan.windows[level - 1][3])
-                for level in range(1, levels + 1) for k in range(work.n)]
+        windows = [(work.blocks[k], trace.plan.placed_at(level)[k], costs[k],
+                    trace.plan.windows[level - 1][3])
+                   for level in range(1, levels + 1) for k in range(work.n)]
+        keys = [key[:3] + (effective_cap(*key[:2], key[3]),) for key in windows]
         assert first == list(dict.fromkeys(keys))
         per_level_builds = sum(
             len(set(keys[i:i + work.n])) for i in range(0, len(keys), work.n))
@@ -804,9 +828,85 @@ def test_base_tables_are_built_once_per_key_per_solve(monkeypatch):
         cases += levels >= 2
         reuses += len(first) < per_level_builds
         cap_only += len(first) > len({key[:3] for key in keys})
-    # Many solves reuse a table of a lower level, and some place the same
-    # units under another cap, which must not share.
-    assert reuses >= cases // 3 and cap_only >= 10, (cases, reuses, cap_only)
+        loose_cap += len(first) < len(set(windows))
+    # Many solves reuse a table of a lower level; some place the same
+    # units under another binding cap, which must not share, and some
+    # under window caps that differ only above the brick's reach, which
+    # share.
+    assert reuses >= cases // 3 and cap_only >= 10 and loose_cap >= 1, (
+        cases, reuses, cap_only, loose_cap)
+
+
+def test_a_shared_memo_gives_the_outputs_of_fresh_solves(monkeypatch):
+    """One memo over a run of related solves changes no output: status,
+    ``x``, objective and stats are those of fresh solves.  The runs are
+    ``base_memo_cases()``, each optimize case also solved for feasibility
+    first, so its matrices meet zero-valued tables of the same key but
+    for the cost slice; and every cover order of 24 seeded imbalance
+    graphs, the design graph's shape among them.  Both runs build fewer
+    tables than their fresh solves."""
+    built = []
+    real_build = dp.block_base_table
+
+    def counting(*args, **kwargs):
+        built.append(args[:2])
+        return real_build(*args, **kwargs)
+
+    def outputs(out):
+        stats = {k: v for k, v in out.stats.items() if k != "wall_time_s"}
+        return out.status, out.solution, stats
+
+    def compare(solves):
+        memo = {}
+        fresh_builds = shared_builds = 0
+        for inst, mode, support in solves:
+            with pytest.MonkeyPatch.context() as patch:
+                if support is not None:
+                    patch.setattr(driver, "build_plan", functools.partial(
+                        plan.build_plan, support=support))
+                del built[:]
+                fresh = solve(inst, mode)
+                fresh_builds += len(built)
+                del built[:]
+                shared = solve(inst, mode, base_memo=memo)
+                shared_builds += len(built)
+            assert outputs(shared) == outputs(fresh)
+        assert shared_builds == len(memo) < fresh_builds
+
+    monkeypatch.setattr(dp, "block_base_table", counting)
+    compare([(inst, each, support) for inst, mode, support in base_memo_cases()
+             for each in dict.fromkeys(["feasibility", mode])])
+    rng = random.Random(2031)
+    graphs = [design_graph(random.Random(seed)) for seed in range(4)]
+    while len(graphs) < 24:
+        n, edges = helpers.random_small_graph(rng)
+        if edges:
+            graphs.append(Graph.build(range(n), edges))
+    compare([(build_ordering_ilp(graph, order)[0], "optimize", None)
+             for graph in graphs
+             for order in itertools.permutations(vertex_cover(graph))])
+
+
+def test_imbalance_builds_each_design_graph_table_once(monkeypatch):
+    """``solve_imbalance`` on the imbalance-opt workload's first graph
+    solves 12 cover orders of 10 bricks each and builds 12 base tables,
+    one per distinct key over all 120 bricks."""
+    bricks, built = [], []
+    real_build, real_level = dp.block_base_table, driver.base_tables_for_level
+
+    def counting(*args, **kwargs):
+        built.append(args[:2])
+        return real_build(*args, **kwargs)
+
+    def level(*args, **kwargs):
+        bricks.extend(real_level(*args, **kwargs))
+        return bricks[-args[0].n:]
+
+    monkeypatch.setattr(dp, "block_base_table", counting)
+    monkeypatch.setattr(driver, "base_tables_for_level", level)
+    item = workloads.build("imbalance-opt", 1)[0]
+    assert item.check(item.run()) is None
+    assert (len(bricks), len(built)) == (120, 12)
 
 
 @st.composite

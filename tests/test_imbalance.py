@@ -169,9 +169,9 @@ def test_slot_program_is_nonnegative_and_built_once_per_cover_order(monkeypatch)
         built.append(self)
         real_init(self)
 
-    def counting_best(graph, order):
+    def counting_best(graph, order, **kwargs):
         orders.append(order)
-        return real_best(graph, order)
+        return real_best(graph, order, **kwargs)
 
     monkeypatch.setattr(NFoldInstance, "__post_init__", counting_init)
     monkeypatch.setattr(nfold.imbalance, "_best_for_cover_order", counting_best)

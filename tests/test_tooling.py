@@ -3,6 +3,7 @@ must not stop a run, and ``tools/code_lines.py`` counts what it says."""
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 import textwrap
@@ -74,3 +75,41 @@ def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path):
     assert done.returncode == 0
     assert done.stdout.split("\n") == [
         "     7  one.py", "     3  two.py", "    10  total", ""]
+
+
+
+def test_ladder_builds_the_imbalance_front_end_rows():
+    """The ``("imbalance", graph)`` spec builds the graph that a whole
+    ``solve_imbalance`` runs on, the design row the first graph of the
+    ``imbalance-opt`` workload, and its counted run reports the base
+    tables built: 12 for the design graph's 12 cover orders."""
+    root = PYPROJECT.parent
+    sys.path[:0] = [str(root / "tools"), str(root)]
+    try:
+        import bench_packed_step as ladder
+        from perfbench.workloads import build
+    finally:
+        del sys.path[:2]
+    from nfold.imbalance import Graph, solve_imbalance, vertex_cover
+
+    rows = {name: spec for name, (mode, spec) in ladder.ROWS.items()
+            if spec[0] == "imbalance"}
+    assert set(rows) == {"imbalance-design-seed1", "imbalance-k4-v16-seed1",
+                         "imbalance-k5-v14-seed2"}
+    shapes = []
+    for name, spec in sorted(rows.items()):
+        graph = ladder.build(spec)
+        assert isinstance(graph, Graph) and ladder.ROWS[name][0] == "optimize"
+        shapes.append((len(vertex_cover(graph)), len(graph.vertices)))
+    assert shapes == [(4, 16), (4, 16), (5, 14)]
+    design = ladder.build(rows["imbalance-design-seed1"])
+    assert solve_imbalance(design) == build("imbalance-opt", 1)[0].run()
+    done = subprocess.run(
+        [sys.executable, str(root / "tools" / "bench_packed_step.py"), "--child",
+         "imbalance-design-seed1", "--tree", str(root), "--count"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    record = json.loads(done.stdout.splitlines()[-1])
+    assert (record["status"], record["objective"], record["base_tables"]) == (
+        "optimal", 16, 12)

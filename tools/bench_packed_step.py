@@ -7,7 +7,8 @@ Three ladders, chosen by ``--ladder``:
   tables;
 - ``shared-bricks`` (``BENCH_shared_bricks.json``): solves of programs
   whose bricks repeat, where ``dp.base_tables_for_level`` builds one base
-  table per distinct brick of a level;
+  table per distinct key, and whole ``solve_imbalance`` runs, whose cover
+  orders share one base-table memo;
 - ``fold-overhead`` (``BENCH_fold_overhead.json``): feasibility solves of
   the two planted families of the benchmark's ``core-wide`` and
   ``core-deep`` workloads, at more bricks and at more levels, where each
@@ -24,6 +25,10 @@ Rows:
   rng.randint(1, k))`` and the cover carries the path ``i - i+1``; the
   row solves the slot program of the first cover order
   ``solve_imbalance`` would try;
+- *imbalance front end*, spec ``("imbalance", graph)``: one whole
+  ``solve_imbalance`` on ``graph``, either ``("cover", k, vertices,
+  seed)``, the random cover graph above, or ``("design", seed)``, the
+  first graph of the benchmark's ``imbalance-opt`` workload at that seed;
 - *uniform planted core* (seed 1): a pool of ``m`` bricks, each ``t``
   columns of ``r`` entries ``rng.randint(0, e)``, then one cost
   ``rng.randint(0, 3)`` per column of each pool brick; the ``n`` bricks
@@ -46,8 +51,10 @@ its solve at least three times and until the repeats took a second,
 while the next repeat likely ends within half the cap, and keeps the
 fastest.  A process that hits the cap records ``"limit"``; the row is
 never dropped or shrunk.  Each record holds the status, the objective
-(None in feasibility mode) and a digest of the witness ``x``; a counted
-run adds the solve's levels, its ``dp_cells``, the base tables built,
+(None in feasibility mode) and a digest of the witness ``x``; a
+front-end row records ``"optimal"``, the imbalance and a digest of the
+``(ordering, cover)``.  A counted run adds the base tables built, and for
+an engine row the solve's levels and its ``dp_cells``,
 the packed steps per path, the pairs each path tested (one per guard
 test on the pair path, and on the grouped walk every pair in the prefix
 groups that its axis-0 bisect reaches), the steps of its folds, and the
@@ -86,7 +93,8 @@ MIN_TIMED_S = 1.0
 
 # ladder -> (output file, {name -> (mode, spec)}), a spec being
 # ("core", n, r, t, e, b), ("cover", k, vertices, seed),
-# ("uniform", n, m, r, t, e, b), ("wide", n, b) or ("deep", b)
+# ("uniform", n, m, r, t, e, b), ("wide", n, b), ("deep", b) or
+# ("imbalance", ("cover", k, vertices, seed) or ("design", seed))
 LADDERS = {
     "packed-step": ("BENCH_packed_step.json", {
         "core-n10-r2-t3-b1000": ("optimize", ("core", 10, 2, 3, 2, 1000)),
@@ -106,6 +114,9 @@ LADDERS = {
         "uniform-n48-m4-r2-t3-b1000": ("feasibility", ("uniform", 48, 4, 2, 3, 2, 1000)),
         "uniform-n24-m4-r2-t3-b1000": ("optimize", ("uniform", 24, 4, 2, 3, 2, 1000)),
         "uniform-n12-m4-r3-t3-b200": ("feasibility", ("uniform", 12, 4, 3, 3, 2, 200)),
+        "imbalance-design-seed1": ("optimize", ("imbalance", ("design", 1))),
+        "imbalance-k4-v16-seed1": ("optimize", ("imbalance", ("cover", 4, 16, 1))),
+        "imbalance-k5-v14-seed2": ("optimize", ("imbalance", ("cover", 5, 14, 2))),
     }),
     "fold-overhead": ("BENCH_fold_overhead.json", {
         "wide-n24-b100": ("feasibility", ("wide", 24, 100)),
@@ -119,9 +130,29 @@ LADDERS = {
 ROWS = {name: row for _, rows in LADDERS.values() for name, row in rows.items()}
 
 
+def cover_graph(k: int, vertices: int, seed: int):
+    """The random cover graph: cover ``0..k-1`` carrying a path, every
+    other vertex joined to a random nonempty subset of the cover."""
+    from nfold.imbalance import Graph
+
+    rng = random.Random(seed)
+    cover = list(range(k))
+    edges = [(i, i + 1) for i in range(k - 1)]
+    for v in range(k, vertices):
+        edges += [(u, v) for u in rng.sample(cover, rng.randint(1, k))]
+    return Graph.build(range(vertices), edges)
+
+
 def build(spec):
-    """The ``NFoldInstance`` of one row."""
+    """The ``NFoldInstance`` of one row, or the ``Graph`` of a front-end row."""
     from nfold.core import NFoldInstance
+
+    if spec[0] == "imbalance":
+        if spec[1][0] == "design":
+            from perfbench.workloads import _design_graph
+
+            return _design_graph(random.Random(f"imbalance-opt/{spec[1][1]}"))
+        return cover_graph(*spec[1][1:])
 
     if spec[0] in ("wide", "deep"):
         from perfbench.workloads import DEEP_BRICKS, SQUARE_SYMMETRIES, planted_instance
@@ -159,15 +190,10 @@ def build(spec):
                              b_up=inst.b_up, b_low=inst.b_low, c=c)
     from itertools import permutations
 
-    from nfold.imbalance import Graph, build_ordering_ilp, vertex_cover
+    from nfold.imbalance import build_ordering_ilp, vertex_cover
 
     _, k, vertices, seed = spec
-    rng = random.Random(seed)
-    cover = list(range(k))
-    edges = [(i, i + 1) for i in range(k - 1)]
-    for v in range(k, vertices):
-        edges += [(u, v) for u in rng.sample(cover, rng.randint(1, k))]
-    graph = Graph.build(range(vertices), edges)
+    graph = cover_graph(k, vertices, seed)
     found = vertex_cover(graph, k_max=k)
     order = next(o for o in permutations(found) if o <= tuple(reversed(o)))
     return build_ordering_ilp(graph, order)[0]
@@ -264,14 +290,22 @@ def child(name: str, count: bool) -> dict:
     from nfold import dp, driver
 
     mode, spec = ROWS[name]
-    inst = build(spec)
+    problem = build(spec)
+    if spec[0] == "imbalance":
+        from nfold.imbalance import solve_imbalance
+
+        def once():
+            return solve_imbalance(problem)
+    else:
+        def once():
+            return driver.solve(problem, mode=mode)
     counts = count_paths(dp, driver) if count else None
     best = None
     spent = 0.0
     runs = 0
     while True:
         start = time.perf_counter()
-        outcome = driver.solve(inst, mode=mode)
+        outcome = once()
         seconds = time.perf_counter() - start
         spent += seconds
         runs += 1
@@ -279,16 +313,23 @@ def child(name: str, count: bool) -> dict:
         if count or spent + seconds > CAP_S / 2 or (
                 runs >= REPEATS and spent >= MIN_TIMED_S):
             break
-    solution = outcome.solution
-    x = None if solution is None else solution.x
+    if spec[0] == "imbalance":
+        status, objective = "optimal", outcome.value
+        witness = (outcome.ordering, outcome.cover)
+    else:
+        solution = outcome.solution
+        status = outcome.status
+        objective = None if solution is None else solution.objective
+        witness = None if solution is None else solution.x
     record = {
-        "status": outcome.status,
-        "objective": None if solution is None else solution.objective,
-        "witness": hashlib.sha256(repr(x).encode()).hexdigest()[:16],
+        "status": status,
+        "objective": objective,
+        "witness": hashlib.sha256(repr(witness).encode()).hexdigest()[:16],
     }
     if count:
-        record["levels"] = outcome.stats["iterations"]
-        record["dp_cells"] = outcome.stats["dp_cells"]
+        if spec[0] != "imbalance":
+            record["levels"] = outcome.stats["iterations"]
+            record["dp_cells"] = outcome.stats["dp_cells"]
         record.update(counts)
     else:
         record["seconds"] = round(best, 4)
