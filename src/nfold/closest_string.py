@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .core import NFoldInstance, STATUS_FEASIBLE
+from .core import NFoldInstance, STATUS_FEASIBLE, least_feasible
 from .driver import solve as ilp_solve
 
 log = logging.getLogger(__name__)
@@ -162,36 +162,25 @@ def solve_closest(strings: list[str]) -> tuple[int, str]:
     -------
     (int, str)
         The optimal radius and a witness center.  Feasibility is monotone
-        in the radius, so binary search applies.  It searches only a
-        certified bracket: no center beats half the largest pairwise
-        distance (triangle inequality), and each input string is a center
-        of radius its largest distance to the others, a 2-approximation
-        (Li, Ma & Wang, J. ACM 2002).  The center returned always comes
-        from ``decide_distance``.
+        in the radius, so ``core.least_feasible`` bisects the radii for
+        the least feasible one.  It searches only a certified bracket: no
+        center beats half the largest pairwise distance (triangle
+        inequality), and each input string is a center of radius its
+        largest distance to the others, a 2-approximation (Li, Ma & Wang,
+        J. ACM 2002).  The center returned always comes from
+        ``decide_distance``.
     """
     if not strings:
         raise ValueError("need at least one string")
     length = len(strings[0])
     far = [max(hamming(s, t) for t in strings) for s in strings]
     lo, hi = (max(far) + 1) // 2, min(far)
-    bracket, decided = (lo, hi), 0
-    best: str | None = None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        center = decide_distance(strings, mid)
-        decided += 1
-        if center is not None:
-            best = center
-            hi = mid
-        else:
-            lo = mid + 1
-    if best is None or max(hamming(best, s) for s in strings) != lo:
-        best = decide_distance(strings, lo)
-        decided += 1
+    radius, best, decided = least_feasible(
+        lo, hi, lambda d: decide_distance(strings, d))
     if best is None:
         raise AssertionError("an input string's own radius must be feasible")
     log.debug("closest string bracket [%d, %d]: %d guesses decided",
-              *bracket, decided)
+              lo, hi, decided)
     log.info("closest string radius %d for %d strings of length %d",
-             lo, len(strings), length)
-    return lo, best
+             radius, len(strings), length)
+    return radius, best

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 
 STATUS_FEASIBLE = "feasible-with-solution"
@@ -390,3 +390,28 @@ class Stopwatch:
 
     def seconds(self) -> float:
         return time.perf_counter() - self.started
+
+
+def least_feasible(lo: int, hi: int,
+                   decide: Callable[[int], Any]) -> tuple[int, Any, int]:
+    """Bisect the integers ``[lo, hi]`` for the least guess ``decide``
+    accepts (returns a witness, not None), acceptance being monotone.
+
+    ``hi`` is taken as accepted and decided only when the search ends on
+    it.  Returns ``(least, witness, decided)``: the witness ``decide``
+    returned for ``least`` (None if it refused ``hi``) and the number of
+    guesses decided.
+    """
+    witness, at, decided = None, None, 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        found = decide(mid)
+        decided += 1
+        if found is None:
+            lo = mid + 1
+        else:
+            witness, at, hi = found, mid, mid
+    if at != lo:
+        witness = decide(lo)
+        decided += 1
+    return lo, witness, decided

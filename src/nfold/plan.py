@@ -251,11 +251,12 @@ def reach_windows(
     row_max: Sequence[Sequence[int]],
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """``(lo, hi, small_lo, small_hi)`` per level, bottom first: the exact
-    reach windows of the module doc, computed one axis at a time."""
+    reach windows of the module doc, computed one axis at a time from
+    each brick's row minima and maxima."""
+    row_min = [tuple(map(min, block)) for block in inst.blocks]
     axes = []
     for a, target in enumerate(inst.b_up):
-        rmin = [sum(s.placed[j] * min(block[a])
-                    for s, block in zip(schedules, inst.blocks))
+        rmin = [sum(s.placed[j] * low[a] for s, low in zip(schedules, row_min))
                 for j in range(levels)]
         rmax = [sum(s.placed[j] * top[a] for s, top in zip(schedules, row_max))
                 for j in range(levels)]

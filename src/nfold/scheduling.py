@@ -33,9 +33,10 @@ which is exact, and without a pivot every job count is below
 
 Filler units make up the gap between the park's targets and the job
 mass.  Each class keeps one ascending list of ``(real-job counts, filler
-units)`` configurations (``_class_configs``); ``_build_program`` makes its
-brick from it, and ``greedy_augment`` reads the solution vector straight
-into machines, placing slack bundles in one best-fit loop.
+units)`` configurations (``_class_configs``), none with more filler units
+than the park has; ``_build_program`` makes its brick from it, and
+``greedy_augment`` reads the solution vector straight into machines,
+placing slack bundles in one best-fit loop.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from itertools import product
 from operator import mul
 from typing import Optional, Sequence
 
-from .core import STATUS_FEASIBLE, NFoldInstance, _int_tuple
+from .core import STATUS_FEASIBLE, NFoldInstance, _int_tuple, least_feasible
 from .driver import solve as ilp_solve
 
 log = logging.getLogger(__name__)
@@ -262,9 +263,10 @@ def _class_configs(ctx: _GuessContext,
     sign = -1 if ctx.objective == OBJECTIVE_CMIN else 1
     if ctx.small[k]:
         # Filler units top a cmax machine up to the target; a cmin machine
-        # may exceed it by up to p_max of them.  Without fillers the real
-        # load is the target.
-        span = (inst.p_max if sign < 0 else target) if ctx.dummy_count else 0
+        # may exceed it by up to p_max of them.  No machine takes more
+        # units than the park has, so without fillers the real load is
+        # the target.
+        span = min(inst.p_max if sign < 0 else target, ctx.dummy_count)
         lo, hi = (target, target + span) if sign < 0 else (target - span, target)
         caps = tuple(min(count, hi // size)
                      for count, size in zip(ctx.adjusted_n, inst.p))
@@ -401,7 +403,10 @@ def decide_guess(inst: SchedulingInstance, guess: Fraction,
     A class whose load target exceeds ``p_max**4`` is big; with ``B`` big
     classes, a job size with at least ``p_max**2 * B`` jobs is a pivot.
     When ``B > 0`` and a pivot exists, the big classes go sparse and each
-    pivot is tried in turn; otherwise every class is dense.
+    pivot is tried in turn; otherwise every class is dense.  A guess whose
+    filler units the machines cannot absorb (under ``cmin`` at most
+    ``p_max`` per machine) is refused by the engine's plan, whose filler
+    window is then empty, before any base table is built.
 
     Parameters
     ----------
@@ -443,11 +448,6 @@ def decide_guess(inst: SchedulingInstance, guess: Fraction,
         small = (True,) * len(targets)
         withheld = 0
         pivots = [None]
-        if objective == OBJECTIVE_CMIN and \
-                dummy_count > inst.p_max * inst.num_machines:
-            # Each machine absorbs at most p_max filler units, so the
-            # program cannot possibly place this many.
-            return None
 
     for pivot in pivots:
         adjusted_n = list(inst.n)
@@ -510,8 +510,9 @@ def solve_cmax(inst: SchedulingInstance) -> Schedule:
     """Minimise the makespan; returns an optimal schedule.
 
     Feasibility of a makespan guess is monotone (any schedule for T also
-    witnesses every T' >= T), so binary search finds the least feasible
-    candidate.  It searches only a certified bracket: from the first
+    witnesses every T' >= T), so ``core.least_feasible`` bisects the
+    candidates for the least feasible one and returns the schedule
+    decided there.  It searches only a certified bracket: from the first
     candidate at or above ``max(mass / total speed, p_max / s_max)``,
     which no schedule beats, up to the makespan of ``lpt_schedule``,
     which is feasible and at most twice the optimum.  The greedy schedule
@@ -524,26 +525,14 @@ def solve_cmax(inst: SchedulingInstance) -> Schedule:
     greedy = lpt_schedule(inst)
     verify_schedule(inst, greedy, OBJECTIVE_CMAX)
     top = max(mach.load * (denom // mach.speed) for mach in greedy.machines)
-    lo, hi = bisect_left(candidates, floor), bisect_left(candidates, top)
-    bracket, decided = (candidates[lo], top), 0
-    best: Optional[Schedule] = None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        sched = decide_guess(inst, Fraction(candidates[mid], denom), OBJECTIVE_CMAX)
-        decided += 1
-        if sched is not None:
-            best = sched
-            hi = mid
-        else:
-            lo = mid + 1
-    least = Fraction(candidates[lo], denom)
-    if best is None or best.objective != least:
-        best = decide_guess(inst, least, OBJECTIVE_CMAX)
-        decided += 1
+    lo = bisect_left(candidates, floor)
+    _, best, decided = least_feasible(
+        lo, bisect_left(candidates, top), lambda i: decide_guess(
+            inst, Fraction(candidates[i], denom), OBJECTIVE_CMAX))
     if best is None:
         raise ScheduleError("no feasible makespan among candidate values")
     log.debug("cmax bracket [%s, %s]: %d guesses decided",
-              *(Fraction(num, denom) for num in bracket), decided)
+              Fraction(candidates[lo], denom), Fraction(top, denom), decided)
     log.info("cmax optimum %s over %d candidates", best.objective,
              len(candidates))
     return best

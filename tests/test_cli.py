@@ -241,6 +241,41 @@ def test_closest_string_requires_strings_key(tmp_path, capsys):
     assert "strings" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("schedule", None, "cannot read {path}: "),
+    ("closest-string", "{not json", "{path} is not valid JSON: "),
+    ("schedule", "[1, 2]", "scheduling input must be a JSON object"),
+    ("schedule", '{"p": [1], "n": [1], "s": [1, 2], "m": [1]}',
+     "bad scheduling input: speeds and machine counts must align"),
+    ("imbalance", "[]", "imbalance input must be a JSON object"),
+    ("closest-string", '{"strings": []}',
+     '"strings" must be a nonempty list of strings'),
+    ("closest-string", '{"strings": "ab"}',
+     '"strings" must be a nonempty list of strings'),
+    ("closest-string", '{"strings": ["ab", 1]}',
+     '"strings" must be a nonempty list of strings'),
+    ("closest-string", '{"strings": ["ab", "abc"]}',
+     "strings must share one length"),
+    # seven disjoint edges need a cover of seven vertices
+    ("imbalance",
+     json.dumps({"n": 14, "edges": [[i, i + 1] for i in range(0, 14, 2)]}),
+     "graph has no vertex cover of size <= 6"),
+], ids=["unreadable", "invalid-json", "schedule-list", "schedule-park",
+        "imbalance-list", "strings-empty", "strings-text", "strings-entry",
+        "strings-lengths", "cover-limit"])
+def test_front_end_input_faults_are_usage_errors(tmp_path, capsys, command,
+                                                 text, message):
+    """Each front-end input fault exits with code 1 and its own message."""
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    assert main([command, "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "nfold: error: " + message.format(path=path))
+
+
 def test_imbalance_with_vertex_count(tmp_path, capsys):
     path = write_json(tmp_path, "graph.json",
                       {"n": 3, "edges": [[0, 1], [1, 2]]})

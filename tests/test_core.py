@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from nfold.cli import main
 from nfold.core import (
     InstanceFormatError,
     NFoldInstance,
@@ -15,6 +16,7 @@ from nfold.core import (
     SolveOutcome,
     instance_from_json,
     instance_to_json,
+    least_feasible,
     objective_value,
     read_instance,
     result_from_json,
@@ -186,6 +188,32 @@ def test_instance_from_json_validates_dimensions():
         instance_from_json(doc)
 
 
+@pytest.mark.parametrize("patch, message", [
+    ({"n": 0}, "dimension mismatch: need at least one brick (n >= 1)"),
+    ({"r": 0}, "dimension mismatch: need at least one shared row (r >= 1)"),
+    ({"n": 2, "t": [2, 2]}, "dimension mismatch: 1 matrices but n=2"),
+    ({"t": [0]}, "dimension mismatch: brick 0 has width 0 < 1"),
+    ([1, 2], "instance document: expected a JSON object"),
+    ({"n": "1"}, "instance field 'n': expected integer, got str"),
+    ({"blocks": [5]}, "instance field 'blocks[0]': expected matrix"),
+    ({"t": 2}, "instance field 't': expected list, got int"),
+    ({"blocks": [[5]]}, "instance field 'blocks[0][0]': expected list"),
+], ids=["n", "r", "matrices", "width", "document", "n-type", "block", "t-type",
+        "block-row"])
+def test_rejected_instance_documents_name_the_fault(tmp_path, capsys, patch,
+                                                     message):
+    """``validate`` and ``instance_from_json`` reject each document with its
+    own message, and ``nfold solve`` reports it with exit code 1."""
+    doc = {**instance_to_json(tiny()), **patch} if isinstance(patch, dict) else patch
+    with pytest.raises(InstanceFormatError) as err:
+        instance_from_json(doc)
+    assert str(err.value) == message
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["solve", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == f"nfold: error: {message}\n"
+
+
 def test_read_instance_round_trip(tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(instance_to_json(tiny())), encoding="utf-8")
@@ -219,3 +247,45 @@ def test_result_round_trip(tmp_path):
 def test_result_from_json_needs_status():
     with pytest.raises(InstanceFormatError, match="status"):
         result_from_json({"x": [1]})
+
+
+def decide_from(threshold, calls):
+    """A monotone predicate: accepts every guess at or above ``threshold``
+    with the witness ``("w", guess)``, logging each guess it decides."""
+    def decide(guess):
+        calls.append(guess)
+        return ("w", guess) if guess >= threshold else None
+    return decide
+
+
+def test_least_feasible_finds_the_least_accepted_guess():
+    """Over every bracket in 0..12 and every threshold up to one past its
+    top, the result is the threshold (or the top, refused) with the
+    witness decided there, and ``decided`` counts the calls."""
+    for lo in range(13):
+        for hi in range(lo, 13):
+            for threshold in range(lo, hi + 2):
+                calls = []
+                least, witness, decided = least_feasible(
+                    lo, hi, decide_from(threshold, calls))
+                assert least == min(threshold, hi)
+                assert witness == (("w", least) if threshold <= hi else None)
+                assert decided == len(calls) and least in calls
+
+
+def test_least_feasible_decides_a_collapsed_bracket_once():
+    calls = []
+    assert least_feasible(5, 5, decide_from(9, calls)) == (5, None, 1)
+    assert calls == [5]
+
+
+def test_least_feasible_decided_count_by_hand():
+    """[0, 10], threshold 3: guesses 5 (yes), 2 (no), 4 (yes), 3 (yes),
+    and 3 is not decided again.  [0, 4], nothing accepted: guesses 2 and
+    3 (no), then the top 4 once."""
+    calls = []
+    assert least_feasible(0, 10, decide_from(3, calls)) == (3, ("w", 3), 4)
+    assert calls == [5, 2, 4, 3]
+    calls = []
+    assert least_feasible(0, 4, decide_from(9, calls)) == (4, None, 3)
+    assert calls == [2, 3, 4]

@@ -52,6 +52,16 @@ def test_box_radius_values():
     assert box_radius(3, 12, 2) == 72
 
 
+@pytest.mark.parametrize("r, delta, mode, message", [
+    (0, 1, "feasibility", "support_bound needs r >= 1, got 0"),
+    (1, -1, "optimize", "support_bound needs delta >= 0, got -1"),
+    (1, 1, "fastest", "unknown mode: 'fastest'"),
+])
+def test_support_bound_rejects_bad_arguments(r, delta, mode, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        support_bound(r, delta, mode)
+
+
 def test_iteration_count_frozen_values():
     assert iteration_count(100, 12) == 4
     assert iteration_count(88, 12) == 4  # exact power-of-two quotient tie

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import nfold.dp as dp
 import nfold.scheduling as scheduling
 from nfold.scheduling import (
     OBJECTIVE_CMAX,
@@ -86,6 +87,23 @@ def test_build_rejects_unpaired_counts():
         SchedulingInstance.build(p=(5, 7), n=(1,), s=(1,), m=(1,))
     with pytest.raises(ValueError, match="must align"):
         SchedulingInstance.build(p=(5,), n=(1,), s=(1, 3), m=(1,))
+
+
+def verify_on_wrong_park():
+    inst = SchedulingInstance.build(p=[2], n=[1], s=[1], m=[1])
+    sched = Schedule(machines=(MachineAssignment(speed=2, jobs=(2,)),),
+                     objective=Fraction(1))
+    verify_schedule(inst, sched, OBJECTIVE_CMAX)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SchedulingInstance(p=(1,), n=(1,), s=(1, 2), m=(1,)),
+     "speeds and machine counts must align"),
+    (verify_on_wrong_park, "schedule does not use the instance's machine park"),
+], ids=["park", "verify"])
+def test_scheduling_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_completion_is_exact_fraction():
@@ -166,6 +184,48 @@ def test_decide_guess_validates_arguments():
         decide_guess(inst, Fraction(1), "makespan")
     with pytest.raises(ValueError, match="nonnegative"):
         decide_guess(inst, Fraction(-1), OBJECTIVE_CMAX)
+
+
+def test_configurations_take_at_most_the_park_filler_units(monkeypatch):
+    """Every configuration of every class, dense or sparse, places at most
+    the ``dummy_count`` filler units the park needs, at every guess both
+    searches decide on instances of both generators."""
+    build = scheduling._build_program
+    programs = []
+
+    def record(ctx):
+        programs.append(ctx)
+        for configs in ctx.configs:
+            assert max(units for _, units in configs) <= ctx.dummy_count
+        return build(ctx)
+
+    monkeypatch.setattr(scheduling, "_build_program", record)
+    rng = random.Random(31)
+    for generate in (random_scheduling_instance, random_fast_scheduling_instance):
+        for _ in range(60):
+            inst = SchedulingInstance.build(*generate(rng))
+            solve_cmax(inst)
+            solve_cmin(inst)
+    assert sum(ctx.pivot is None and ctx.dummy_count > 0 for ctx in programs) > 100
+
+
+def test_cmin_guess_with_fillers_no_machine_absorbs_builds_no_table(
+        monkeypatch):
+    """Cover guess 0 for ten size-1 jobs on two machines leaves 10 filler
+    units, and a cmin configuration takes at most ``p_max = 1``: the
+    plan's filler window is empty, so the guess is refused before any
+    base table is built."""
+    built = []
+    real = dp.block_base_table
+
+    def count(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dp, "block_base_table", count)
+    inst = SchedulingInstance(p=(1,), n=(10,), s=(1,), m=(2,))
+    assert decide_guess(inst, Fraction(0), OBJECTIVE_CMIN) is None
+    assert built == []
 
 
 def augment_calls(monkeypatch, inst, guess, objective):

@@ -78,18 +78,57 @@ def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path):
 
 
 
+def import_ladder():
+    """``tools/bench_packed_step.py`` as a module."""
+    root = PYPROJECT.parent
+    sys.path[:0] = [str(root / "tools"), str(root)]
+    try:
+        import bench_packed_step
+    finally:
+        del sys.path[:2]
+    return bench_packed_step
+
+
+def test_ladder_alternates_which_tree_runs_first(tmp_path, monkeypatch):
+    """The first row runs the parent before this tree, the second this
+    tree first, for the timed pair and then for the counted pair; each
+    record lands under its own key."""
+    ladder = import_ladder()
+    calls = []
+
+    def record(tree, name, count):
+        calls.append((name, tree, count))
+        return {"status": "feasible", "objective": None, "witness": None,
+                "tree": str(tree), "count": count}
+
+    monkeypatch.setattr(ladder, "run", record)
+    rows = list(ladder.LADDERS["packed-step"][1])[:2]
+    parent, out = tmp_path / "parent", tmp_path / "out.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_packed_step.py", "--parent", str(parent), "--rows", *rows,
+        "--out", str(out)])
+    assert ladder.main() == 0
+    root = ladder.ROOT
+    assert calls == [
+        (rows[0], parent, False), (rows[0], root, False),
+        (rows[0], parent, True), (rows[0], root, True),
+        (rows[1], root, False), (rows[1], parent, False),
+        (rows[1], root, True), (rows[1], parent, True)]
+    for row in json.loads(out.read_text())["rows"].values():
+        assert [(row[key]["tree"], row[key]["count"]) for key in (
+            "parent", "change", "parent_counted", "counted")] == [
+            (str(parent), False), (str(root), False),
+            (str(parent), True), (str(root), True)]
+
+
 def test_ladder_builds_the_imbalance_front_end_rows():
     """The ``("imbalance", graph)`` spec builds the graph that a whole
     ``solve_imbalance`` runs on, the design row the first graph of the
     ``imbalance-opt`` workload, and its counted run reports the base
     tables built: 12 for the design graph's 12 cover orders."""
     root = PYPROJECT.parent
-    sys.path[:0] = [str(root / "tools"), str(root)]
-    try:
-        import bench_packed_step as ladder
-        from perfbench.workloads import build
-    finally:
-        del sys.path[:2]
+    ladder = import_ladder()
+    from perfbench.workloads import build
     from nfold.imbalance import Graph, solve_imbalance, vertex_cover
 
     rows = {name: spec for name, (mode, spec) in ladder.ROWS.items()

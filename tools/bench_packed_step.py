@@ -46,22 +46,24 @@ Every row runs in fresh processes, each under a 60 s cap: one timed
 solve on the parent tree (``--parent``, a checkout of the commit to
 compare with), one on this tree, and one counted solve on each tree
 (``parent_counted``, ``counted``) that wraps the packed paths,
-``dp.block_base_table`` and the solver's folds.  A timed run repeats
-its solve at least three times and until the repeats took a second,
-while the next repeat likely ends within half the cap, and keeps the
-fastest.  A process that hits the cap records ``"limit"``; the row is
-never dropped or shrunk.  Each record holds the status, the objective
-(None in feasibility mode) and a digest of the witness ``x``; a
-front-end row records ``"optimal"``, the imbalance and a digest of the
-``(ordering, cover)``.  A counted run adds the base tables built, and for
-an engine row the solve's levels and its ``dp_cells``,
-the packed steps per path, the pairs each path tested (one per guard
-test on the pair path, and on the grouped walk every pair in the prefix
-groups that its axis-0 bisect reaches), the steps of its folds, and the
-forced ones among them: steps taken while every table left in the fold
-has one ``(size, reach)``.  ``same_answer`` says that every record of
-the row that ended has one status, objective and witness, and every
-counted one the same ``dp_cells``.
+``dp.block_base_table`` and the solver's folds.  The timed pair runs
+before the counted pair, the parent first in even rows and this tree
+first in odd ones, so a slow stretch of the host does not land on one
+side only.  A timed run repeats its solve at least three times and
+until the repeats took a second, while the next repeat likely ends
+within half the cap, and keeps the fastest.  A process that hits the
+cap records ``"limit"``; the row is never dropped or shrunk.  Each
+record holds the status, the objective (None in feasibility mode) and a
+digest of the witness ``x``; a front-end row records ``"optimal"``, the
+imbalance and a digest of the ``(ordering, cover)``.  A counted run adds
+the base tables built, and for an engine row the solve's levels and its
+``dp_cells``, the packed steps per path, the pairs each path tested (one
+per guard test on the pair path, and on the grouped walk every pair in
+the prefix groups that its axis-0 bisect reaches), the steps of its
+folds, and the forced ones among them: steps taken while every table
+left in the fold has one ``(size, reach)``.  ``same_answer`` says that
+every record of the row that ended has one status, objective and
+witness, and every counted one the same ``dp_cells``.
 
 Usage::
 
@@ -375,11 +377,15 @@ def main() -> int:
         parser.error(f"--rows must be rows of the {args.ladder} ladder")
 
     rows = {}
-    for name in args.rows:
+    trees = (args.parent, ROOT)
+    for i, name in enumerate(args.rows):
         mode, spec = ladder[name]
-        row = {"instance": spec, "mode": mode, "parent": run(args.parent, name, False),
-               "change": run(ROOT, name, False), "counted": run(ROOT, name, True),
-               "parent_counted": run(args.parent, name, True)}
+        first = i % 2
+        got = {(side, count): run(trees[side], name, count)
+               for count in (False, True) for side in (first, 1 - first)}
+        row = {"instance": spec, "mode": mode, "parent": got[0, False],
+               "change": got[1, False], "counted": got[1, True],
+               "parent_counted": got[0, True]}
         ended = [row[k] for k in ("parent", "change", "counted", "parent_counted")
                  if row[k] != "limit"]
         row["same_answer"] = (
