@@ -34,14 +34,19 @@ step (``_fold_packed``) tests every pair of a sparse right table, a
 brick with few points per prefix group, with one guard-bit expression
 (``_pair_sum``), and walks a prefix-grouped index of a dense one
 (``_index_sum``).  These two steps are the one sum kernel, and
-``convolve``, one fold step, runs the one that fits its partial.
+``convolve``, one fold step, runs the one that fits its partial.  A
+fold's result is a ``FrameTable``, coded only: no point becomes a tuple
+on the way from one level to the next.
 
 ``fold_tables`` sums the brick tables one at a time in one fold-wide
 frame, from the origin or, for a solver level above the first, from
 ``2*prev``, the level below scaled by 2, keeping only points that can
 still land inside the target window given the summed reach of the
 bricks not yet folded; that window depends on which bricks remain, not
-on the order.  The order is greedy, as in bucket elimination: each step
+on the order.  The start from ``2*prev`` reads ``prev``'s codes: a clip
+in its frame (``_clip``), then, bitset to bitset, a few whole-frame
+shifts, masks and one bit spread (``_double_into``), else the codes
+recoded digit by digit.  The order is greedy, as in bucket elimination: each step
 takes the brick with the smallest bound on its output plus its probe
 work, computed from table sizes and reaches alone, ties going to the
 lowest brick position; once every brick left has one table size and
@@ -72,9 +77,10 @@ import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import add, gt, itemgetter, le, lshift, mul, sub
+from operator import add, gt, itemgetter, lshift, mul, sub
 from typing import Sequence
 
+from .bits import bitset, box_mask, or_slabs, restride, set_bits, spread
 from .core import MODE_OPTIMIZE, InternalError, NFoldInstance
 from .plan import IterationPlan
 
@@ -96,151 +102,44 @@ class BlockWitness:
 
 
 class PointTable:
-    """Reachable point set with witnesses and per-cell values.
+    """A brick's base table: its reachable points, values and witnesses.
 
-    ``cells`` maps an r-tuple point to ``(value, payload)``, listed in
-    ascending point order (``decode`` relies on it).  Two payload kinds
-    are left:
-
-    - a base table, over ``columns`` columns of brick ``block``: the
-      ``(prefix, column, take)`` witness chain of ``block_base_table``,
-      or None for no copies;
-    - a frame table: none, each cell is ``(value,)``.  Only the result of
-      a fold lists its points in ``cells``.
-
-    A frame table has ``strides`` and codes each point in its frame: one
-    ``int``, digit ``j`` of ``point - low`` in ``[0, radix_j)`` times
-    ``strides[j]``.  A zero-valued table keeps the codes as the set bits
-    of ``bits`` (every value 0); a valued one keeps ``codes``, a dict
-    from code to value.  Its ``parents`` say where its points come from:
-
-    - none: the origin of a fold, the one point 0 valued 0;
-    - one, at ``scale`` 2: the start of a fold from ``2*prev``, each
-      point ``2*p`` for a point ``p`` of the parent, valued
-      ``2*value(p)``;
-    - two: a sum ``left + right`` made by one step.  It stores no pairs:
-      ``added`` lists the ``(code, q)`` of the points ``q`` of ``right``
-      that the step added, ascending, and ``decode`` recovers each pair
-      on demand.
-
+    ``cells`` maps an r-tuple point to ``(value, node)``, listed in
+    ascending point order (``decode`` relies on it), ``node`` being the
+    ``(prefix, column, take)`` witness chain of ``block_base_table`` over
+    ``columns`` columns of brick ``block``, or None for no copies.  A
+    fold's result is a ``FrameTable``, which codes its points instead.
     Tables and their parents form one witness graph, from the bricks up
     to a solve's top level, and ``decode`` expands a point of it into
     count vectors.
     """
 
-    __slots__ = (
-        "r", "cells", "block", "columns", "parents", "scale", "bits", "codes",
-        "strides", "radix", "low", "added", "_reach",
-    )
+    __slots__ = ("r", "cells", "block", "columns", "_reach")
 
-    def __init__(
-        self,
-        r: int,
-        *,
-        block: int | None = None,
-        columns: int = 0,
-        parents: tuple["PointTable", ...] | None = None,
-    ) -> None:
+    def __init__(self, r: int, *, block: int | None = None, columns: int = 0) -> None:
         self.r = r
         self.block = block
         self.columns = columns
-        self.parents = parents
-        self.scale = 1
         self.cells: dict[tuple[int, ...], tuple] = {}
-        self.bits: int | None = None
-        self.codes: dict[int, int] | None = None
-        self.strides: tuple[int, ...] = ()
-        self.radix: tuple[int, ...] = ()
-        self.low: tuple[int, ...] = ()
-        self.added: list[tuple[int, tuple[int, ...]]] = []
         self._reach: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     def __len__(self) -> int:
-        if self.bits is not None:
-            return self.bits.bit_count()
-        return len(self.cells if self.codes is None else self.codes)
-
-    def _codes(self) -> list[int]:
-        """A frame table's codes, ascending."""
-        return _set_bits(self.bits) if self.codes is None else sorted(self.codes)
+        return len(self.cells)
 
     def points(self) -> list[tuple[int, ...]]:
         """Points in sorted (deterministic) order."""
-        if not self.strides:
-            return sorted(self.cells)
-        return list(zip(*self._axes(self._codes())))
-
-    def _axes(self, codes: list[int]) -> list[list[int]]:
-        """Per axis, the coordinates of the points of ``codes`` in this
-        table's frame, in their order.
-
-        Digit ``j`` is ``code // strides[j] % radix[j]``: the fields below
-        it sum to less than its stride, and a packed field's guard bit,
-        always 0 in a stored code, is a multiple of its radix.
-        """
-        return [
-            [code // stride % radix + low for code in codes]
-            for stride, radix, low in zip(self.strides, self.radix, self.low)
-        ]
-
-    def _value_at(self, code: int) -> int | None:
-        """A frame table's value at ``code``; None when no point has it."""
-        if self.codes is not None:
-            return self.codes.get(code)
-        return 0 if code >= 0 and self.bits >> code & 1 else None
-
-    def _code(self, pt: tuple[int, ...]) -> int:
-        """``pt``'s code in this table's frame; -1 when a digit is outside."""
-        code = 0
-        for x, low, radix, stride in zip(pt, self.low, self.radix, self.strides):
-            if not 0 <= x - low < radix:
-                return -1
-            code += (x - low) * stride
-        return code
+        return sorted(self.cells)
 
     def __contains__(self, pt: tuple[int, ...]) -> bool:
-        if not self.strides:
-            return pt in self.cells
-        return self._value_at(self._code(pt)) is not None
-
-    def _pair(self, point: tuple[int, ...], code: int, target: int) -> tuple:
-        """A sum table's ``(p, q, code(p), value(p))`` for ``point``, coded
-        ``code`` and valued ``target``: see ``decode``."""
-        left, right = self.parents
-        value_at, cells, added = left._value_at, right.cells, self.added
-        # A left code is never negative: skip every q coded above ``code``.
-        for q_code, q in reversed(added[:bisect_right(added, code, key=itemgetter(0))]):
-            value = value_at(code - q_code)
-            if value is None:
-                continue
-            cell = cells.get(q)
-            if cell is None:
-                raise InternalError(f"corrupt witness: {q} missing")
-            if value + cell[0] == target:
-                return tuple(map(sub, point, q)), q, code - q_code, value
-        raise InternalError(f"corrupt witness: no pair for {point}")
-
-    def _list_cells(self) -> None:
-        """Fill a frame table's ``cells``, its points, sorted, as
-        ``(value,)``, and its reach."""
-        codes = self._codes()
-        axes = self._axes(codes)
-        if self.codes is None:
-            self.cells = dict.fromkeys(zip(*axes), (0,))
-        else:
-            self.cells = dict(zip(zip(*axes), [(self.codes[c],) for c in codes]))
-        if codes:
-            self._reach = tuple(map(min, axes)), tuple(map(max, axes))
+        return pt in self.cells
 
     def value(self, pt: tuple[int, ...]) -> int:
-        if not self.strides:
-            return self.cells[pt][0]
-        return self._value_at(self._code(pt))
+        return self.cells[pt][0]
 
     def reach(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Per-axis (min, max) over the stored points; zeros when empty."""
         if self._reach is None:
-            self._reach = _reach_of(self.cells or self.points() or [(0,) * self.r])
+            self._reach = _reach_of(self.cells or [(0,) * self.r])
         return self._reach
 
     def decode(self, pt: tuple[int, ...]) -> list[BlockWitness]:
@@ -257,10 +156,10 @@ class PointTable:
         A sum table stores no pairs.  Its pair for ``point`` is the
         smallest ``p`` of the left parent with ``q = point - p`` in the
         right one and ``value(p) + value(q) == value(point)``: the first
-        maximiser in sorted ``(p, q)`` order.  The search (``_pair``)
-        takes the step's ``added`` points ``q`` coded at most
-        ``code(point)``, found by one bisect, in descending order, each
-        one code subtraction and one lookup.
+        maximiser in sorted ``(p, q)`` order.  The search
+        (``FrameTable._pair``) takes the step's ``added`` points ``q``
+        coded at most ``code(point)``, found by one bisect, and tries the
+        partner codes ``code(point) - code(q)``, smallest first.
         That lookup is exact: a point of the left table plus an added
         ``q`` never carries a digit in the frame, so
         ``code(point) - code(q) == code(p)`` only for ``p == point - q``.
@@ -269,7 +168,7 @@ class PointTable:
         stack: list[tuple[PointTable, tuple[int, ...], int]] = [(self, pt, 1)]
         while stack:
             table, point, weight = stack.pop()
-            if table.strides:
+            if isinstance(table, FrameTable):
                 code = table._code(point)
                 target = table._value_at(code)
                 if target is None:
@@ -295,6 +194,175 @@ class PointTable:
                 node, j, take = node
                 acc[j] += weight * take
         return [BlockWitness(block=k, counts=tuple(counts[k])) for k in sorted(counts)]
+
+
+class FrameTable(PointTable):
+    """A fold's point set, each point one ``int`` code in the fold's frame.
+
+    The code of a point is digit ``j`` of ``point - low``, in ``[0,
+    radix_j)``, times ``strides[j]``.  A zero-valued table keeps its codes
+    as the set bits of ``bits`` (every value 0); a valued one keeps
+    ``codes``, a dict from code to value.  Its ``parents`` say where its
+    points come from:
+
+    - none: the origin of a fold, the one point 0 valued 0;
+    - one, at ``scale`` 2: the start of a fold from ``2*prev``, each
+      point ``2*p`` for a point ``p`` of the parent, valued
+      ``2*value(p)``;
+    - two: a sum ``left + right`` made by one step.  It stores no pairs:
+      ``added`` lists the ``(code, q)`` of the points ``q`` of ``right``
+      that the step added, ascending, and ``decode`` recovers each pair
+      on demand.
+
+    ``cells``, each point as ``(value,)`` in ascending order, is listed on
+    its first read, for tests and tracing; a solve never reads it, and
+    ``reach`` comes from the codes.
+    """
+
+    __slots__ = ("parents", "scale", "bits", "codes", "strides", "radix", "low", "added",
+                 "_cells")
+
+    def __init__(
+        self,
+        r: int,
+        low: tuple[int, ...] = (),
+        radix: tuple[int, ...] = (),
+        strides: tuple[int, ...] = (),
+        parents: tuple[PointTable, ...] | None = None,
+    ) -> None:
+        self.r = r
+        self.low, self.radix, self.strides = low, radix, strides
+        self.parents = parents
+        self.scale = 1
+        self.bits: int | None = None
+        self.codes: dict[int, int] | None = None
+        self.added: list[tuple[int, tuple[int, ...]]] = []
+        self._reach = None
+        self._cells: dict[tuple[int, ...], tuple[int]] | None = None
+
+    @property
+    def cells(self) -> dict[tuple[int, ...], tuple[int]]:
+        if self._cells is None:
+            codes = self._codes()
+            points = zip(*self._axes(codes))
+            if self.codes is None:
+                self._cells = dict.fromkeys(points, (0,))
+            else:
+                self._cells = dict(zip(points, [(self.codes[c],) for c in codes]))
+        return self._cells
+
+    def __len__(self) -> int:
+        if self.bits is not None:
+            return self.bits.bit_count()
+        return len(self.codes)
+
+    def _codes(self) -> list[int]:
+        """The codes, ascending."""
+        return set_bits(self.bits) if self.codes is None else sorted(self.codes)
+
+    def points(self) -> list[tuple[int, ...]]:
+        return list(zip(*self._axes(self._codes())))
+
+    def _axes(self, codes: list[int]) -> list[list[int]]:
+        """Per axis, the coordinates of the points of ``codes``, in their
+        order.
+
+        Digit ``j`` is ``code // strides[j] % radix[j]``: the fields below
+        it sum to less than its stride, and a packed field's guard bit,
+        always 0 in a stored code, is a multiple of its radix.
+        """
+        return [
+            [code // stride % radix + low for code in codes]
+            for stride, radix, low in zip(self.strides, self.radix, self.low)
+        ]
+
+    def _value_at(self, code: int) -> int | None:
+        """The value at ``code``; None when no point has it."""
+        if self.codes is not None:
+            return self.codes.get(code)
+        return 0 if code >= 0 and self.bits >> code & 1 else None
+
+    def _code(self, pt: tuple[int, ...]) -> int:
+        """``pt``'s code; -1 when a digit is outside the frame."""
+        code = 0
+        for x, low, radix, stride in zip(pt, self.low, self.radix, self.strides):
+            if not 0 <= x - low < radix:
+                return -1
+            code += (x - low) * stride
+        return code
+
+    def __contains__(self, pt: tuple[int, ...]) -> bool:
+        return self._value_at(self._code(pt)) is not None
+
+    def value(self, pt: tuple[int, ...]) -> int:
+        return self._value_at(self._code(pt))
+
+    def reach(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per-axis (min, max) over the points; zeros when empty.  A
+        bitset's digit range per axis comes from its lowest and highest
+        set bits after OR-ing the slabs of the axes above
+        (``bits.or_slabs``); packed codes give their digits (``_axes``)."""
+        if self._reach is None:
+            if not self:
+                self._reach = ((0,) * self.r,) * 2
+            elif self.codes is None:
+                bits, lows, highs = self.bits, [], []
+                for j, stride in enumerate(self.strides):
+                    if j:
+                        bits = or_slabs(bits, self.strides[j - 1])
+                    lows.append(((bits & -bits).bit_length() - 1) // stride + self.low[j])
+                    highs.append((bits.bit_length() - 1) // stride + self.low[j])
+                self._reach = tuple(lows), tuple(highs)
+            else:
+                axes = self._axes(list(self.codes))
+                self._reach = tuple(map(min, axes)), tuple(map(max, axes))
+        return self._reach
+
+    def _pair(self, point: tuple[int, ...], code: int, target: int) -> tuple:
+        """A sum table's ``(p, q, code(p), value(p))`` for ``point``, coded
+        ``code`` and valued ``target``: see ``decode``.
+
+        Each lookup in a bitset left parent shifts its whole frame, so
+        past its first ``_PAIR_TRIES`` partners one bitset of the other
+        partner codes, ANDed with it, keeps the partners it holds, whose
+        lowest set bit is the next smallest ``p``.
+        """
+        left, right = self.parents
+        value_at, cells, added = left._value_at, right.cells, self.added
+        # A left code is never negative: skip every q coded above ``code``.
+        stop = bisect_right(added, code, key=itemgetter(0))
+        first = stop - _PAIR_TRIES if stop > _PAIR_TRIES and left.codes is None else 0
+        for q_code, q in reversed(added[first:stop]):
+            value = value_at(code - q_code)
+            if value is None:
+                continue
+            cell = cells.get(q)
+            if cell is None:
+                raise InternalError(f"corrupt witness: {q} missing")
+            if value + cell[0] == target:
+                return tuple(map(sub, point, q)), q, code - q_code, value
+        hits = bitset([code - q_code for q_code, _ in added[:first]]) & left.bits if first else 0
+        while hits:
+            p_code = (hits & -hits).bit_length() - 1
+            q = added[bisect_left(added, code - p_code, 0, first, key=itemgetter(0))][1]
+            cell = cells.get(q)
+            if cell is None:
+                raise InternalError(f"corrupt witness: {q} missing")
+            if cell[0] == target:
+                return tuple(map(sub, point, q)), q, p_code, 0
+            hits &= hits - 1
+        raise InternalError(f"corrupt witness: no pair for {point}")
+
+
+# Partners a sum table's ``_pair`` looks up one at a time in a bitset left
+# parent before it ANDs one bitset of the others with the parent.  Decode
+# of the top points, in-process, min over 15 interleaved rounds (shared
+# 2-vCPU host), against lookups alone: 0.253 against 0.246 ms on
+# core-wide and 0.181 against 0.178 ms on apps-feas (seed 1), whose pairs
+# take at most 6 tries; 1.69 against 2.00 ms and 11.1 against 14.4 ms on
+# the core n=8 r=3 and n=4 r=4 rows of the coded-levels ladder, up to 39
+# tries.  With 4 tries apps-feas took 0.31 ms, with 1 try 0.42 ms.
+_PAIR_TRIES = 8
 
 
 def _caps(row_max, placed: int, hi: tuple[int, ...] | None) -> tuple[int, ...]:
@@ -417,67 +485,28 @@ def block_base_table(
     return table
 
 
-def _repeat(bits: int, count: int, step: int) -> int:
-    """OR of ``bits << (i * step)`` for ``i < count``, by doubling."""
-    out, done, size = 0, 0, 1
-    while count:
-        if count & 1:
-            out |= bits << (done * step)
-            done += size
-        count >>= 1
-        if count:
-            bits |= bits << (size * step)
-            size *= 2
+def _clip(table: FrameTable, lo, hi) -> FrameTable:
+    """The points of ``table`` inside the box ``[lo, hi]``, in its frame:
+    ``table`` itself when the box holds the whole frame, else its bitset
+    ANDed with the box's mask (``bits.box_mask``) or its packed codes that
+    pass the one guard test of ``_pair_sum``."""
+    d_lo = [max(x - low, 0) for x, low in zip(lo, table.low)]
+    d_hi = [min(x - low, radix - 1) for x, low, radix in zip(hi, table.low, table.radix)]
+    if not any(d_lo) and all(d + 1 == radix for d, radix in zip(d_hi, table.radix)):
+        return table
+    strides = table.strides
+    out = FrameTable(table.r, table.low, table.radix, strides)
+    if table.codes is None:
+        out.bits = table.bits & box_mask(strides, d_lo, d_hi)
+    elif any(map(gt, d_lo, d_hi)):
+        out.codes = {}
+    else:
+        guards = sum(map(mul, table.radix, strides))
+        g_lo = guards - sum(map(mul, d_lo, strides))
+        g_hi = guards | sum(map(mul, d_hi, strides))
+        out.codes = {c: v for c, v in table.codes.items()
+                     if (c + g_lo) & (g_hi - c) & guards == guards}
     return out
-
-
-def _box_mask(strides, lo, hi) -> int:
-    """Bitset of the codes of every point in ``[lo, hi]``; 0 when empty.
-
-    Codes are mixed radix with these ``strides`` (the last one 1), and
-    ``[lo, hi]`` must lie inside the frame: ``0 <= lo`` and ``hi`` below
-    each axis's radix.  The last axis is one run of set bits; every other
-    axis repeats the mask so far, from the last but one up, by doubling.
-    """
-    if any(map(gt, lo, hi)):
-        return 0
-    mask = ((1 << hi[-1] - lo[-1] + 1) - 1) << lo[-1]
-    for j in range(len(strides) - 2, -1, -1):
-        mask = _repeat(mask, hi[j] - lo[j] + 1, strides[j]) << (lo[j] * strides[j])
-    return mask
-
-
-def _bitset(codes) -> int:
-    """One ``int`` with bit ``code`` set for each of the nonnegative ``codes``."""
-    raw = bytearray((max(codes, default=0) >> 3) + 1)
-    for code in codes:
-        raw[code >> 3] |= 1 << (code & 7)
-    return int.from_bytes(raw, "little")
-
-
-def _set_bits(bits: int) -> list[int]:
-    """Positions of the set bits of ``bits >= 0``, ascending."""
-    digits = bin(bits)
-    top = len(digits) - 1
-    out = []
-    i = digits.rfind("1", 2)
-    while i >= 2:
-        out.append(top - i)
-        i = digits.rfind("1", 2, i)
-    return out
-
-
-def _clip(cells, reach, lo, hi):
-    """Points of ``cells`` inside ``[lo, hi]`` per axis, with their reach.
-
-    When ``reach`` already lies inside, nothing can be removed: the points
-    are taken as they are and ``reach`` is kept, without a pass.  An empty
-    result also keeps ``reach``.
-    """
-    if all(map(le, lo, reach[0])) and all(map(le, reach[1], hi)):
-        return list(cells), reach
-    pts = [p for p in cells if all(map(le, lo, p)) and all(map(le, p, hi))]
-    return pts, (_reach_of(pts) if pts else reach)
 
 
 # Points per prefix group of the right table (its prefix: every field but
@@ -624,60 +653,108 @@ _FOLD_FRAME_BITS = 1 << 20
 _BITS_PER_POINT = 4096
 
 
-def _fold_frame(tables, reaches, hi, low, prev, pts) -> PointTable:
+def _frame(low, tops, bits: bool) -> FrameTable:
+    """An empty frame table with low corner ``low`` whose digit ``j``
+    holds ``[0, tops[j]]``, axis 0 most significant, so codes sort like
+    points: a bitset of mixed radix ``radix_j = tops[j] + 1``, or packed
+    codes, digit ``j`` of ``w_j`` bits, ``radix_j = 2**w_j > tops[j]``,
+    under one zero guard bit."""
+    if bits:
+        radix = fields = [top + 1 for top in tops]
+    else:
+        radix = [1 << top.bit_length() for top in tops]
+        fields = [2 * rd for rd in radix]  # digit and guard bit
+    strides = tuple(math.prod(fields[j + 1:]) for j in range(len(fields)))
+    table = FrameTable(len(tops), tuple(low), tuple(radix), strides)
+    if bits:
+        table.bits = 0
+    else:
+        table.codes = {}
+    return table
+
+
+def _frame_of(table: PointTable) -> FrameTable:
+    """A base table's points as packed codes over its reach: the level
+    below of a fold from ``2*prev`` when that is a base table, as tests
+    pass."""
+    low, high = table.reach()
+    frame = _frame(low, list(map(sub, high, low)), False)
+    frame.codes = {frame._code(p): cell[0] for p, cell in table.cells.items()}
+    return frame
+
+
+def _fold_frame(tables, reaches, hi, low, prev=None, below=None, kept=None) -> FrameTable:
     """A fold's first partial, in the fold's frame: the origin alone, or
-    ``2*p`` valued ``2*value(p)`` for the points ``p`` of ``pts``, with
-    ``prev`` as its one parent at scale 2.
+    ``2*p`` valued ``2*value(p)`` for the points ``p`` of ``kept``, the
+    level below clipped, with ``prev`` as its one parent at scale 2;
+    ``below`` is ``prev`` coded in a frame (``prev`` itself for a fold's
+    result).
 
     The frame's low corner is ``low`` and its digit ``j`` holds ``[0,
     top_j]``, ``top_j = max(hi_j - low_j, 0) + max_t reach_hi_j``: a
     partial point lies in ``[low, hi]`` and a brick point in ``[0,
-    reach_hi]``, so digit sums never carry.  Axis 0 is most significant,
-    so codes sort like points.  A zero-valued fold whose mixed-radix code
-    space, ``radix_j = top_j + 1``, is within the bitset cap keeps a
-    bitset (``bits``); any other fold keeps packed codes (``codes``):
-    digit ``j`` has ``w_j`` bits, ``radix_j = 2**w_j > top_j``, under one
-    zero guard bit.
+    reach_hi]``, so digit sums never carry.  A zero-valued fold (no value
+    in ``tables`` or ``below``) whose mixed-radix code space, ``radix_j =
+    top_j + 1``, is within the bitset cap keeps a bitset (``bits``); any
+    other fold keeps packed codes (``codes``).  See ``_frame``.
     """
     tops = map(max, zip(*(t_hi for _, t_hi in reaches)))
     tops = [max(h - l, 0) + top for h, l, top in zip(hi, low, tops)]
-    start = PointTable(len(tops))
-    start.low = low
-    radix = [top + 1 for top in tops]
-    cap = max(_FOLD_FRAME_BITS, _BITS_PER_POINT * len(pts))
-    if math.prod(radix) <= cap and not _has_values(
-            tables if prev is None else [*tables, prev]):
-        start.bits, fields = 0, radix
-    else:
-        radix = [1 << top.bit_length() for top in tops]
-        start.codes, fields = {}, [2 * rd for rd in radix]  # digit and guard bit
-    start.radix = tuple(radix)
-    start.strides = strides = tuple(math.prod(fields[j + 1:]) for j in range(len(fields)))
+    cap = max(_FOLD_FRAME_BITS, _BITS_PER_POINT * (0 if kept is None else len(kept)))
+    start = _frame(low, tops, math.prod(top + 1 for top in tops) <= cap and not _has_values(
+        tables) and not (below is not None and any((below.codes or {}).values())))
     if prev is None:
         if start.codes is None:
             start.bits = 1
         else:
             start.codes[0] = 0
         return start
-    coded = _coded(pts, [2 * s for s in strides], sum(map(mul, low, strides)))
     start.parents, start.scale = (prev,), 2
-    if start.codes is None:
-        start.bits = _bitset([c for c, _ in coded])
-    else:
-        start.codes = {c: 2 * prev.cells[p][0] for c, p in coded}
+    _double_into(start, kept)
     return start
 
 
+def _double_into(start: FrameTable, kept: FrameTable) -> None:
+    """Code ``2*p`` valued ``2*value(p)`` in ``start`` for each point
+    ``p`` of ``kept``, ``start``'s low corner being ``2*min p``, so that
+    its digit ``j`` is ``2*(p_j - min p_j)``; no point becomes a tuple.
+
+    Bitset to bitset, on whole frames (``bits``): shift ``kept`` down to its
+    minimum digits, restride to the tight strides of its digit ranges
+    when ``start``'s are narrower on some axis, spread bit ``i`` to bit
+    ``2*i`` (``bits.spread``), and restride to twice ``start``'s strides
+    (``bits.restride``).  Any other pair: ``kept``'s codes, digit by digit as
+    ``_axes`` reads them, recoded in ``start``'s frame with values
+    doubled.
+    """
+    p_lo, p_hi = kept.reach()
+    new = start.strides
+    if kept.codes is None and start.codes is None:
+        counts = [h - l + 1 for l, h in zip(p_lo, p_hi)]
+        mid = kept.strides
+        bits = kept.bits >> sum(map(mul, map(sub, p_lo, kept.low), mid))
+        if any(map(gt, mid, new)):
+            mid = tuple(math.prod(counts[j + 1:]) for j in range(len(counts)))
+            bits = restride(bits, kept.strides, mid, counts)
+        start.bits = restride(spread(bits), [2 * s for s in mid], [2 * s for s in new], counts)
+        return
+    codes = kept._codes()
+    doubled = [-sum(map(mul, p_lo, new)) * 2] * len(codes)
+    for axis, stride in zip(kept._axes(codes), new):
+        doubled = list(map(add, doubled, [x * 2 * stride for x in axis]))
+    if start.codes is None:
+        start.bits = bitset(doubled)
+    elif kept.codes is None:
+        start.codes = dict.fromkeys(doubled, 0)
+    else:
+        start.codes = dict(zip(doubled, [2 * kept.codes[c] for c in codes]))
+
+
 def _has_values(tables) -> bool:
-    """Whether any cell of ``tables`` has a nonzero value; a ``cells``
-    dict shared by several tables is scanned once."""
+    """Whether any cell of the base ``tables`` has a nonzero value; a
+    ``cells`` dict shared by several tables is scanned once."""
     distinct = {id(t.cells): t.cells for t in tables}
     return any(any(map(itemgetter(0), cells.values())) for cells in distinct.values())
-
-
-def _coded(pts, strides, base: int = 0) -> list[tuple[int, tuple[int, ...]]]:
-    """``(sum(p*strides) - base, p)`` for each point ``p`` of ``pts``."""
-    return [(sum(map(mul, p, strides)) - base, p) for p in pts]
 
 
 def _step_codes(cells, strides, bits: bool) -> tuple[list, list]:
@@ -686,20 +763,20 @@ def _step_codes(cells, strides, bits: bool) -> tuple[list, list]:
     ``_fold_bits``), ``keys`` the codes alone for a bitset partial
     (``_fold_bits``) and the ``(code, value)`` items for a packed one
     (``_fold_packed``)."""
-    added = _coded(cells, strides)
+    added = [(sum(map(mul, q, strides)), q) for q in cells]
     if bits:
         return added, [c for c, _ in added]
     return added, [(c, cells[q][0]) for c, q in added]
 
 
 def convolve(
-    left: PointTable,
+    left: FrameTable,
     right: PointTable,
     added: list[tuple[int, tuple[int, ...]]],
     keys: list,
     lo: tuple[int, ...],
     hi: tuple[int, ...],
-) -> PointTable:
+) -> FrameTable:
     """One fold step: ``left + right`` in ``[lo, hi]``, digits of
     ``left``'s frame, with ``right``'s ``added`` and ``keys`` from
     ``_step_codes``.  A bitset ``left`` takes ``_fold_bits``, packed
@@ -708,16 +785,15 @@ def convolve(
     return step(left, right, added, keys, lo, hi)
 
 
-def _fold_step(left: PointTable, right: PointTable, added) -> PointTable:
+def _fold_step(left: FrameTable, right: PointTable, added) -> FrameTable:
     """An empty sum ``left + right`` in ``left``'s frame, adding ``added``."""
-    out = PointTable(left.r, parents=(left, right))
-    out.strides, out.radix, out.low = left.strides, left.radix, left.low
+    out = FrameTable(left.r, left.low, left.radix, left.strides, parents=(left, right))
     out.added = added
     return out
 
 
 def _fold_bits(
-    left: PointTable,
+    left: FrameTable,
     right: PointTable,
     added: list[tuple[int, tuple[int, ...]]],
     codes: list[int],
@@ -738,17 +814,17 @@ def _fold_bits(
     out = _fold_step(left, right, added)
     if lo == hi:
         code = sum(map(mul, lo, strides))
-        hits = _bitset([code - c for c in codes if c <= code])
+        hits = bitset([code - c for c in codes if c <= code])
         out.bits = 1 << code if hits & left.bits else 0
         return out
     out.bits = 0
-    mask = _box_mask(strides, lo, hi)
+    mask = box_mask(strides, lo, hi)
     if not mask:
         return out
     if len(codes) <= len(left):
         base, shifts = left.bits, codes
     else:
-        base, shifts = _bitset(codes), _set_bits(left.bits)
+        base, shifts = bitset(codes), set_bits(left.bits)
     acc = 0
     for shift in shifts:
         acc |= base << shift
@@ -757,7 +833,7 @@ def _fold_bits(
 
 
 def _fold_packed(
-    left: PointTable,
+    left: FrameTable,
     right: PointTable,
     added: list[tuple[int, tuple[int, ...]]],
     b_items: list[tuple[int, int]],
@@ -801,7 +877,7 @@ def fold_tables(
     lo: tuple[int, ...],
     hi: tuple[int, ...],
     prev: PointTable | None = None,
-) -> PointTable:
+) -> FrameTable:
     """Sum brick tables into the window ``[lo, hi]``, cheapest step first,
     from the origin or from ``2*prev``: every ``2*p + q_1 + ... + q_n``.
 
@@ -839,12 +915,16 @@ def fold_tables(
     ``int``) for a zero-valued fold within the bitset cap, else
     ``_fold_packed`` (a dict from code to value; one guard test per pair
     for a sparse brick table, ``_index_sum``'s prefix groups for a dense
-    one).  No step builds a cell; the result lists its points in
-    ``cells`` as ``(value,)``, sorted.  Tables that share one ``cells``
-    dict (the views of ``base_tables_for_level``) are coded into the
-    frame once per fold, with the codes or ``(code, value)`` items their
-    step reads (``_step_codes``), and ``_has_values`` scans such a dict
-    once.
+    one).  No step builds a cell, and the result is a ``FrameTable``
+    that codes its points and lists them as tuples only when its
+    ``cells`` is read.  From ``prev`` the fold reads ``prev``'s codes
+    (a base table ``prev``, which only tests pass, is coded once): it
+    clips them in ``prev``'s frame (``_clip``), takes the kept points'
+    reach from the codes, and codes ``2*p`` into its own frame
+    (``_double_into``).  Tables that share one ``cells`` dict (the views
+    of ``base_tables_for_level``) are coded into the frame once per
+    fold, with the codes or ``(code, value)`` items their step reads
+    (``_step_codes``), and ``_has_values`` scans such a dict once.
     """
     if not tables:
         raise ValueError("fold_tables needs at least one table")
@@ -853,18 +933,23 @@ def fold_tables(
     rest_lo = tuple(map(sum, zip(*(t_lo for t_lo, _ in reaches))))
     rest_hi = tuple(map(sum, zip(*(t_hi for _, t_hi in reaches))))
     if prev is None:
-        pts, low, size, box_lo, box_hi = (), (0,) * r, 1, (0,) * r, (0,) * r
+        low = box_lo = box_hi = (0,) * r
+        size = 1
+        partial = _fold_frame(tables, reaches, hi, low)
     else:
-        pts, (p_lo, p_hi) = _clip(prev.cells, prev.reach(),
-                                  [-((rh - l) // 2) for l, rh in zip(lo, rest_hi)],
-                                  [(h - rl) // 2 for h, rl in zip(hi, rest_lo)])
-        if not pts:
-            return PointTable(r)
-        box_lo, box_hi = tuple(2 * x for x in p_lo), tuple(2 * x for x in p_hi)
-        # No partial point lies below 2*min p, nor, once clipped to its
-        # window, below lo - rest_hi: that is the frame's low corner.
-        low, size = tuple(map(max, map(sub, lo, rest_hi), box_lo)), len(pts)
-    partial = _fold_frame(tables, reaches, hi, low, prev, pts)
+        below = prev if isinstance(prev, FrameTable) else _frame_of(prev)
+        kept = _clip(below, [-((rh - l) // 2) for l, rh in zip(lo, rest_hi)],
+                     [(h - rl) // 2 for h, rl in zip(hi, rest_lo)])
+        size = len(kept)
+        if not size:
+            empty = FrameTable(r)
+            empty.bits = 0
+            return empty
+        # Every kept 2*p lies at or above lo - rest_hi, so no partial point
+        # lies below 2*min p: that is the frame's low corner.
+        box_lo, box_hi = (tuple(2 * x for x in v) for v in kept.reach())
+        low = box_lo
+        partial = _fold_frame(tables, reaches, hi, low, prev, below, kept)
     # From here on, offsets from the frame's low corner.
     lo, hi, box_lo, box_hi = (tuple(map(sub, v, low)) for v in (lo, hi, box_lo, box_hi))
     # (size, reach) -> positions, highest first, so pop() takes the lowest.
@@ -925,7 +1010,6 @@ def fold_tables(
         peak = max(peak, size)
         if not size:
             break
-    partial._list_cells()
     logger.debug("fold order %s, peak partial %d cells", order, peak)
     return partial
 

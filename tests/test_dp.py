@@ -18,9 +18,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 import nfold.dp as dp
 import nfold.driver
+from nfold.bits import bitset, box_mask
 from nfold.core import NFoldInstance
 from nfold.dp import (
     BlockWitness,
+    FrameTable,
     PointTable,
     base_tables_for_level,
     block_base_table,
@@ -637,6 +639,123 @@ def test_fold_from_prev_is_the_doubled_level_sum(cap, case):
     assert hits[{"packed": "bits", "bits": "packed"}[kind]] == 0
 
 
+def coded_level(rng: random.Random, r: int, kind: str):
+    """A level table as a fold leaves it, built straight in its frame: up
+    to 40 random points of a frame with room on every side, as a bitset
+    (``kind`` "bits") or as packed codes, zero-valued ("packed") or
+    valued 0..3, one value at least 1 ("valued"); returns it and its
+    ``{point: value}``."""
+    low = tuple(rng.randint(-4, 4) for _ in range(r))
+    tops = [rng.choice((0, 1, 3, 7, 12)) for _ in range(r)]
+    table = dp._frame(low, tops, kind == "bits")
+    want = {}
+    for _ in range(rng.randint(1, 40)):
+        pt = tuple(x + rng.randint(0, top) for x, top in zip(low, tops))
+        want[pt] = rng.randint(0, 3) if kind == "valued" else 0
+    if kind == "valued":
+        want[pt] = rng.randint(1, 3)
+    codes = [table._code(pt) for pt in want]
+    if kind == "bits":
+        table.bits = bitset(codes)
+    else:
+        table.codes = dict(zip(codes, want.values()))
+    return table, want
+
+
+def level_window(rng: random.Random, table, points, reach_hi, outcome: str):
+    """A fold window ``[lo, hi]`` over one brick of reach ``[0, reach_hi]``
+    whose clip of ``table``, ``[ceil((lo - reach_hi) / 2), floor(hi /
+    2)]``, holds its whole frame ("whole"), misses every point on one
+    axis ("miss") or cuts the points' box on every axis ("cut")."""
+    r = len(reach_hi)
+    top = [x + radix - 1 for x, radix in zip(table.low, table.radix)]
+    c_lo, c_hi = list(table.low), top
+    if outcome == "cut":
+        axes = list(zip(*points))
+        c_lo = [rng.randint(min(a), max(a)) for a in axes]
+        c_hi = [rng.randint(x, max(a)) for x, a in zip(c_lo, axes)]
+    elif outcome == "miss":
+        j = rng.randrange(r)
+        axis = [pt[j] for pt in points]
+        if rng.random() < 0.5:
+            c_lo[j] = c_hi[j] = max(axis) + rng.randint(1, 3)
+        else:
+            c_lo[j] = c_hi[j] = min(axis) - rng.randint(1, 3)
+    lo = tuple(2 * x + e - rng.randint(0, 1) for x, e in zip(c_lo, reach_hi))
+    hi = tuple(2 * x + rng.randint(0, 1) for x in c_hi)
+    return lo, hi
+
+
+@pytest.mark.parametrize("cap", [None, 0], ids=["caps", "packed start"])
+def test_level_start_is_the_doubled_clip_of_the_level_below(monkeypatch, cap):
+    """A fold from ``2*prev`` starts from ``{2*p : p in prev, p in the
+    clip}`` valued ``2*value(p)``, the tuple reference, for a bitset, a
+    zero-valued packed and a valued packed level below at r = 1..4, under
+    clips that hold its whole frame, miss every point or cut its box.
+    Under the caps the start is a bitset unless a value is nonzero; at
+    cap 0 it is packed, so each level kind meets each start kind.  The
+    level below's ``reach`` (from its codes) is its points' box."""
+    if cap is not None:
+        monkeypatch.setattr(dp, "_FOLD_FRAME_BITS", cap)
+        monkeypatch.setattr(dp, "_BITS_PER_POINT", cap)
+    rng = random.Random(1103)
+    seen: dict = {}
+    for trial in range(600):
+        r = 1 + trial % 4
+        kind = ("bits", "packed", "valued")[trial // 4 % 3]
+        prev, points = coded_level(rng, r, kind)
+        assert prev.reach() == dp._reach_of(points)
+        reach_hi = tuple(rng.randint(0, 5) for _ in range(r))
+        brick = block_base_table(tuple((0, e) for e in reach_hi), 1, block_index=0)
+        outcome = ("whole", "miss", "cut")[trial // 12 % 3]
+        lo, hi = level_window(rng, prev, points, reach_hi, outcome)
+        c_lo = [-((e - x) // 2) for x, e in zip(lo, reach_hi)]
+        c_hi = [x // 2 for x in hi]
+        want = {tuple(2 * x for x in p): 2 * value for p, value in points.items()
+                if all(a <= x <= b for a, x, b in zip(c_lo, p, c_hi))}
+        folded = fold_tables([brick], lo, hi, prev)
+        if not want:
+            assert len(folded) == 0 and folded.parents is None
+            seen[kind, "none kept"] = seen.get((kind, "none kept"), 0) + 1
+            continue
+        start = folded.parents[0]
+        assert start.parents == (prev,) and start.scale == 2
+        assert start._cells is None
+        assert {pt: value for pt, (value,) in start.cells.items()} == want
+        assert start.points() == sorted(want)
+        start_kind = "bits" if start.bits is not None else "packed"
+        valued = any(points.values())
+        assert start_kind == ("bits" if cap is None and not valued else "packed")
+        kept = "all kept" if len(want) == len(points) else "some dropped"
+        seen[kind, kept] = seen.get((kind, kept), 0) + 1
+        seen[kind, start_kind] = seen.get((kind, start_kind), 0) + 1
+    outcomes = ("none kept", "some dropped", "all kept")
+    assert all(seen.get((kind, o), 0) > 20 for kind in ("bits", "packed", "valued")
+               for o in outcomes), seen
+
+
+@pytest.mark.parametrize("mode, b_low", [("feasibility", 40), ("optimize", 100)])
+def test_a_solve_never_lists_its_level_cells(mode, b_low):
+    """A solve reads its level tables' codes alone: afterwards no level
+    table has listed its ``cells``, and the first read lists
+    ``points()``, in order, each valued as ``value`` reads it."""
+    rng = random.Random(b_low)
+    blocks = tuple(tuple(tuple(rng.randint(0, 2) for _ in range(3)) for _ in range(2))
+                   for _ in range(3))
+    x = [[rng.randint(0, b_low) for _ in range(2)] for _ in range(3)]
+    x = [(a, b - a, b_low - b) if a <= b else (b, a - b, b_low - a) for a, b in x]
+    b_up = tuple(sum(e * c for blk, xs in zip(blocks, x) for e, c in zip(blk[row], xs))
+                 for row in range(2))
+    inst = NFoldInstance(n=3, r=2, t=(3, 3, 3), blocks=blocks, b_up=b_up,
+                         b_low=(b_low,) * 3, c=tuple(range(9)))
+    outcome, trace = nfold.driver.solve_with_trace(inst, mode)
+    assert outcome.solution is not None and len(trace.levels) >= 4
+    assert all(table._cells is None for table in trace.levels)
+    for table in trace.levels:
+        assert list(table.cells) == table.points()
+        assert all(table.value(pt) == value for pt, (value,) in table.cells.items())
+
+
 def test_optimize_mode_folds_never_take_the_bitset_path(monkeypatch):
     """Tables with values never become bitsets: the twelve cover-order
     programs of one imbalance graph fold without a bitset step, every
@@ -1132,15 +1251,15 @@ def count_steps(monkeypatch) -> dict[str, int]:
 
 def test_zero_valued_sumset_matches_double_loop_on_every_path(monkeypatch):
     hits = count_steps(monkeypatch)
-    # The clip of the level below takes it whole when its reach already
-    # lies inside the clip bounds; count both branches.
+    # The clip of the level below takes it whole when the clip bounds
+    # hold its whole frame; count both branches.
     clips = {"skip": 0, "clip": 0}
     clip = dp._clip
 
-    def counted_clip(cells, reach, lo, hi):
-        pts, out = clip(cells, reach, lo, hi)
-        clips["skip" if out is reach and pts else "clip"] += 1
-        return pts, out
+    def counted_clip(table, lo, hi):
+        out = clip(table, lo, hi)
+        clips["skip" if out is table else "clip"] += 1
+        return out
 
     monkeypatch.setattr(dp, "_clip", counted_clip)
     # One-point windows are lookups, in either kind of partial.
@@ -1208,7 +1327,7 @@ def test_widely_spread_zero_tables_fall_back_without_a_huge_bitset(monkeypatch):
 
 
 def test_box_mask_matches_code_enumeration():
-    """``_box_mask`` sets exactly the codes of the window's points, for
+    """``bits.box_mask`` sets exactly the codes of the window's points, for
     r = 1..4 and random radices, in random, empty, one-digit (one axis or
     every axis pinned) and full windows."""
     rng = random.Random(17)
@@ -1233,7 +1352,7 @@ def test_box_mask_matches_code_enumeration():
         want = 0
         for pt in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
             want |= 1 << sum(map(operator.mul, pt, strides))
-        assert dp._box_mask(strides, tuple(lo), tuple(hi)) == want, (radix, lo, hi)
+        assert box_mask(strides, tuple(lo), tuple(hi)) == want, (radix, lo, hi)
         if kind == "full":
             assert want == (1 << math.prod(radix)) - 1
         seen[kind] += 1
@@ -1525,13 +1644,13 @@ def test_scheduling_configuration_brick_matches_pairwise_reference(monkeypatch):
 
 
 def test_pair_search_tries_only_added_points_at_most_the_code(monkeypatch):
-    """``PointTable._pair`` skips the added ``q`` coded above the point's
+    """``FrameTable._pair`` skips the added ``q`` coded above the point's
     code, whose partner code would be negative.  On the scheduling ``cmax``
     guess 91/3, whose fold runs in one zero-valued packed frame above its
     bitset cap, the fold's 693-point step tried 690 candidates and its
     399-point step 399 under a scan of every added point; the witnesses
     stay those of that scan."""
-    real_pair, real_value_at = PointTable._pair, PointTable._value_at
+    real_pair, real_value_at = FrameTable._pair, FrameTable._value_at
     count = {"on": False, "tries": 0}
 
     def full_scan(self, point, code, target):
@@ -1556,11 +1675,11 @@ def test_pair_search_tries_only_added_points_at_most_the_code(monkeypatch):
         return pair
 
     inst = SchedulingInstance.build(p=(3, 5, 7), n=(10, 8, 6), s=(1, 2, 3), m=(2, 2, 1))
-    monkeypatch.setattr(PointTable, "_value_at", value_at)
+    monkeypatch.setattr(FrameTable, "_value_at", value_at)
     runs = {}
     for name, search in (("bisect", real_pair), ("full scan", full_scan)):
         steps = []
-        monkeypatch.setattr(PointTable, "_pair", counted(search, steps))
+        monkeypatch.setattr(FrameTable, "_pair", counted(search, steps))
         runs[name] = decide_guess(inst, Fraction(91, 3), OBJECTIVE_CMAX), steps
     (schedule, fast), (want, slow) = runs["bisect"], runs["full scan"]
     assert schedule is not None and schedule == want

@@ -682,6 +682,65 @@ def test_acceptance_streams_agree_with_brute_force_at_the_floor(
     assert deep >= trials // 5
 
 
+def depth_instance(rng: random.Random, r: int, mode: str, infeasible: bool) -> NFoldInstance:
+    """2 or 3 bricks of 2 or 3 columns, entries 0..2 and ``b_low`` 20..60
+    per brick, a candidate count beyond the oracle's cap, and a planted
+    ``b_up``.  An ``infeasible`` one has only even entries in row 0 and
+    the planted row-0 target plus 1: odd, so no ``x`` reaches it.
+    Optimize mode adds costs 0..3."""
+    while True:
+        n = rng.randint(2, 3)
+        t = tuple(rng.randint(2, 3) for _ in range(n))
+        b_low = tuple(rng.randint(20, 60) for _ in range(n))
+        if enumeration_size(b_low, t) > ENUMERATION_CAP:
+            break
+    blocks = tuple(
+        tuple(tuple(rng.choice((0, 2) if infeasible and row == 0 else (0, 1, 2))
+                    for _ in range(t[k])) for row in range(r))
+        for k in range(n))
+    x = []
+    for k in range(n):
+        cuts = sorted(rng.randint(0, b_low[k]) for _ in range(t[k] - 1))
+        x.append([b - a for a, b in zip([0, *cuts], [*cuts, b_low[k]])])
+    b_up = [sum(sum(map(mul, blocks[k][row], x[k])) for k in range(n)) for row in range(r)]
+    b_up[0] += infeasible
+    c = tuple(rng.randint(0, 3) for _ in range(sum(t))) if mode == "optimize" else None
+    return NFoldInstance(n=n, r=r, t=t, blocks=blocks, b_up=tuple(b_up), b_low=b_low, c=c)
+
+
+@pytest.mark.parametrize("mode", ["feasibility", "optimize"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_level_size_does_not_change_status_or_optimum(r, mode):
+    """The same program solved at K = floor, floor + 1, floor + 3 and the
+    paper's K, each pinned by patching ``driver.build_plan``, has one
+    status and one optimum, and every witness verifies.  The programs'
+    ``b`` is beyond the oracle's range, so the solves check one another:
+    the floor takes 4 or 5 levels where the paper's K takes 1 to 3.  A
+    third of the targets are infeasible by parity, which no window sees
+    at once: the solve folds level after level before it ends."""
+    rng = random.Random(7000 + 10 * r + (mode == "optimize"))
+    infeasible = depths = 0
+    for trial in range(12):
+        inst = depth_instance(rng, r, mode, infeasible=trial % 3 == 2)
+        work = reduce_instance(inst).instance
+        floor = support_floor(work)
+        sizes = (floor, floor + 1, floor + 3, plan.support_bound(r, work.delta, mode))
+        answers = set()
+        for support in sizes:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(driver, "build_plan",
+                              functools.partial(plan.build_plan, support=support))
+                got = solve(inst, mode=mode)
+            assert got.stats["support"] == support
+            depths = max(depths, got.stats["iterations"])
+            if got.solution is not None:
+                assert verify_solution(inst, got.solution.x, got.solution.objective)
+            answers.add((got.status, got.solution and got.solution.objective))
+        assert len(answers) == 1, (trial, answers)
+        infeasible += got.status == STATUS_INFEASIBLE
+    assert infeasible >= 4 and depths >= 4
+
+
 def repeated_core_instance(rng: random.Random, *, with_costs: bool = False,
                            plant: bool | None = None) -> NFoldInstance:
     """2 to 4 bricks, each a copy (matrix, ``b_low`` and cost slice) of a

@@ -152,3 +152,32 @@ def test_ladder_builds_the_imbalance_front_end_rows():
     record = json.loads(done.stdout.splitlines()[-1])
     assert (record["status"], record["objective"], record["base_tables"]) == (
         "optimal", 16, 12)
+
+
+def test_ladder_records_peak_memory_level_changes_and_limits(monkeypatch):
+    """A counted child of the ``coded-levels`` ladder records its peak
+    resident size and the seconds of its level changes, one per level
+    above the first, against those of its fold steps; a child whose
+    solve raises ``MemoryError`` records ``"limit"``, as a timed-out one
+    does."""
+    root = PYPROJECT.parent
+    ladder = import_ladder()
+    out_name, rows = ladder.LADDERS["coded-levels"]
+    assert out_name == "BENCH_coded_levels.json" and "deep-b1e6" in rows
+    done = subprocess.run(
+        [sys.executable, str(root / "tools" / "bench_packed_step.py"), "--child",
+         "deep-b1e6", "--tree", str(root), "--count"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    record = json.loads(done.stdout.splitlines()[-1])
+    assert record["max_rss_mb"] > 1
+    assert record["level_changes"] == record["levels"] - 1 > 0
+    assert record["level_change_s"] > 0 and record["fold_step_s"] > 0
+    from nfold import driver
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(driver, "solve", exhausted)
+    assert ladder.child("deep-b1e6", count=False) == "limit"

@@ -1,6 +1,6 @@
 """Rebuild a committed ladder of seeded solves, parent tree against this one.
 
-Three ladders, chosen by ``--ladder``:
+Four ladders, chosen by ``--ladder``:
 
 - ``packed-step`` (``BENCH_packed_step.json``): optimize solves that run
   the packed fold step (``dp._fold_packed``) on sparse and dense brick
@@ -12,7 +12,11 @@ Three ladders, chosen by ``--ladder``:
 - ``fold-overhead`` (``BENCH_fold_overhead.json``): feasibility solves of
   the two planted families of the benchmark's ``core-wide`` and
   ``core-deep`` workloads, at more bricks and at more levels, where each
-  level's and each fold step's fixed cost counts.
+  level's and each fold step's fixed cost counts;
+- ``coded-levels`` (``BENCH_coded_levels.json``): deep solves whose
+  levels hold many points, r = 3 and 4 (bitset levels), one optimize
+  row (packed levels), and a wide and a deep row whose levels hold few,
+  where the change from one level to the next counts.
 
 Rows:
 
@@ -42,7 +46,8 @@ Rows:
   ``SQUARE_SYMMETRIES``, their columns in ``rng.shuffle`` order, and
   ``planted_instance`` plants ``b_up`` at ``b_low = b``.
 
-Every row runs in fresh processes, each under a 60 s cap: one timed
+Every row runs in fresh processes, each under a 60 s cap and an address
+space limit of ``MEMORY_CAP_MB`` that it sets on itself: one timed
 solve on the parent tree (``--parent``, a checkout of the commit to
 compare with), one on this tree, and one counted solve on each tree
 (``parent_counted``, ``counted``) that wraps the packed paths,
@@ -52,11 +57,14 @@ first in odd ones, so a slow stretch of the host does not land on one
 side only.  A timed run repeats its solve at least three times and
 until the repeats took a second, while the next repeat likely ends
 within half the cap, and keeps the fastest.  A process that hits the
-cap records ``"limit"``; the row is never dropped or shrunk.  Each
-record holds the status, the objective (None in feasibility mode) and a
-digest of the witness ``x``; a front-end row records ``"optimal"``, the
-imbalance and a digest of the ``(ordering, cover)``.  A counted run adds
-the base tables built, and for an engine row the solve's levels and its
+cap, or raises ``MemoryError`` under the limit, records ``"limit"``; the
+row is never dropped or shrunk.  Each record holds the status, the
+objective (None in feasibility mode), a digest of the witness ``x`` and
+the process's peak resident size (``max_rss_mb``, from ``ru_maxrss``); a
+front-end row records ``"optimal"``, the imbalance and a digest of the
+``(ordering, cover)``.  A counted run adds the base tables built, the
+seconds of its level changes against those of its fold steps (see
+``count_paths``), and for an engine row the solve's levels and its
 ``dp_cells``, the packed steps per path, the pairs each path tested (one
 per guard test on the pair path, and on the grouped walk every pair in
 the prefix groups that its axis-0 bisect reaches), the steps of its
@@ -71,6 +79,7 @@ Usage::
     python tools/bench_packed_step.py --parent DIR --rows core-n10-r2-t3-b1000
     python tools/bench_packed_step.py --parent DIR --ladder shared-bricks
     python tools/bench_packed_step.py --parent DIR --ladder fold-overhead
+    python tools/bench_packed_step.py --parent DIR --ladder coded-levels
 """
 
 from __future__ import annotations
@@ -81,6 +90,7 @@ import json
 import logging
 import platform
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -92,6 +102,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CAP_S = 60.0
 REPEATS = 3
 MIN_TIMED_S = 1.0
+MEMORY_CAP_MB = 2048
 
 # ladder -> (output file, {name -> (mode, spec)}), a spec being
 # ("core", n, r, t, e, b), ("cover", k, vertices, seed),
@@ -127,6 +138,14 @@ LADDERS = {
         "deep-b150": ("feasibility", ("deep", 150)),
         "deep-b1e6": ("feasibility", ("deep", 10**6)),
         "deep-b1e12": ("feasibility", ("deep", 10**12)),
+    }),
+    "coded-levels": ("BENCH_coded_levels.json", {
+        "core-n4-r3-t4-b1000": ("feasibility", ("core", 4, 3, 4, 2, 1000)),
+        "core-n8-r3-t4-b1000": ("feasibility", ("core", 8, 3, 4, 2, 1000)),
+        "core-n4-r4-t4-b1000": ("feasibility", ("core", 4, 4, 4, 2, 1000)),
+        "wide-n96-b100": ("feasibility", ("wide", 96, 100)),
+        "deep-b1e6": ("feasibility", ("deep", 10**6)),
+        "core-n12-r2-t4-b1000": ("optimize", ("core", 12, 2, 4, 3, 1000)),
     }),
 }
 ROWS = {name: row for _, rows in LADDERS.values() for name, row in rows.items()}
@@ -215,15 +234,28 @@ class FoldOrders(logging.Handler):
 
 
 def count_paths(dp, driver) -> dict:
-    """Wrap the base table builder, the packed step and its two paths, and
-    the solver's folds; returns the live counts."""
+    """Wrap the base table builder, the fold steps (``dp.convolve``), the
+    packed step and its two paths, and the solver's folds; returns the
+    live counts.
+
+    ``fold_step_s`` sums the seconds inside ``dp.convolve``.
+    ``level_change_s`` sums, over the ``level_changes`` folds started
+    from ``2*prev``, the seconds from the fold's entry to its first step
+    (or to its return, when the clip keeps nothing), which take ``prev``
+    to the fold's first partial; on a tree whose folds list their points
+    as tuples for the next level to read (``PointTable._list_cells``), it
+    adds that listing too.
+    """
     counts = {"base_tables": 0, "fold_steps": 0, "forced_steps": 0,
+              "level_changes": 0, "level_change_s": 0.0, "fold_step_s": 0.0,
               "steps": {"pairs": 0, "pairs, bisect": 0, "grouped": 0,
                         "lookup or empty": 0},
               "pairs_tested": {"pairs": 0, "pairs, bisect": 0, "grouped": 0}}
     steps, tested = counts["steps"], counts["pairs_tested"]
     fold_packed, pair_sum, index_sum = dp._fold_packed, dp._pair_sum, dp._index_sum
-    block_base_table, fold_tables = dp.block_base_table, driver.fold_tables
+    block_base_table, fold_tables, convolve = dp.block_base_table, driver.fold_tables, dp.convolve
+    list_cells = getattr(dp.PointTable, "_list_cells", None)
+    entered: list[float] = []  # entry time of a fold from 2*prev not yet stepped
     handler = FoldOrders()
     logger = logging.getLogger(dp.__name__)
     logger.addHandler(handler)
@@ -234,9 +266,17 @@ def count_paths(dp, driver) -> dict:
         counts["base_tables"] += 1
         return block_base_table(*args, **kwargs)
 
+    def level_changed() -> None:
+        counts["level_changes"] += 1
+        counts["level_change_s"] += time.perf_counter() - entered.pop()
+
     def fold(tables, *args):
         """A step is forced while the tables left share one (size, reach)."""
+        if len(args) > 2 and args[2] is not None:
+            entered.append(time.perf_counter())
         out = fold_tables(tables, *args)
+        if entered:
+            level_changed()
         left = Counter((len(t), t.reach()) for t in tables)
         for idx in handler.orders.pop():
             counts["fold_steps"] += 1
@@ -258,6 +298,19 @@ def count_paths(dp, driver) -> dict:
             i0 = bisect_left(codes, lo - head)
             total += bisect_left(codes, hi - head, i0) - i0
         return total
+
+    def step(*args):
+        if entered:
+            level_changed()
+        start = time.perf_counter()
+        out = convolve(*args)
+        counts["fold_step_s"] += time.perf_counter() - start
+        return out
+
+    def listed(table) -> None:
+        start = time.perf_counter()
+        list_cells(table)
+        counts["level_change_s"] += time.perf_counter() - start
 
     def packed(*args):
         before = steps["pairs"] + steps["pairs, bisect"] + steps["grouped"]
@@ -283,12 +336,15 @@ def count_paths(dp, driver) -> dict:
         return index_sum(a_items, b_items, shifts, w_lo, w_hi, values)
 
     dp._fold_packed, dp._pair_sum, dp._index_sum = packed, pairs, grouped
-    dp.block_base_table, driver.fold_tables = base_table, fold
+    dp.block_base_table, driver.fold_tables, dp.convolve = base_table, fold, step
+    if list_cells is not None:
+        dp.PointTable._list_cells = listed
     return counts
 
 
-def child(name: str, count: bool) -> dict:
-    """One row in this process, on the ``nfold`` found on ``sys.path``."""
+def child(name: str, count: bool) -> dict | str:
+    """One row in this process, on the ``nfold`` found on ``sys.path``;
+    ``"limit"`` when it raises ``MemoryError``."""
     from nfold import dp, driver
 
     mode, spec = ROWS[name]
@@ -307,7 +363,10 @@ def child(name: str, count: bool) -> dict:
     runs = 0
     while True:
         start = time.perf_counter()
-        outcome = once()
+        try:
+            outcome = once()
+        except MemoryError:
+            return "limit"
         seconds = time.perf_counter() - start
         spent += seconds
         runs += 1
@@ -327,19 +386,23 @@ def child(name: str, count: bool) -> dict:
         "status": status,
         "objective": objective,
         "witness": hashlib.sha256(repr(witness).encode()).hexdigest()[:16],
+        "max_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     if count:
         if spec[0] != "imbalance":
             record["levels"] = outcome.stats["iterations"]
             record["dp_cells"] = outcome.stats["dp_cells"]
         record.update(counts)
+        for key in ("level_change_s", "fold_step_s"):
+            record[key] = round(record[key], 4)
     else:
         record["seconds"] = round(best, 4)
     return record
 
 
 def run(tree: Path, name: str, count: bool) -> dict | str:
-    """One fresh process on ``tree``; ``"limit"`` when it hits the cap."""
+    """One fresh process on ``tree``; ``"limit"`` when it hits the time
+    cap or its memory limit."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--child", name,
            "--tree", str(tree)] + (["--count"] if count else [])
     try:
@@ -366,6 +429,8 @@ def main() -> int:
     args = parser.parse_args()
     if args.child:
         sys.path[:0] = [str(args.tree / "src"), str(args.tree)]
+        cap = MEMORY_CAP_MB << 20
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
         print(json.dumps(child(args.child, args.count)))
         return 0
     if args.parent is None:
@@ -398,6 +463,7 @@ def main() -> int:
         "cap_s": CAP_S,
         "repeats": REPEATS,
         "min_timed_s": MIN_TIMED_S,
+        "memory_cap_mb": MEMORY_CAP_MB,
         "host": {"python": platform.python_version(), "machine": platform.machine()},
         "rows": rows,
     }
